@@ -2,40 +2,13 @@
 
 Modules:
     graph       -- topology, Laplacian/pinning matrices, graph Lyapunov certificate
-    dynamics    -- Brunovsky-chain models and the bundled five-vehicle fleet
-    estimator   -- linear-in-parameters approximators and adaptive tuning laws
-    controller  -- errors, Hurwitz synthesis, potentials, the composite control law
-    sim         -- coupled RK4 integration, traces, metrics, stability diagnostics
+    dynamics    -- Brunovsky-chain models, builtin platoon drifts, drift expressions
+    estimator   -- bounded bases and the estimator configuration
+    controller  -- offsets, gains, Hurwitz synthesis and check
+    sim         -- the vectorised closed-loop field, RK4 integration, traces,
+                   metrics, stability diagnostics
     scenario_io -- JSON scenario files and the bundled scenarios
     cli         -- `consensus-lab` command-line front end
 """
-
-from .graph import (
-    Topology, GraphLyapunov, SingularPinnedLaplacian, NonPositiveQ,
-    degree_matrix, laplacian, has_leader_spanning_tree, pinned_laplacian,
-    graph_lyapunov, proximity_augment,
-)
-from .dynamics import (
-    AgentModel, LeaderModel, FleetState, NonFiniteDrift,
-    agent_derivative, leader_derivative, builtin_fleet, disturbance_eval,
-    validate_initial_bounds,
-)
-from .estimator import (
-    BasisSpec, LipEstimator, NNConfig, DimensionMismatch,
-    basis_eval, basis_bound, estimate, tune_agent, tune_leader, tune_disturbance,
-    gaussian_grid, fourier_basis, zero_estimator,
-)
-from .controller import (
-    Offsets, ControlGains, NotHurwitz, IsolatedAgent, NonFiniteControl,
-    sync_error, hurwitz_lambda, check_hurwitz, companion, lyapunov_P1,
-    stability_error, rho, collision_potential, leader_potential,
-    obstacle_potential, control_input,
-)
-from .sim import (
-    Scenario, Trace, CuubBounds, DiagnosticsReport, EmptyTrace,
-    derivative_field, rk4_step, run, metrics, cuub_diagnostics,
-    validate_scenario, initial_state, state_layout,
-)
-from .scenario_io import ScenarioError, load_scenario, parse_scenario, parse_bounds
 
 __version__ = "0.1.0"

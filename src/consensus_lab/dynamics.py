@@ -1,9 +1,9 @@
-"""Brunovsky-chain agent/leader dynamics and the bundled five-vehicle fleet.
+"""Brunovsky-chain agent/leader models, the builtin platoon drifts, expressions.
 
 Every model is a chain of n integrators whose last channel is forced:
 followers by drift + control + disturbance, the leader by its autonomous
-drift.  Drifts are plain callables f(state, t) -> float; the bundled fleet
-hard-codes five heterogeneous longitudinal vehicle models (mass, quadratic
+drift.  Drifts are plain callables f(state, t) -> float; the builtin drifts
+hard-code five heterogeneous longitudinal vehicle models (mass, quadratic
 drag, road grade) plus a self-regulating leader.  User scenarios may instead
 supply drift expressions in a small arithmetic grammar.
 """
@@ -96,53 +96,12 @@ class FleetState:
         return self.agents.shape[1]
 
 
-def agent_derivative(model: AgentModel, state: np.ndarray, u: float, t: float) -> np.ndarray:
-    """Chain derivative [x2, ..., xn, f(x, t) + u + w(t)]."""
-    x = np.asarray(state, dtype=float)
-    if x.shape != (model.order,):
-        raise ValueError(f"state must have length {model.order}")
-    forcing = model.drift(x, t) + u + model.disturbance(t)
-    if not math.isfinite(forcing):
-        raise NonFiniteDrift(f"model {model.label!r} produced non-finite forcing at t={t}")
-    out = np.empty(model.order)
-    out[:-1] = x[1:]
-    out[-1] = forcing
-    return out
-
-
-def leader_derivative(model: LeaderModel, state: np.ndarray, t: float) -> np.ndarray:
-    """Chain derivative with the leader's autonomous drift in the last channel."""
-    x = np.asarray(state, dtype=float)
-    if x.shape != (model.order,):
-        raise ValueError(f"state must have length {model.order}")
-    forcing = model.drift(x, t)
-    if not math.isfinite(forcing):
-        raise NonFiniteDrift(f"leader {model.label!r} produced non-finite drift at t={t}")
-    out = np.empty(model.order)
-    out[:-1] = x[1:]
-    out[-1] = forcing
-    return out
-
-
-def disturbance_eval(model: AgentModel, t: float) -> float:
-    """w_i(t) for the given model."""
-    return float(model.disturbance(t))
-
-
-def validate_initial_bounds(fleet_state: FleetState, x_bound: float, x0_bound: float) -> bool:
-    """True iff every follower norm <= x_bound and the leader norm <= x0_bound."""
-    agent_norms = np.linalg.norm(fleet_state.agents, axis=1)
-    return bool(np.all(agent_norms <= x_bound) and np.linalg.norm(fleet_state.leader) <= x0_bound)
-
-
 # ---------------------------------------------------------------------------
-# Bundled fleet: one leader and five followers with distinct nonlinearities.
-# Control and disturbance enter the library's chain with unit gain, i.e. the
-# simulated input is the acceleration command (physical force / mass).
-
-PLATOON_MASSES = (1200.0, 1100.0, 1500.0, 1400.0, 1500.0)
-PLATOON_LEADER_MASS = 2000.0
-PLATOON_DISTURBANCE = 5.0
+# Builtin platoon drifts: five followers with distinct nonlinearities and a
+# self-regulating leader, each a factory of the vehicle mass (the masses sit
+# in vehicle_platoon.json).  Control and disturbance enter the library's
+# chain with unit gain, i.e. the simulated input is the acceleration command
+# (physical force / mass).
 
 
 def _agent1_drift(m):
@@ -213,30 +172,6 @@ def sinusoid_disturbance(amp: float, freq: float) -> Callable[[float], float]:
     return lambda t: amp * math.sin(freq * t)
 
 
-def builtin_fleet() -> tuple[LeaderModel, list[AgentModel], dict]:
-    """The bundled five-vehicle fleet and its parameter table."""
-    agents = []
-    factories = [_agent1_drift, _agent2_drift, _agent3_drift, _agent4_drift, _agent5_drift]
-    for i, (factory, mass) in enumerate(zip(factories, PLATOON_MASSES), start=1):
-        agents.append(AgentModel(
-            order=2,
-            drift=factory(mass),
-            mass=mass,
-            disturbance=constant_disturbance(PLATOON_DISTURBANCE),
-            label=f"platoon_agent_{i}",
-        ))
-    leader = LeaderModel(order=2, drift=_leader_drift(PLATOON_LEADER_MASS), label="platoon_leader")
-    params = {
-        "masses": PLATOON_MASSES,
-        "leader_mass": PLATOON_LEADER_MASS,
-        "gravity": GRAVITY,
-        "grade_amplitude": GRADE_AMPLITUDE,
-        "grade_wavenumber": GRADE_WAVENUMBER,
-        "agent_disturbance": PLATOON_DISTURBANCE,
-    }
-    return leader, agents, params
-
-
 # ---------------------------------------------------------------------------
 # Expression-form drifts for user scenarios: +, -, *, /, **, unary minus,
 # sin/cos/tan/exp, the constants pi and e, and the variables s, v, t
@@ -244,6 +179,7 @@ def builtin_fleet() -> tuple[LeaderModel, list[AgentModel], dict]:
 
 _ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp}
 _ALLOWED_CONSTS = {"pi": math.pi, "e": math.e}
+_EVAL_GLOBALS = {"__builtins__": {}, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -271,6 +207,12 @@ def _check_expression(text: str, variables: set[str]) -> ast.Expression:
     return tree
 
 
+def _compile(text: str, variables: set[str], filename: str) -> Callable[[dict], float]:
+    """Check `text` against the grammar; return its evaluator over a {name: value} dict."""
+    code = compile(_check_expression(text, variables), filename, "eval")
+    return lambda values: float(eval(code, _EVAL_GLOBALS, values))
+
+
 def compile_state_expression(text: str, order: int) -> Callable[[np.ndarray, float], float]:
     """Compile a drift expression over s, v (aliases of x1, x2), x1..xn, and t."""
     names = {"t"} | {f"x{k}" for k in range(1, order + 1)}
@@ -278,36 +220,20 @@ def compile_state_expression(text: str, order: int) -> Callable[[np.ndarray, flo
         names.add("s")
     if order >= 2:
         names.add("v")
-    tree = _check_expression(text, names)
-    code = compile(tree, "<drift>", "eval")
-    base = {"__builtins__": {}}
-    base.update(_ALLOWED_FUNCS)
-    base.update(_ALLOWED_CONSTS)
+    evaluate = _compile(text, names, "<drift>")
 
     def drift(x, t):
-        env = dict(base)
-        env["t"] = t
-        env["s"] = x[0]
+        values = {"t": t, "s": x[0]}
         if order >= 2:
-            env["v"] = x[1]
+            values["v"] = x[1]
         for k in range(order):
-            env[f"x{k + 1}"] = x[k]
-        return float(eval(code, env))
+            values[f"x{k + 1}"] = x[k]
+        return evaluate(values)
 
     return drift
 
 
 def compile_time_expression(text: str) -> Callable[[float], float]:
     """Compile a disturbance expression in t alone."""
-    tree = _check_expression(text, {"t"})
-    code = compile(tree, "<disturbance>", "eval")
-    base = {"__builtins__": {}}
-    base.update(_ALLOWED_FUNCS)
-    base.update(_ALLOWED_CONSTS)
-
-    def disturbance(t):
-        env = dict(base)
-        env["t"] = t
-        return float(eval(code, env))
-
-    return disturbance
+    evaluate = _compile(text, {"t"}, "<disturbance>")
+    return lambda t: evaluate({"t": t})

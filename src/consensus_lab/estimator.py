@@ -1,18 +1,20 @@
-"""Linear-in-parameters approximators and their adaptive tuning laws.
+"""Bases and configuration of the linear-in-parameters approximators.
 
 Each estimated quantity (agent drift, leader drift, disturbance) is modeled
 as theta^T phi(input) with a fixed bounded basis phi and adapted weights
-theta.  Tuning combines a learning term driven by the weighted stability
-error with a damping term -kappa*theta that keeps weights bounded without
-persistent excitation.  The leader estimate enters the control law with the
-opposite sign of the agent estimate, so its tuning law flips sign too.
+theta.  The tuning laws, evaluated for all agents at once in
+``sim._SimContext.field``, combine a learning term driven by the weighted
+stability error with a damping term -kappa*theta that keeps weights bounded
+without persistent excitation.  The leader estimate enters the control law
+with the opposite sign of the agent estimate, so its tuning law flips sign.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+
+from .graph import _readonly
 
 GAUSSIAN_RBF_STATE = "gaussian_rbf_state"
 GAUSSIAN_RBF_TIME = "gaussian_rbf_time"
@@ -24,12 +26,6 @@ DEFAULT_FOURIER_FREQS = (2.0, 1.0)
 
 class DimensionMismatch(ValueError):
     """Basis input does not match the dimension of the centers."""
-
-
-def _readonly(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,7 @@ def basis_eval(basis: BasisSpec, value) -> np.ndarray:
         if x.shape != (basis.centers.shape[1],):
             raise DimensionMismatch(
                 f"input of shape {x.shape} does not match centers of dimension {basis.centers.shape[1]}")
-        d2 = np.sum((basis.centers - x) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * basis.width ** 2))
+        return basis_eval_batch(basis, x[None, :])[0]
     if basis.kind == GAUSSIAN_RBF_TIME:
         t = float(value)
         d2 = (basis.centers - t) ** 2
@@ -130,65 +125,6 @@ def basis_eval_batch(basis: BasisSpec, states: np.ndarray) -> np.ndarray:
 def basis_bound(basis: BasisSpec) -> float:
     """Sup-norm bound on phi: sqrt(p) for every supported kind."""
     return math.sqrt(basis.count)
-
-
-@dataclass(frozen=True)
-class LipEstimator:
-    """Adaptive weights theta, their basis, the SPD tuning gain F, and damping kappa."""
-
-    theta: np.ndarray
-    basis: BasisSpec
-    gain: Optional[np.ndarray] = None  # scalar, matrix, or None for identity
-    sigma: float = 0.05
-
-    def __post_init__(self):
-        theta = _readonly(self.theta)
-        if theta.shape != (self.basis.count,):
-            raise ValueError(f"theta must have length {self.basis.count}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        if self.gain is None:
-            gain = np.eye(self.basis.count)
-        else:
-            gain = np.array(self.gain, dtype=float)
-            if gain.ndim == 0:
-                gain = float(gain) * np.eye(self.basis.count)
-        if gain.shape != (self.basis.count, self.basis.count):
-            raise ValueError("gain must be a square matrix matching the basis size")
-        if np.max(np.abs(gain - gain.T)) > 1e-10:
-            raise ValueError("gain must be symmetric")
-        if np.linalg.eigvalsh(gain)[0] <= 0:
-            raise ValueError("gain must be positive definite")
-        gain.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if self.sigma < 0:
-            raise ValueError("sigma damping must be nonnegative")
-
-
-def zero_estimator(basis: BasisSpec, gain=None, sigma: float = 0.05) -> LipEstimator:
-    return LipEstimator(theta=np.zeros(basis.count), basis=basis, gain=gain, sigma=sigma)
-
-
-def estimate(est: LipEstimator, value) -> float:
-    """theta^T phi(input)."""
-    return float(est.theta @ basis_eval(est.basis, value))
-
-
-def tune_agent(est: LipEstimator, phi: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
-    """Weight derivative -F [phi * r_i * p_i * (d_i + b_i0) + kappa * theta]."""
-    return -est.gain @ (np.asarray(phi, dtype=float) * (r_i * p_i * pin_degree) + est.sigma * est.theta)
-
-
-def tune_leader(est: LipEstimator, phi0: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
-    """Weight derivative +F [phi0 * r_i * p_i * (d_i + b_i0) - kappa * theta]."""
-    return est.gain @ (np.asarray(phi0, dtype=float) * (r_i * p_i * pin_degree) - est.sigma * est.theta)
-
-
-def tune_disturbance(est: LipEstimator, phiw: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
-    """Same structure as tune_agent, applied to the time-basis estimator."""
-    return -est.gain @ (np.asarray(phiw, dtype=float) * (r_i * p_i * pin_degree) + est.sigma * est.theta)
 
 
 @dataclass(frozen=True)

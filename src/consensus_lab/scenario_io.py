@@ -137,6 +137,9 @@ def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
         )
     except ValueError as exc:
         raise ScenarioError("topology", str(exc)) from None
+    if topology.n_agents != initial_positions.shape[0]:
+        raise ScenarioError("initial_states.agents",
+                            f"got {initial_positions.shape[0]} states for {topology.n_agents} agents")
     if "proximity_psi" in topo:
         psi = _get_number(topo, "proximity_psi", "topology", positive=True)
         topology = gr.proximity_augment(topology, initial_positions, psi)
@@ -272,9 +275,8 @@ def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
     if box.ndim != 2 or box.shape != (order, 2):
         raise ScenarioError(f"{here}.box", f"expected {order} [lo, hi] pairs")
     per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
-    if isinstance(per_axis, list):
-        per_axis = [int(v) for v in per_axis]
-    elif isinstance(per_axis, bool) or not isinstance(per_axis, int):
+    entries = per_axis if isinstance(per_axis, list) else [per_axis]
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
         raise ScenarioError(f"{here}.per_axis", "expected an integer or list of integers")
     width = bd.get("width")
     if width is not None:
@@ -343,9 +345,6 @@ def parse_scenario(doc: dict) -> sim.Scenario:
         raise ScenarioError("initial_states.leader", "chain order must be >= 2")
 
     topology = _parse_topology(doc, agents0[:, 0])
-    if topology.n_agents != agents0.shape[0]:
-        raise ScenarioError("initial_states.agents",
-                            f"got {agents0.shape[0]} states for {topology.n_agents} agents")
     agent_models = _parse_agents(doc, order)
     if len(agent_models) != topology.n_agents:
         raise ScenarioError("agents", f"got {len(agent_models)} models for "
@@ -371,7 +370,6 @@ def parse_scenario(doc: dict) -> sim.Scenario:
     dt = _get_number(sim_doc, "dt", "sim", default=1e-3, positive=True)
     record_stride = _get_int(sim_doc, "record_stride", "sim",
                              default=sim.RECORD_STRIDE_DEFAULT, minimum=1)
-    seed = _get_int(sim_doc, "seed", "sim", default=0)
 
     try:
         initial = dyn.FleetState(agents=agents0, leader=leader0, time=0.0)
@@ -389,7 +387,6 @@ def parse_scenario(doc: dict) -> sim.Scenario:
         duration=duration,
         dt=dt,
         record_stride=record_stride,
-        seed=seed,
     )
     try:
         sim.validate_scenario(scenario)

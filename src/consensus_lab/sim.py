@@ -12,7 +12,7 @@ trace rather than raised, so partial traces stay inspectable.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,14 +42,13 @@ class Scenario:
     duration: float
     dt: float = 1e-3
     record_stride: int = RECORD_STRIDE_DEFAULT
-    seed: int = 0  # reserved for randomized scenario generation
 
     def __post_init__(self):
         object.__setattr__(self, "agent_models", tuple(self.agent_models))
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Raise ValueError on any violated cross-field invariant."""
+def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
+    """Raise ValueError on any violated cross-field invariant; return the graph certificate."""
     topo = scenario.topology
     n = scenario.leader_model.order
     n_agents = topo.n_agents
@@ -88,6 +87,10 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ValueError("leader_basis centers must match the chain order")
     if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
         raise ValueError("w_basis must be a time basis")
+    try:
+        return gr.graph_lyapunov(topo)
+    except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
+        raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,31 @@ def initial_state(scenario: Scenario) -> np.ndarray:
     return y
 
 
+class _Evaluation(NamedTuple):
+    """Everything downstream of one raw state snapshot (see _SimContext.evaluate)."""
+
+    agents: np.ndarray      # (N, n)
+    leader: np.ndarray      # (n,)
+    th_f: np.ndarray        # (N, p_f) drift weights
+    th_w: np.ndarray        # (N, p_w) disturbance weights
+    th_l: np.ndarray        # (N, p_l) leader weights
+    rel_errors: np.ndarray  # (N, n): E_i0 per order
+    errors: np.ndarray      # (N, n): column k-1 holds e^k
+    r: np.ndarray           # (N,)
+    phi_f: np.ndarray       # (N, p_f)
+    phi_w: np.ndarray       # (p_w,)
+    phi_l: np.ndarray       # (p_l,)
+    u: np.ndarray           # (N,) composite control
+    s_fac: np.ndarray       # (N,) r_i * p_i * (d_i + b_i0), shared by the tuning laws
+    min_pair: float
+    min_obst: float
+
+
 class _SimContext:
     """Precomputed arrays shared by the derivative field and the recorder."""
 
     def __init__(self, scenario: Scenario):
-        validate_scenario(scenario)
+        lyap = validate_scenario(scenario)
         topo = scenario.topology
         self.scenario = scenario
         self.layout = state_layout(scenario)
@@ -152,7 +175,7 @@ class _SimContext:
         self.dvec = topo.adjacency.sum(axis=1)
         self.bvec = np.asarray(topo.leader_weights)
         self.pin = self.dvec + self.bvec
-        self.p_vec = gr.graph_lyapunov(topo).p_diag
+        self.p_vec = lyap.p_diag
         g = scenario.gains
         self.lam = np.asarray(g.lambda_bar)
         self.cvec = np.asarray(g.c)
@@ -176,7 +199,7 @@ class _SimContext:
 
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers.
-    def evaluate(self, y: np.ndarray, t: float):
+    def evaluate(self, y: np.ndarray, t: float) -> _Evaluation:
         na, n = self.layout.n_agents, self.layout.order
         X, x0, th_f, th_w, th_l = self.layout.split(y)
         g = self.gains
@@ -227,13 +250,12 @@ class _SimContext:
 
         u = u_d - u_c - u_0
         min_pair = float(adist[self.eye_mask].min()) if na > 1 else math.inf
-        s_fac = r * self.p_vec * self.pin
-        return (X, x0, th_f, th_w, th_l, delta, e_cols, r, rho_v,
-                phi_f, phi_w, phi_l, u, s_fac, min_pair, min_obst)
+        return _Evaluation(X, x0, th_f, th_w, th_l, delta, e_cols, r, phi_f, phi_w, phi_l,
+                           u, r * self.p_vec * self.pin, min_pair, min_obst)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
-        (X, x0, th_f, th_w, th_l, _delta, _e, _r, _rho,
-         phi_f, phi_w, phi_l, u, s_fac, _mp, _mo) = self.evaluate(y, t)
+        ev = self.evaluate(y, t)
+        X, x0 = ev.agents, ev.leader
         na, n = self.layout.n_agents, self.layout.order
         cfg = self.cfg
 
@@ -250,32 +272,19 @@ class _SimContext:
 
         x_dot = np.empty((na, n))
         x_dot[:, :n - 1] = X[:, 1:]
-        x_dot[:, n - 1] = f_vals + u + w_vals
+        x_dot[:, n - 1] = f_vals + ev.u + w_vals
         x0_dot = np.empty(n)
         x0_dot[:n - 1] = x0[1:]
         x0_dot[n - 1] = f0
 
-        col = s_fac[:, None]
-        d_th_f = -cfg.gain * (phi_f * col + cfg.kappa * th_f)
-        d_th_w = -cfg.gain * (phi_w[None, :] * col + cfg.kappaw * th_w)
-        d_th_l = cfg.gain * (phi_l[None, :] * col - cfg.kappa0 * th_l)
+        col = ev.s_fac[:, None]
+        d_th_f = -cfg.gain * (ev.phi_f * col + cfg.kappa * ev.th_f)
+        d_th_w = -cfg.gain * (ev.phi_w[None, :] * col + cfg.kappaw * ev.th_w)
+        d_th_l = cfg.gain * (ev.phi_l[None, :] * col - cfg.kappa0 * ev.th_l)
 
         return np.concatenate([
             x_dot.ravel(), x0_dot, d_th_f.ravel(), d_th_w.ravel(), d_th_l.ravel(),
         ])
-
-
-def derivative_field(scenario: Scenario, full_state: np.ndarray, t: float) -> np.ndarray:
-    """Derivative of the coupled closed loop; pure in (full_state, t)."""
-    y = np.asarray(full_state, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("full_state must be finite")
-    return _SimContext(scenario).field(y, t)
-
-
-def compile_field(scenario: Scenario) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Reusable field closure with the per-scenario setup done once."""
-    return _SimContext(scenario).field
 
 
 def rk4_step(field: Callable[[np.ndarray, float], np.ndarray],
@@ -322,24 +331,23 @@ class _Recorder:
             "rel_errors", "weight_norms", "min_pair", "min_obst")}
 
     def record(self, ctx: _SimContext, y: np.ndarray, t: float) -> float:
-        (X, x0, th_f, th_w, th_l, delta, e_cols, r, _rho,
-         _pf, _pw, _pl, u, _s, min_pair, min_obst) = ctx.evaluate(y, t)
+        ev = ctx.evaluate(y, t)
         norms = np.stack([
-            np.linalg.norm(th_f, axis=1),
-            np.linalg.norm(th_w, axis=1),
-            np.linalg.norm(th_l, axis=1),
+            np.linalg.norm(ev.th_f, axis=1),
+            np.linalg.norm(ev.th_w, axis=1),
+            np.linalg.norm(ev.th_l, axis=1),
         ], axis=1)
         rows = self.rows
         rows["times"].append(t)
-        rows["agents"].append(X.copy())
-        rows["leader"].append(x0.copy())
-        rows["controls"].append(u)
-        rows["errors"].append(e_cols)
-        rows["r"].append(r)
-        rows["rel_errors"].append(delta)
+        rows["agents"].append(ev.agents.copy())
+        rows["leader"].append(ev.leader.copy())
+        rows["controls"].append(ev.u)
+        rows["errors"].append(ev.errors)
+        rows["r"].append(ev.r)
+        rows["rel_errors"].append(ev.rel_errors)
         rows["weight_norms"].append(norms)
-        rows["min_pair"].append(min_pair)
-        rows["min_obst"].append(min_obst)
+        rows["min_pair"].append(ev.min_pair)
+        rows["min_obst"].append(ev.min_obst)
         return float(norms.max()) if norms.size else 0.0
 
     def build(self, aborted: Optional[str]) -> Trace:
@@ -382,7 +390,7 @@ def run(scenario: Scenario) -> Trace:
             t = t0 + step * scenario.dt
             try:
                 y = rk4_step(ctx.field, y, t, scenario.dt)
-            except (dyn.NonFiniteDrift, ctl.NonFiniteControl, ctl.IsolatedAgent) as exc:
+            except dyn.NonFiniteDrift as exc:
                 aborted = str(exc)
                 break
             except (OverflowError, ZeroDivisionError, TypeError) as exc:

@@ -1,0 +1,248 @@
+"""Scalar per-agent reference forms of the control law and the tuning laws.
+
+The simulator runs only the vectorised field in ``consensus_lab.sim``.  These
+literal per-agent restatements (loops over neighbours, one estimator object
+per agent and family) are the oracles the tests compare the field against.
+
+The per-agent control is u_i = u_i^d - u_i^c - u_i^0:
+
+    u_i^d = rho_i/(d_i + b_i0) - fhat_i - what_i + fhat0 + r_i - c . E_i0
+    u_i^c = collision terms,   u_i^0 = obstacle terms
+
+where e^k is the neighbor/leader-weighted disagreement of the k-th state
+channel, r = lambda_1 e^1 + ... + lambda_{n-1} e^{n-1} + e^n, and
+rho = lambda_1 e^2 + ... + lambda_{n-1} e^n.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from consensus_lab.controller import DISTANCE_CLAMP, ControlGains, Offsets
+from consensus_lab.dynamics import FleetState
+from consensus_lab.estimator import BasisSpec, basis_eval
+from consensus_lab.graph import GraphLyapunov, Topology, _readonly
+
+
+class IsolatedAgent(RuntimeError):
+    """An agent has d_i + b_i0 = 0 and cannot evaluate the control law."""
+
+
+class NonFiniteControl(RuntimeError):
+    """A term of the control law evaluated to NaN/Inf."""
+
+
+# ---------------------------------------------------------------------------
+# Estimators and tuning laws.  Tuning combines a learning term driven by the
+# weighted stability error with a damping term -kappa*theta; the leader
+# estimate enters the control law with the opposite sign of the agent
+# estimate, so its tuning law flips sign too.
+
+@dataclass(frozen=True)
+class LipEstimator:
+    """Adaptive weights theta, their basis, the SPD tuning gain F, and damping kappa."""
+
+    theta: np.ndarray
+    basis: BasisSpec
+    gain: Optional[np.ndarray] = None  # scalar, matrix, or None for identity
+    sigma: float = 0.05
+
+    def __post_init__(self):
+        theta = _readonly(self.theta)
+        if theta.shape != (self.basis.count,):
+            raise ValueError(f"theta must have length {self.basis.count}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
+        if self.gain is None:
+            gain = np.eye(self.basis.count)
+        else:
+            gain = np.array(self.gain, dtype=float)
+            if gain.ndim == 0:
+                gain = float(gain) * np.eye(self.basis.count)
+        if gain.shape != (self.basis.count, self.basis.count):
+            raise ValueError("gain must be a square matrix matching the basis size")
+        if np.max(np.abs(gain - gain.T)) > 1e-10:
+            raise ValueError("gain must be symmetric")
+        if np.linalg.eigvalsh(gain)[0] <= 0:
+            raise ValueError("gain must be positive definite")
+        gain.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if self.sigma < 0:
+            raise ValueError("sigma damping must be nonnegative")
+
+
+def zero_estimator(basis: BasisSpec, gain=None, sigma: float = 0.05) -> LipEstimator:
+    return LipEstimator(theta=np.zeros(basis.count), basis=basis, gain=gain, sigma=sigma)
+
+
+def estimate(est: LipEstimator, value) -> float:
+    """theta^T phi(input)."""
+    return float(est.theta @ basis_eval(est.basis, value))
+
+
+def tune_agent(est: LipEstimator, phi: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
+    """Weight derivative -F [phi * r_i * p_i * (d_i + b_i0) + kappa * theta]."""
+    return -est.gain @ (np.asarray(phi, dtype=float) * (r_i * p_i * pin_degree) + est.sigma * est.theta)
+
+
+def tune_leader(est: LipEstimator, phi0: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
+    """Weight derivative +F [phi0 * r_i * p_i * (d_i + b_i0) - kappa * theta]."""
+    return est.gain @ (np.asarray(phi0, dtype=float) * (r_i * p_i * pin_degree) - est.sigma * est.theta)
+
+
+def tune_disturbance(est: LipEstimator, phiw: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
+    """Same structure as tune_agent, applied to the time-basis estimator."""
+    return -est.gain @ (np.asarray(phiw, dtype=float) * (r_i * p_i * pin_degree) + est.sigma * est.theta)
+
+
+# ---------------------------------------------------------------------------
+# Errors, potentials and the composite control law.
+
+def sync_error(k: int, fleet: FleetState, topology: Topology, offsets: Offsets) -> np.ndarray:
+    """Weighted synchronization error of the k-th channel (k is 1-based).
+
+    e_i^k = -nu1 * sum_j a_ij [(x_i^k - psi_i) - (x_j^k - psi_j)]
+            -nu2 * b_i0   [(x_i^k - psi_i) - (x_0^k - psi_0)]
+
+    computed as the literal per-agent sums; equals the matrix form
+    -(nu1 L + nu2 B)(xbar^k - xbar_0^k) to floating-point accuracy.
+    """
+    n = fleet.order
+    if not 1 <= k <= n:
+        raise ValueError(f"order index k={k} out of range 1..{n}")
+    xbar = fleet.agents[:, k - 1] - offsets.per_agent[:, k - 1]
+    xbar0 = fleet.leader[k - 1] - offsets.leader[k - 1]
+    adj = topology.adjacency
+    b = topology.leader_weights
+    e = np.empty(topology.n_agents)
+    for i in range(topology.n_agents):
+        acc = 0.0
+        for j in range(topology.n_agents):
+            if adj[i, j] != 0.0:
+                acc += adj[i, j] * (xbar[i] - xbar[j])
+        e[i] = -topology.nu1 * acc - topology.nu2 * b[i] * (xbar[i] - xbar0)
+    return e
+
+
+def stability_error(e_stack: np.ndarray, lambda_bar) -> np.ndarray:
+    """r = lambda_1 e^1 + ... + lambda_{n-1} e^{n-1} + e^n from the (n, N) stack."""
+    e = np.asarray(e_stack, dtype=float)
+    lam = np.asarray(lambda_bar, dtype=float)
+    if e.shape[0] != lam.shape[0] + 1:
+        raise ValueError("e_stack must hold n = len(lambda_bar) + 1 error vectors")
+    return lam @ e[:-1] + e[-1]
+
+
+def rho(e_tail: np.ndarray, lambda_bar) -> np.ndarray:
+    """rho = lambda_1 e^2 + ... + lambda_{n-1} e^n from the (n-1, N) tail stack."""
+    e = np.asarray(e_tail, dtype=float)
+    lam = np.asarray(lambda_bar, dtype=float)
+    if e.shape[0] != lam.shape[0]:
+        raise ValueError("e_tail must hold the n-1 vectors e^2..e^n")
+    return lam @ e
+
+
+def collision_potential(xi1: float, xj1: float, chi: float, psi: float) -> float:
+    """chi / distance inside the separation threshold, 0 at or beyond it."""
+    dist = abs(xi1 - xj1)
+    if dist >= psi:
+        return 0.0
+    return chi / max(dist, DISTANCE_CLAMP)
+
+
+def leader_potential(xi1: float, x01: float, chi: float, psi0: float) -> float:
+    """Agent-to-leader variant of the collision potential."""
+    dist = abs(xi1 - x01)
+    if dist >= psi0:
+        return 0.0
+    return chi / max(dist, DISTANCE_CLAMP)
+
+
+def obstacle_potential(xi1: float, omega: float, detect_radius: float, d_core: float) -> float:
+    """[(R^2 - d^2)/(d^2 - core^2)]^2 in the detection annulus, 0 beyond R.
+
+    Inside the core (outside the formula's stated domain) the value
+    saturates at the one attained at distance core * (1 + 1e-6).
+    """
+    if not d_core < detect_radius:
+        raise ValueError("d_core must be smaller than detect_radius")
+    dist = abs(xi1 - omega)
+    if dist > detect_radius:
+        return 0.0
+    dist = max(dist, d_core * (1.0 + DISTANCE_CLAMP))
+    ratio = (detect_radius ** 2 - dist ** 2) / (dist ** 2 - d_core ** 2)
+    return ratio ** 2
+
+
+def _direction(origin: float, other: float) -> float:
+    # Repulsive direction along the position axis; zero only at exact overlap.
+    return float(np.sign(origin - other))
+
+
+def control_input(
+    i: int,
+    fleet: FleetState,
+    topology: Topology,
+    lyap: GraphLyapunov,
+    offsets: Offsets,
+    gains: ControlGains,
+    estimators: tuple[LipEstimator, LipEstimator, LipEstimator],
+    t: float,
+) -> float:
+    """Composite control for agent i from a consistent fleet snapshot.
+
+    ``estimators`` holds agent i's drift, disturbance, and leader estimators.
+    ``lyap`` certifies the topology (it feeds the tuning laws, not this law).
+    """
+    del lyap
+    n = fleet.order
+    adj = topology.adjacency
+    d_i = float(adj[i].sum())
+    b_i = float(topology.leader_weights[i])
+    if d_i + b_i == 0.0:
+        raise IsolatedAgent(f"agent {i} has no neighbors and no leader link")
+
+    e_stack = np.stack([sync_error(k, fleet, topology, offsets) for k in range(1, n + 1)])
+    r_i = float(stability_error(e_stack, gains.lambda_bar)[i])
+    rho_i = float(rho(e_stack[1:], gains.lambda_bar)[i])
+
+    est_f, est_w, est_leader = estimators
+    f_hat = estimate(est_f, fleet.agents[i])
+    w_hat = estimate(est_w, t)
+    l_hat = estimate(est_leader, fleet.leader)
+
+    delta_i = (fleet.agents[i] - offsets.per_agent[i]) - (fleet.leader - offsets.leader)
+    if gains.strict_decentralized and b_i == 0.0:
+        c_term = 0.0
+    else:
+        c_term = float(gains.c @ delta_i)
+
+    u_d = rho_i / (d_i + b_i) - f_hat - w_hat + l_hat + r_i - c_term
+
+    x_i = float(fleet.agents[i, 0])
+    u_c = 0.0
+    for j in range(topology.n_agents):
+        if j == i:
+            continue
+        m_ij = collision_potential(x_i, float(fleet.agents[j, 0]), gains.chi, gains.psi_ij)
+        if m_ij:
+            u_c += gains.gamma1 * m_ij * (1.0 if gains.signless_avoidance
+                                          else -_direction(x_i, float(fleet.agents[j, 0])))
+    m_i0 = leader_potential(x_i, float(fleet.leader[0]), gains.chi, gains.psi_i0)
+    if m_i0:
+        u_c += gains.gamma2 * m_i0 * (1.0 if gains.signless_avoidance
+                                      else -_direction(x_i, float(fleet.leader[0])))
+    u_0 = 0.0
+    for omega in gains.obstacles:
+        m_ib = obstacle_potential(x_i, float(omega), gains.detect_radius, gains.obstacle_radius)
+        if m_ib:
+            u_0 += gains.gamma0 * m_ib * (1.0 if gains.signless_avoidance
+                                          else -_direction(x_i, float(omega)))
+
+    u = u_d - u_c - u_0
+    if not np.isfinite(u):
+        raise NonFiniteControl(f"control for agent {i} is non-finite at t={t}")
+    return float(u)

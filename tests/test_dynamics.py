@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
+from consensus_lab import estimator as nn
+from consensus_lab import graph as gr
+from consensus_lab import scenario_io as sio
+from consensus_lab import sim
 
 
 def zero_model(order=3):
@@ -11,78 +16,107 @@ def zero_model(order=3):
                           disturbance=dyn.constant_disturbance(0.0), label="zero")
 
 
+def zero_leader(order=3):
+    return dyn.LeaderModel(order=order, drift=lambda x, t: 0.0, label="zero")
+
+
+def one_agent_field(model, leader, state, leader_state, t):
+    """Field rows of a single pinned agent and its leader, plus the evaluated terms."""
+    n = model.order
+    scenario = sim.Scenario(
+        topology=gr.Topology(n_agents=1, adjacency=[[0.0]], leader_weights=[1.0],
+                             nu1=1.0, nu2=1.0),
+        agent_models=(model,),
+        leader_model=leader,
+        gains=ctl.ControlGains(lambda_bar=ctl.hurwitz_lambda([1.0] * (n - 1)), c=np.zeros(n)),
+        offsets=ctl.Offsets.zero(1, n),
+        nn_config=nn.NNConfig(f_basis=nn.gaussian_grid([(-1.0, 1.0)] * n, 1),
+                              leader_basis=nn.gaussian_grid([(-1.0, 1.0)] * n, 1),
+                              w_basis=nn.fourier_basis((1.0,))),
+        initial=dyn.FleetState(agents=[state], leader=leader_state),
+        duration=0.0)
+    ctx = sim._SimContext(scenario)
+    y = sim.initial_state(scenario)
+    dx, dx0, _, _, _ = ctx.layout.split(ctx.field(y, t))
+    return dx[0], dx0, ctx.evaluate(y, t)
+
+
+def platoon_models():
+    scenario, _ = sio.load_scenario("builtin:vehicle_platoon")
+    return scenario.leader_model, scenario.agent_models
+
+
 class TestAgentDerivative:
     def test_pure_chain_structure(self):
-        out = dyn.agent_derivative(zero_model(3), np.array([1.0, 2.0, 3.0]), 0.0, 0.0)
-        assert np.array_equal(out, [2.0, 3.0, 0.0])
+        out, _, _ = one_agent_field(zero_model(3), zero_leader(3),
+                                    np.array([1.0, 2.0, 3.0]), np.zeros(3), 0.0)
+        assert np.array_equal(out[:-1], [2.0, 3.0])
 
     def test_chain_channels_match_state_shift(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 6))
             x = rng.normal(size=n)
-            out = dyn.agent_derivative(zero_model(n), x, rng.normal(), rng.random())
+            out, _, _ = one_agent_field(zero_model(n), zero_leader(n), x,
+                                        rng.normal(size=n), rng.random())
             assert np.array_equal(out[:-1], x[1:])
 
     def test_fleet_agent5_at_origin(self):
-        # cos(0) - 0 - g*sin(alpha(0)) = 1 with the disturbance zeroed
-        model = dyn.AgentModel(
-            order=2,
-            drift=dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_5"](1500.0),
-            mass=1500.0,
-            disturbance=dyn.constant_disturbance(0.0),
-        )
-        out = dyn.agent_derivative(model, np.array([0.0, 0.0]), 0.0, 0.0)
-        assert out == pytest.approx([0.0, 1.0], abs=1e-15)
+        # cos(0) - 0 - g*sin(alpha(0)) = 1
+        drift = dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_5"](1500.0)
+        assert drift(np.array([0.0, 0.0]), 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_forcing_adds_u_and_w(self):
         model = dyn.AgentModel(order=2, drift=lambda x, t: 0.25, mass=1.0,
                                disturbance=dyn.constant_disturbance(0.5))
-        out = dyn.agent_derivative(model, np.array([0.0, 0.0]), 2.0, 0.0)
-        assert out[1] == pytest.approx(0.25 + 2.0 + 0.5)
+        out, _, ev = one_agent_field(model, zero_leader(2), np.array([0.3, -0.2]),
+                                     np.zeros(2), 0.0)
+        assert ev.u[0] != 0.0
+        assert out[1] == pytest.approx(0.25 + ev.u[0] + 0.5)
 
     def test_non_finite_drift_raises(self):
         model = dyn.AgentModel(order=2, drift=lambda x, t: math.inf, mass=1.0,
                                disturbance=dyn.constant_disturbance(0.0))
         with pytest.raises(dyn.NonFiniteDrift):
-            dyn.agent_derivative(model, np.array([0.0, 0.0]), 0.0, 0.0)
+            one_agent_field(model, zero_leader(2), np.zeros(2), np.zeros(2), 0.0)
 
 
 class TestLeaderDerivative:
     def test_zero_drift_chain(self):
-        model = dyn.LeaderModel(order=2, drift=lambda x, t: 0.0)
-        out = dyn.leader_derivative(model, np.array([3.0, 4.0]), 0.0)
+        _, out, _ = one_agent_field(zero_model(2), zero_leader(2), np.zeros(2),
+                                    np.array([3.0, 4.0]), 0.0)
         assert np.array_equal(out, [4.0, 0.0])
 
     def test_fleet_leader_at_origin(self):
         # -3*0 + 1 - g*sin(alpha(0)) - 0 + (0 + 6)/2000 - (-1)^2(-1)/(3*2000)
-        leader, _, _ = dyn.builtin_fleet()
-        out = dyn.leader_derivative(leader, np.array([0.0, 0.0]), 0.0)
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(1.0 + 6.0 / 2000.0 + 1.0 / 6000.0, abs=1e-12)
+        drift = dyn.BUILTIN_LEADER_DRIFTS["platoon_leader"](2000.0)
+        assert drift(np.array([0.0, 0.0]), 0.0) == \
+            pytest.approx(1.0 + 6.0 / 2000.0 + 1.0 / 6000.0, abs=1e-12)
 
 
 class TestBuiltinFleet:
     def test_masses(self):
-        _, agents, params = dyn.builtin_fleet()
+        leader, agents = platoon_models()
         assert [a.mass for a in agents] == [1200.0, 1100.0, 1500.0, 1400.0, 1500.0]
-        assert params["masses"] == (1200.0, 1100.0, 1500.0, 1400.0, 1500.0)
-        assert params["leader_mass"] == 2000.0
+        assert [a.label for a in agents] == [f"platoon_agent_{i}" for i in range(1, 6)]
+        # the leader model keeps no mass; its drift must be the one built for 2000
+        x = np.array([1.3, -0.4])
+        assert leader.drift(x, 0.7) == dyn.BUILTIN_LEADER_DRIFTS["platoon_leader"](2000.0)(x, 0.7)
 
     def test_constant_disturbance_five(self):
-        _, agents, _ = dyn.builtin_fleet()
+        _, agents = platoon_models()
         for a in agents:
             for t in (0.0, 1.3, 99.0):
-                assert dyn.disturbance_eval(a, t) == 5.0
+                assert a.disturbance(t) == 5.0
 
     def test_drifts_finite_at_origin(self):
-        leader, agents, _ = dyn.builtin_fleet()
+        leader, agents = platoon_models()
         for a in agents:
             assert math.isfinite(a.drift(np.array([0.0, 0.0]), 0.3))
         assert math.isfinite(leader.drift(np.array([0.0, 0.0]), 0.3))
 
     def test_all_builtin_evaluations_finite_on_box(self):
-        leader, agents, _ = dyn.builtin_fleet()
+        leader, agents = platoon_models()
         grid = np.linspace(-100.0, 100.0, 9)
         for s in grid:
             for v in grid:
@@ -95,30 +129,13 @@ class TestBuiltinFleet:
 class TestDisturbanceEval:
     def test_zero_descriptor(self):
         model = zero_model(2)
-        assert dyn.disturbance_eval(model, 5.0) == 0.0
+        assert model.disturbance(5.0) == 0.0
 
     def test_sinusoid_phase_zero(self):
         model = dyn.AgentModel(order=2, drift=lambda x, t: 0.0, mass=1.0,
                                disturbance=dyn.sinusoid_disturbance(2.0, 1.0))
-        assert dyn.disturbance_eval(model, 0.0) == 0.0
-        assert dyn.disturbance_eval(model, math.pi / 2) == pytest.approx(2.0)
-
-
-class TestValidateInitialBounds:
-    def test_zero_states_pass(self):
-        fleet = dyn.FleetState(agents=np.zeros((3, 2)), leader=np.zeros(2))
-        assert dyn.validate_initial_bounds(fleet, 1.0, 1.0)
-
-    def test_large_state_fails(self):
-        fleet = dyn.FleetState(agents=np.array([[10.0, 0.0]]), leader=np.zeros(2))
-        assert not dyn.validate_initial_bounds(fleet, 5.0, 5.0)
-
-    def test_bundled_initial_conditions(self):
-        from consensus_lab import scenario_io as sio
-        scenario, _ = sio.load_scenario("builtin:vehicle_platoon")
-        # hand-computed norms: max follower norm 10, leader norm 0
-        assert dyn.validate_initial_bounds(scenario.initial, 10.0, 1.0)
-        assert not dyn.validate_initial_bounds(scenario.initial, 9.9, 1.0)
+        assert model.disturbance(0.0) == 0.0
+        assert model.disturbance(math.pi / 2) == pytest.approx(2.0)
 
 
 class TestFleetState:
