@@ -130,37 +130,25 @@ def cmd_check(args) -> int:
         print(f"FAIL load: {exc}", file=sys.stderr)
         return 1
 
-    topo = scenario.topology
+    # loading validated the leader spanning tree, the graph certificate and
+    # the Hurwitz lambda_bar; those lines report what it found
     gains = scenario.gains
-    checks = []
-
-    tree_ok = gr.has_leader_spanning_tree(topo)
-    checks.append(("leader spanning tree", tree_ok, ""))
-
-    pounds = gr.pinned_laplacian(topo)
-    cond = float(np.linalg.cond(pounds))
-    checks.append(("pinned laplacian conditioning", bool(np.isfinite(cond)),
-                   f"cond = {cond:.6g}"))
-
-    # loading validated the scenario, which includes finding this certificate
-    lyap = gr.graph_lyapunov(topo)
-    checks.append(("graph Lyapunov certificate", True,
-                   f"q in [{lyap.q.min():.6g}, {lyap.q.max():.6g}], "
-                   f"P in [{lyap.p_diag.min():.6g}, {lyap.p_diag.max():.6g}], "
-                   f"min eig Q = {lyap.min_eig_q:.6g}"))
-
-    checks.append(("Hurwitz lambda_bar", ctl.check_hurwitz(gains.lambda_bar),
-                   f"lambda_bar = {np.array2string(gains.lambda_bar)}"))
-
-    try:
-        p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
-        delta = ctl.companion(gains.lambda_bar)
-        residual = float(np.linalg.norm(
-            delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]), "fro"))
-        checks.append(("companion Lyapunov solve", residual <= P1_RESIDUAL_TOL,
-                       f"residual = {residual:.3e}"))
-    except ctl.NotHurwitz as exc:
-        checks.append(("companion Lyapunov solve", False, str(exc)))
+    lyap = sim.validate_scenario(scenario)
+    cond = float(np.linalg.cond(gr.pinned_laplacian(scenario.topology)))
+    p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
+    delta = ctl.companion(gains.lambda_bar)
+    residual = float(np.linalg.norm(
+        delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]), "fro"))
+    checks = [
+        ("leader spanning tree", True, ""),
+        ("pinned laplacian conditioning", bool(np.isfinite(cond)), f"cond = {cond:.6g}"),
+        ("graph Lyapunov certificate", True,
+         f"q in [{lyap.q.min():.6g}, {lyap.q.max():.6g}], "
+         f"P in [{lyap.p_diag.min():.6g}, {lyap.p_diag.max():.6g}], "
+         f"min eig Q = {lyap.min_eig_q:.6g}"),
+        ("Hurwitz lambda_bar", True, f"lambda_bar = {np.array2string(gains.lambda_bar)}"),
+        ("companion Lyapunov solve", residual <= P1_RESIDUAL_TOL, f"residual = {residual:.3e}"),
+    ]
 
     failed = None
     for name, ok, detail in checks:
@@ -191,8 +179,8 @@ def cmd_diagnose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    lyap = gr.graph_lyapunov(scenario.topology)
-    report = sim.cuub_diagnostics(bounds, scenario.topology, lyap, scenario.gains)
+    report = sim.cuub_diagnostics(bounds, scenario.topology, sim.validate_scenario(scenario),
+                                  scenario.gains)
     for idx, (minor, ok) in enumerate(zip(report.minors, report.minors_pass), start=1):
         print(f"minor {idx}: {minor:.12g} ({'PASS' if ok else 'FAIL'})")
     print(f"mu1 = {report.mu1:.12g} (required > {report.mu1_required:.12g})")

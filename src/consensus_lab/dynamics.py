@@ -2,10 +2,12 @@
 
 Every model is a chain of n integrators whose last channel is forced:
 followers by drift + control + disturbance, the leader by its autonomous
-drift.  Drifts are plain callables f(state, t) -> float; the builtin drifts
+drift.  Drifts are callables f(state, t) -> float; the builtin drifts
 hard-code five heterogeneous longitudinal vehicle models (mass, quadratic
 drag, road grade) plus a self-regulating leader.  User scenarios may instead
-supply drift expressions in a small arithmetic grammar.
+supply drift expressions in a small arithmetic grammar.  Expressions and the
+constant and sinusoid disturbances are ``BatchModel``s, which the field
+evaluates for a whole group of agents in one numpy call.
 """
 
 import ast
@@ -164,21 +166,67 @@ BUILTIN_LEADER_DRIFTS = {
 }
 
 
-def constant_disturbance(value: float) -> Callable[[float], float]:
-    return lambda t: value
+class BatchModel:
+    """A drift or disturbance that numpy evaluates for many agents in one call.
+
+    ``kernel(consts, states, t)`` maps per-agent constant columns (one
+    float64 array per entry of ``consts``) and the state columns listed in
+    ``columns`` (x1 is column 0) to the model values.  Models with equal
+    ``key`` share their kernel, so the field evaluates a group of them once
+    over stacked columns.  Calling a model for one agent runs the same
+    kernel on one-element columns, so both give the same bits.
+    """
+
+    def __init__(self, key, kernel, consts, columns=()):
+        self.key = key
+        self.kernel = kernel
+        self.consts = np.array(consts, dtype=float)
+        self.columns = tuple(columns)
+        self._own = [self.consts[j:j + 1] for j in range(self.consts.size)]
+
+    def _one(self, states, t) -> float:
+        out = self.kernel(self._own, states, t)
+        return float(out[0]) if isinstance(out, np.ndarray) else float(out)
 
 
-def sinusoid_disturbance(amp: float, freq: float) -> Callable[[float], float]:
-    return lambda t: amp * math.sin(freq * t)
+class BatchDrift(BatchModel):
+    def __call__(self, x, t) -> float:
+        x = np.asarray(x, dtype=float)
+        return self._one([x[k:k + 1] for k in self.columns], t)
+
+
+class BatchDisturbance(BatchModel):
+    def __call__(self, t) -> float:
+        return self._one((), t)
+
+
+def _constant_kernel(consts, states, t):
+    return consts[0]
+
+
+def _sinusoid_kernel(consts, states, t):
+    return consts[0] * np.sin(consts[1] * t)
+
+
+def constant_disturbance(value: float) -> BatchDisturbance:
+    return BatchDisturbance("constant", _constant_kernel, [value])
+
+
+def sinusoid_disturbance(amp: float, freq: float) -> BatchDisturbance:
+    """amp * sin(freq * t)."""
+    return BatchDisturbance("sinusoid", _sinusoid_kernel, [amp, freq])
 
 
 # ---------------------------------------------------------------------------
 # Expression-form drifts for user scenarios: +, -, *, /, **, unary minus,
 # sin/cos/tan/exp, the constants pi and e, and the variables s, v, t
-# (plus x1..xn for higher-order chains).
+# (plus x1..xn for higher-order chains).  Expressions evaluate as numpy
+# float64: every numeric literal becomes a float64 constant column, so an
+# overflow or a complex power gives inf or nan instead of an exception or
+# unbounded big-integer work.
 
-_ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp}
-_ALLOWED_CONSTS = {"pi": math.pi, "e": math.e}
+_ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}
+_ALLOWED_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _EVAL_GLOBALS = {"__builtins__": {}, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
@@ -207,33 +255,56 @@ def _check_expression(text: str, variables: set[str]) -> ast.Expression:
     return tree
 
 
-def _compile(text: str, variables: set[str], filename: str) -> Callable[[dict], float]:
-    """Check `text` against the grammar; return its evaluator over a {name: value} dict."""
-    code = compile(_check_expression(text, variables), filename, "eval")
-    return lambda values: float(eval(code, _EVAL_GLOBALS, values))
+class _LiftConstants(ast.NodeTransformer):
+    """Replace the k-th numeric literal by the name _ck; collect literals and names."""
+
+    def __init__(self):
+        self.values = []
+        self.names = set()
+
+    def visit_Constant(self, node):
+        name = ast.Name(id=f"_c{len(self.values)}", ctx=ast.Load())
+        self.values.append(node.value)
+        return ast.copy_location(name, node)
+
+    def visit_Name(self, node):
+        self.names.add(node.id)
+        return node
 
 
-def compile_state_expression(text: str, order: int) -> Callable[[np.ndarray, float], float]:
+def _expression(cls, text: str, variables: dict, filename: str):
+    """A `cls` model of `text`; `variables` maps each state name to its column."""
+    lift = _LiftConstants()
+    code = compile(lift.visit(_check_expression(text, set(variables) | {"t"})), filename, "eval")
+    try:
+        consts = [float(v) for v in lift.values]
+    except OverflowError:
+        raise ValueError(f"expression {text!r} has a constant too large for a float") from None
+    used = sorted(lift.names & set(variables))
+    columns = sorted({variables[name] for name in used})
+    slots = [(name, columns.index(variables[name])) for name in used]
+    const_names = [f"_c{j}" for j in range(len(consts))]
+    uses_t = "t" in lift.names
+
+    def kernel(consts, states, t):
+        env = dict(zip(const_names, consts))
+        for name, j in slots:
+            env[name] = states[j]
+        if uses_t:
+            env["t"] = np.float64(t)
+        return eval(code, _EVAL_GLOBALS, env)
+
+    # equal bytecode over the lifted names means equal arithmetic: one group
+    return cls((cls.__name__, code.co_code, code.co_names), kernel, consts, columns)
+
+
+def compile_state_expression(text: str, order: int) -> BatchDrift:
     """Compile a drift expression over s, v (aliases of x1, x2), x1..xn, and t."""
-    names = {"t"} | {f"x{k}" for k in range(1, order + 1)}
-    if order >= 1:
-        names.add("s")
-    if order >= 2:
-        names.add("v")
-    evaluate = _compile(text, names, "<drift>")
-
-    def drift(x, t):
-        values = {"t": t, "s": x[0]}
-        if order >= 2:
-            values["v"] = x[1]
-        for k in range(order):
-            values[f"x{k + 1}"] = x[k]
-        return evaluate(values)
-
-    return drift
+    variables = {f"x{k + 1}": k for k in range(order)}
+    variables.update({"s": 0, "v": 1} if order >= 2 else {"s": 0})
+    return _expression(BatchDrift, text, variables, "<drift>")
 
 
-def compile_time_expression(text: str) -> Callable[[float], float]:
+def compile_time_expression(text: str) -> BatchDisturbance:
     """Compile a disturbance expression in t alone."""
-    evaluate = _compile(text, {"t"}, "<disturbance>")
-    return lambda t: evaluate({"t": t})
+    return _expression(BatchDisturbance, text, {}, "<disturbance>")

@@ -21,6 +21,10 @@ GAUSSIAN_RBF_TIME = "gaussian_rbf_time"
 FOURIER_TIME = "fourier_time"
 
 DEFAULT_GRID_PER_AXIS = 5
+# Largest state RBF grid a scenario may ask for (the product of per_axis).
+# The field evaluates an (N, p) block of distances per basis; the bundled
+# scenarios use 35 and 24 centres.
+MAX_GRID_CENTERS = 4096
 DEFAULT_FOURIER_FREQS = (2.0, 1.0)
 
 
@@ -117,8 +121,11 @@ def basis_eval_batch(basis: BasisSpec, states: np.ndarray) -> np.ndarray:
     if basis.kind != GAUSSIAN_RBF_STATE:
         raise DimensionMismatch("batch evaluation is defined for state RBF bases only")
     x = np.asarray(states, dtype=float)
-    diff = x[:, None, :] - basis.centers[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    centers = basis.centers
+    # squared distances summed one axis at a time: no (N, p, d) temporary
+    d2 = (x[:, 0:1] - centers[:, 0]) ** 2
+    for k in range(1, centers.shape[1]):
+        d2 += (x[:, k:k + 1] - centers[:, k]) ** 2
     return np.exp(-d2 / (2.0 * basis.width ** 2))
 
 

@@ -266,21 +266,24 @@ def _parse_gains(doc: dict, order: int) -> ctl.ControlGains:
 
 
 def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
-    if key not in doc:
-        box = tuple((-10.0, 10.0) for _ in range(order))
-        return nn.gaussian_grid(box)
-    bd = _get_dict(doc, key, path)
     here = f"{path}.{key}"
-    box = _get_array(bd, "box", here)
-    if box.ndim != 2 or box.shape != (order, 2):
-        raise ScenarioError(f"{here}.box", f"expected {order} [lo, hi] pairs")
-    per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
-    entries = per_axis if isinstance(per_axis, list) else [per_axis]
+    if key in doc:
+        bd = _get_dict(doc, key, path)
+        box = _get_array(bd, "box", here)
+        if box.ndim != 2 or box.shape != (order, 2):
+            raise ScenarioError(f"{here}.box", f"expected {order} [lo, hi] pairs")
+        per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
+        width = bd.get("width")
+        if width is not None:
+            width = _get_number(bd, "width", here, positive=True)
+    else:
+        box, per_axis, width = [(-10.0, 10.0)] * order, nn.DEFAULT_GRID_PER_AXIS, None
+    entries = per_axis if isinstance(per_axis, list) else [per_axis] * order
     if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
         raise ScenarioError(f"{here}.per_axis", "expected an integer or list of integers")
-    width = bd.get("width")
-    if width is not None:
-        width = _get_number(bd, "width", here, positive=True)
+    if all(v >= 1 for v in entries) and math.prod(entries) > nn.MAX_GRID_CENTERS:
+        raise ScenarioError(f"{here}.per_axis", f"a grid of {math.prod(entries)} centres "
+                                                f"exceeds the limit of {nn.MAX_GRID_CENTERS}")
     try:
         return nn.gaussian_grid([(lo, hi) for lo, hi in box], per_axis, width)
     except ValueError as exc:

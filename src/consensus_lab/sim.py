@@ -42,13 +42,22 @@ class Scenario:
     duration: float
     dt: float = 1e-3
     record_stride: int = RECORD_STRIDE_DEFAULT
+    # graph certificate found by validate_scenario; never copied by replace()
+    certificate: Optional[gr.GraphLyapunov] = field(default=None, init=False, repr=False,
+                                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agent_models", tuple(self.agent_models))
 
 
 def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
-    """Raise ValueError on any violated cross-field invariant; return the graph certificate."""
+    """Raise ValueError on any violated cross-field invariant; return the graph certificate.
+
+    The certificate is kept on the (immutable) scenario, so a scenario is
+    validated once; ``dataclasses.replace`` makes a new, unvalidated one.
+    """
+    if scenario.certificate is not None:
+        return scenario.certificate
     topo = scenario.topology
     n = scenario.leader_model.order
     n_agents = topo.n_agents
@@ -73,10 +82,6 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
         raise ValueError("record_stride must be >= 1")
     if not gr.has_leader_spanning_tree(topo):
         raise ValueError("topology has no leader spanning tree: some agent cannot hear the leader")
-    pin = topo.adjacency.sum(axis=1) + topo.leader_weights
-    for i in range(n_agents):
-        if pin[i] == 0.0:
-            raise ValueError(f"agent {i} is isolated: d_i + b_i0 must be positive")
     if scenario.nn_config.f_basis.kind != nn.GAUSSIAN_RBF_STATE:
         raise ValueError("f_basis must be a state RBF basis")
     if scenario.nn_config.f_basis.centers.shape[1] != n:
@@ -88,9 +93,11 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
     if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
         raise ValueError("w_basis must be a time basis")
     try:
-        return gr.graph_lyapunov(topo)
+        lyap = gr.graph_lyapunov(topo)
     except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
         raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
+    object.__setattr__(scenario, "certificate", lyap)
+    return lyap
 
 
 @dataclass(frozen=True)
@@ -191,11 +198,12 @@ class _SimContext:
         self.f_basis = cfg.f_basis
         self.l_basis = cfg.leader_basis
         self.w_basis = cfg.w_basis
-        self.drifts = [m.drift for m in scenario.agent_models]
-        self.disturbances = [m.disturbance for m in scenario.agent_models]
+        self.drift_batches, self.loose_drifts = _batches(
+            [m.drift for m in scenario.agent_models])
+        self.disturbance_batches, self.loose_disturbances = _batches(
+            [m.disturbance for m in scenario.agent_models])
         self.leader_drift = scenario.leader_model.drift
         self.obstacles = np.asarray(g.obstacles, dtype=float)
-        self.eye_mask = ~np.eye(topo.n_agents, dtype=bool)
 
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers.
@@ -220,18 +228,14 @@ class _SimContext:
                - (delta @ self.cvec) * self.ce_mask)
 
         pos = X[:, 0]
-        diff = pos[:, None] - pos[None, :]
-        adist = np.abs(diff)
-        near = (adist < g.psi_ij) & self.eye_mask
-        m_pair = np.where(near, g.chi / np.maximum(adist, ctl.DISTANCE_CLAMP), 0.0)
+        pair, min_pair = self._pair_sums(pos)
         dl = pos - x0[0]
         adl = np.abs(dl)
         m_lead = np.where(adl < g.psi_i0, g.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
         if g.signless_avoidance:
-            u_c = g.gamma1 * m_pair.sum(axis=1) + g.gamma2 * m_lead
+            u_c = g.gamma1 * pair + g.gamma2 * m_lead
         else:
-            u_c = (-g.gamma1 * (m_pair * np.sign(diff)).sum(axis=1)
-                   - g.gamma2 * m_lead * np.sign(dl))
+            u_c = -g.gamma1 * pair - g.gamma2 * m_lead * np.sign(dl)
 
         if self.obstacles.size:
             do = pos[:, None] - self.obstacles[None, :]
@@ -249,9 +253,49 @@ class _SimContext:
             min_obst = math.inf
 
         u = u_d - u_c - u_0
-        min_pair = float(adist[self.eye_mask].min()) if na > 1 else math.inf
         return _Evaluation(X, x0, th_f, th_w, th_l, delta, e_cols, r, phi_f, phi_w, phi_l,
                            u, r * self.p_vec * self.pin, min_pair, min_obst)
+
+    def _pair_sums(self, pos: np.ndarray):
+        """Per agent sum of the pairwise potentials (times sign(x_i - x_j) unless
+        signless), and the smallest pair distance.
+
+        With the positions sorted, |x_i - x_j| is the gap between sorted slots
+        a and a + k.  Gaps only grow with the offset k, so the scan stops at
+        the first k at which no gap is below psi_ij.
+        """
+        g = self.gains
+        na = pos.shape[0]
+        if na < 2:
+            return np.zeros(na), math.inf
+        order = pos.argsort(kind="stable")
+        ps = pos[order]
+        gap = ps[1:] - ps[:-1]
+        min_pair = float(gap.min())
+        if min_pair >= g.psi_ij:
+            return np.zeros(na), min_pair
+        acc = np.zeros(na)
+        near = gap < g.psi_ij
+        k = 1
+        while True:
+            if not g.signless_avoidance:
+                near &= gap > 0.0   # coincident agents exert no push
+            m = np.where(near, g.chi / np.maximum(gap, ctl.DISTANCE_CLAMP), 0.0)
+            acc[k:] += m
+            if g.signless_avoidance:
+                acc[:-k] += m
+            else:
+                acc[:-k] -= m
+            k += 1
+            if k == na:
+                break
+            gap = ps[k:] - ps[:-k]
+            near = gap < g.psi_ij
+            if not near.any():
+                break
+        sums = np.empty(na)
+        sums[order] = acc
+        return sums, min_pair
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
         ev = self.evaluate(y, t)
@@ -260,11 +304,16 @@ class _SimContext:
         cfg = self.cfg
 
         f_vals = np.empty(na)
+        for b in self.drift_batches:
+            f_vals[b.index] = b.kernel(b.consts, [X[b.index, k] for k in b.columns], t)
+        for i, drift in self.loose_drifts:
+            f_vals[i] = drift(X[i], t)
         w_vals = np.empty(na)
-        for i in range(na):
-            f_vals[i] = self.drifts[i](X[i], t)
-            w_vals[i] = self.disturbances[i](t)
-        if not np.all(np.isfinite(f_vals)) or not np.all(np.isfinite(w_vals)):
+        for b in self.disturbance_batches:
+            w_vals[b.index] = b.kernel(b.consts, (), t)
+        for i, disturbance in self.loose_disturbances:
+            w_vals[i] = disturbance(t)
+        if not np.isfinite(f_vals).all() or not np.isfinite(w_vals).all():
             raise dyn.NonFiniteDrift(f"non-finite drift or disturbance at t={t}")
         f0 = self.leader_drift(x0, t)
         if not math.isfinite(f0):
@@ -285,6 +334,32 @@ class _SimContext:
         return np.concatenate([
             x_dot.ravel(), x0_dot, d_th_f.ravel(), d_th_w.ravel(), d_th_l.ravel(),
         ])
+
+
+class _Batch(NamedTuple):
+    """Agents whose models share one kernel, with their stacked constants."""
+
+    index: np.ndarray   # (G,) agent indices
+    kernel: Callable
+    consts: list        # one (G,) float64 column per model constant
+    columns: tuple      # state columns the kernel reads
+
+
+def _batches(models) -> tuple:
+    """Group the BatchModels among `models` by key; the rest stay (index, callable)."""
+    members, loose = {}, []
+    for i, model in enumerate(models):
+        if isinstance(model, dyn.BatchModel):
+            members.setdefault(model.key, []).append(i)
+        else:
+            loose.append((i, model))
+    batches = []
+    for index in members.values():
+        first = models[index[0]]
+        stacked = np.array([models[i].consts for i in index]).reshape(len(index), -1)
+        batches.append(_Batch(np.array(index), first.kernel,
+                              [np.ascontiguousarray(c) for c in stacked.T], first.columns))
+    return batches, loose
 
 
 def rk4_step(field: Callable[[np.ndarray, float], np.ndarray],
@@ -394,8 +469,8 @@ def run(scenario: Scenario) -> Trace:
                 aborted = str(exc)
                 break
             except (OverflowError, ZeroDivisionError, TypeError) as exc:
-                # user expression drifts can overflow, divide by zero, or go
-                # complex under fractional powers
+                # callable drifts (the builtins, library callers) can overflow,
+                # divide by zero, or go complex under fractional powers
                 aborted = f"model evaluation failed at t={t0 + step * scenario.dt:g}: {exc}"
                 break
             step += 1

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consensus_lab import cli
+from consensus_lab import estimator as nn
 from consensus_lab import scenario_io as sio
 
 ALL_OUTPUTS = ("trace.csv", "summary.json") + cli.FIG_FILES
@@ -252,6 +257,44 @@ def test_invalid_document_names_json_path(tmp_path, capsys, json_path, command):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json_path in lines[0], lines
+
+
+def oversized_basis_doc(basis):
+    # one column more than a 64 x 64 grid: just above the cap, small to allocate
+    doc = load_builtin_doc("close_pair")
+    doc["nn"][basis]["per_axis"] = [65, 64]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("basis", ["f_basis", "leader_basis"])
+def test_oversized_basis_names_json_path(tmp_path, capsys, basis, command):
+    assert 65 * 64 > nn.MAX_GRID_CENTERS >= 64 * 64
+    doc = oversized_basis_doc(basis)
+    doc["sim"]["duration"] = 0.05
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and f"nn.{basis}.per_axis" in lines[0], lines
+
+
+def test_integer_power_tower_aborts_promptly(tmp_path):
+    # 9**9**9 has about 370 million digits as an integer; as float64 it is inf
+    doc = load_builtin_doc("close_pair")
+    doc["agents"][0]["drift"] = {"expr": "9**9**9*s"}
+    doc["sim"]["duration"] = 0.05
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "consensus_lab.cli", "run", "--scenario", write_doc(tmp_path, doc),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 2
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and "aborted" in lines[0] and "non-finite" in lines[0], lines
 
 
 class TestCsvFormat:

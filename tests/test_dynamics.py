@@ -1,4 +1,8 @@
+import importlib.util
+import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +181,67 @@ class TestExpressions:
     def test_time_expression(self):
         g = dyn.compile_time_expression("2*sin(t)")
         assert g(math.pi / 2) == pytest.approx(2.0)
+
+
+def bench_fleet_module():
+    path = Path(__file__).resolve().parents[1] / "bench" / "fleet.py"
+    spec = importlib.util.spec_from_file_location("bench_fleet", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGroupedEvaluation:
+    def test_fleet_templates_grouped_equal_per_agent_bitwise(self):
+        fleet = bench_fleet_module()
+        rng = random.Random(4)
+        positions = np.linspace(-170.0, 10.0, 37)
+        velocities = np.linspace(-3.0, 3.0, 13)
+        states = np.array(list(itertools.product(positions, velocities)))
+        for template, shared in fleet.TEMPLATES.values():
+            coefficients = [shared] + [fleet._own_coefficients(rng, shared) for _ in range(7)]
+            models = [dyn.compile_state_expression(template.format(**c), 2) for c in coefficients]
+            batches, loose = sim._batches(models)
+            assert len(batches) == 1 and not loose
+            batch = batches[0]
+            for t in (0.0, 0.0135, 0.1, 7.3):
+                for x in states:
+                    X = np.tile(x, (len(models), 1)) + np.arange(len(models))[:, None] * 0.37
+                    grouped = np.empty(len(models))
+                    with np.errstate(all="ignore"):
+                        grouped[batch.index] = batch.kernel(
+                            batch.consts, [X[batch.index, k] for k in batch.columns], t)
+                        single = [m(X[i], t) for i, m in enumerate(models)]
+                    assert grouped.tolist() == single, (template, x, t)
+
+    def test_disturbances_grouped_equal_per_agent_bitwise(self):
+        models = [dyn.sinusoid_disturbance(0.05 + 0.01 * i, 0.5 + 0.37 * i) for i in range(9)]
+        batches, _ = sim._batches(models)
+        for t in np.linspace(0.0, 40.0, 401):
+            grouped = np.empty(len(models))
+            grouped[batches[0].index] = batches[0].kernel(batches[0].consts, (), t)
+            assert grouped.tolist() == [m(t) for m in models]
+
+    def test_shape_groups_ignore_constants(self):
+        shared = [dyn.compile_state_expression(f"-{b}*v + {a}*sin(0.7*s)", 2)
+                  for a, b in ((0.5, 1.5), (0.45, 1.2), (2, 3))]
+        other = dyn.compile_state_expression("-1.5*v + 0.5*cos(0.7*s)", 2)
+        batches, loose = sim._batches(shared + [other, lambda x, t: 0.0])
+        assert [b.index.tolist() for b in batches] == [[0, 1, 2], [3]]
+        assert [i for i, _ in loose] == [4]
+
+
+class TestFloatConstants:
+    def test_integer_power_tower_is_float(self):
+        f = dyn.compile_state_expression("9**9**9*s", 2)
+        with np.errstate(all="ignore"):
+            assert f(np.array([1.0, 0.0]), 0.0) == math.inf
+
+    def test_fractional_power_of_negative_is_nan(self):
+        f = dyn.compile_state_expression("s**0.5", 2)
+        with np.errstate(all="ignore"):
+            assert math.isnan(f(np.array([-1.0, 0.0]), 0.0))
+
+    def test_constant_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            dyn.compile_state_expression("1" + "0" * 400 + "*s", 2)

@@ -94,47 +94,157 @@ class TestDerivativeField:
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_per_agent_law_and_tuning(self, strict):
         """The vectorized field must reproduce control_input and the tuning laws."""
-        scenario = small_scenario(strict=strict)
-        layout = sim.state_layout(scenario)
-        rng = np.random.default_rng(8)
+        assert_field_matches_oracles(small_scenario(strict=strict), seed=8, t_now=0.83)
+
+    def test_crowded_fleet_matches_oracles(self):
+        """Sorted-gap pair scan and grouped models against the per-agent oracles."""
+        scenario = crowded_scenario()
+        batches, loose = sim._batches([m.drift for m in scenario.agent_models])
+        assert sorted(b.index.size for b in batches) == [1, 9, 24] and len(loose) == 2
+        assert_field_matches_oracles(scenario, seed=3, t_now=1.37)
+
+    def test_crowded_fleet_signless_matches_oracles(self):
+        # the signless sums count a coincident pair at chi / DISTANCE_CLAMP, so
+        # split it to keep every term at the scale the 1e-12 tolerance assumes
+        scenario = crowded_scenario()
+        agents = np.array(scenario.initial.agents)
+        agents[COINCIDENT[0], 0] += 0.05
+        scenario = dataclasses.replace(
+            scenario, gains=dataclasses.replace(scenario.gains, signless_avoidance=True),
+            initial=dyn.FleetState(agents=agents, leader=scenario.initial.leader))
+        assert_field_matches_oracles(scenario, seed=4, t_now=0.21)
+
+    def test_min_pair_is_the_dense_minimum(self):
+        scenario = crowded_scenario()
+        ctx = sim._SimContext(scenario)
         y = sim.initial_state(scenario)
-        y[layout.n_agents * layout.order + layout.order:] = \
-            rng.normal(scale=0.5, size=layout.size - layout.n_agents * layout.order - layout.order)
-        t_now = 0.83
-        dy = sim._SimContext(scenario).field(y, t_now)
+        agents = ctx.layout.split(y)[0]   # a view: writing it moves the agents in y
+        n = agents.shape[0]
+        rng = np.random.default_rng(11)
+        spread = 2.0 * np.arange(n)
+        closest_low, closest_high = spread.copy(), spread.copy()
+        closest_low[1] = 0.3           # the closest pair is the lowest one in sorted order
+        closest_high[-1] = spread[-2] + 0.3
+        trials = [None, closest_low, closest_high] + [rng.normal(scale=5.0, size=n)
+                                                      for _ in range(20)]
+        for trial in trials:           # the crowded start (a coincident pair) comes first
+            if trial is not None:
+                agents[:, 0] = trial[rng.permutation(n)]
+            pos = agents[:, 0]
+            dense = np.abs(pos[:, None] - pos[None, :])[~np.eye(pos.size, dtype=bool)].min()
+            assert ctx.evaluate(y, 0.0).min_pair == dense
 
-        x, x0, th_f, th_w, th_l = layout.split(y)
-        dx, _, dth_f, dth_w, dth_l = layout.split(dy)
-        fleet = dyn.FleetState(agents=x, leader=x0, time=t_now)
-        topo = scenario.topology
-        lyap = gr.graph_lyapunov(topo)
-        cfg = scenario.nn_config
-        e_stack = np.stack([ref.sync_error(k, fleet, topo, scenario.offsets)
-                            for k in (1, 2)])
-        r = ref.stability_error(e_stack, scenario.gains.lambda_bar)
-        pin = topo.adjacency.sum(axis=1) + topo.leader_weights
 
-        for i in range(layout.n_agents):
-            ests = (
-                ref.LipEstimator(theta=th_f[i], basis=cfg.f_basis, gain=cfg.gain, sigma=cfg.kappa),
-                ref.LipEstimator(theta=th_w[i], basis=cfg.w_basis, gain=cfg.gain, sigma=cfg.kappaw),
-                ref.LipEstimator(theta=th_l[i], basis=cfg.leader_basis, gain=cfg.gain, sigma=cfg.kappa0),
-            )
-            u_i = ref.control_input(i, fleet, topo, lyap, scenario.offsets,
-                                    scenario.gains, ests, t_now)
-            model = scenario.agent_models[i]
-            forcing = model.drift(x[i], t_now) + u_i + model.disturbance(t_now)
-            assert dx[i, 1] == pytest.approx(forcing, abs=1e-12)
+def assert_field_matches_oracles(scenario, seed, t_now):
+    layout = sim.state_layout(scenario)
+    rng = np.random.default_rng(seed)
+    y = sim.initial_state(scenario)
+    y[layout.n_agents * layout.order + layout.order:] = \
+        rng.normal(scale=0.5, size=layout.size - layout.n_agents * layout.order - layout.order)
+    dy = sim._SimContext(scenario).field(y, t_now)
 
-            phi_f = nn.basis_eval(cfg.f_basis, x[i])
-            phi_w = nn.basis_eval(cfg.w_basis, t_now)
-            phi_l = nn.basis_eval(cfg.leader_basis, x0)
-            assert dth_f[i] == pytest.approx(
-                ref.tune_agent(ests[0], phi_f, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
-            assert dth_w[i] == pytest.approx(
-                ref.tune_disturbance(ests[1], phi_w, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
-            assert dth_l[i] == pytest.approx(
-                ref.tune_leader(ests[2], phi_l, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
+    x, x0, th_f, th_w, th_l = layout.split(y)
+    dx, _, dth_f, dth_w, dth_l = layout.split(dy)
+    fleet = dyn.FleetState(agents=x, leader=x0, time=t_now)
+    topo = scenario.topology
+    lyap = gr.graph_lyapunov(topo)
+    cfg = scenario.nn_config
+    e_stack = np.stack([ref.sync_error(k, fleet, topo, scenario.offsets)
+                        for k in (1, 2)])
+    r = ref.stability_error(e_stack, scenario.gains.lambda_bar)
+    pin = topo.adjacency.sum(axis=1) + topo.leader_weights
+
+    for i in range(layout.n_agents):
+        ests = (
+            ref.LipEstimator(theta=th_f[i], basis=cfg.f_basis, gain=cfg.gain, sigma=cfg.kappa),
+            ref.LipEstimator(theta=th_w[i], basis=cfg.w_basis, gain=cfg.gain, sigma=cfg.kappaw),
+            ref.LipEstimator(theta=th_l[i], basis=cfg.leader_basis, gain=cfg.gain, sigma=cfg.kappa0),
+        )
+        u_i = ref.control_input(i, fleet, topo, lyap, scenario.offsets,
+                                scenario.gains, ests, t_now)
+        model = scenario.agent_models[i]
+        forcing = model.drift(x[i], t_now) + u_i + model.disturbance(t_now)
+        assert dx[i, 1] == pytest.approx(forcing, abs=1e-12)
+
+        phi_f = nn.basis_eval(cfg.f_basis, x[i])
+        phi_w = nn.basis_eval(cfg.w_basis, t_now)
+        phi_l = nn.basis_eval(cfg.leader_basis, x0)
+        assert dth_f[i] == pytest.approx(
+            ref.tune_agent(ests[0], phi_f, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
+        assert dth_w[i] == pytest.approx(
+            ref.tune_disturbance(ests[1], phi_w, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
+        assert dth_l[i] == pytest.approx(
+            ref.tune_leader(ests[2], phi_l, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
+
+
+PSI_IJ = 1.0
+COINCIDENT = (7, 23)     # agents placed at the same position
+AT_PSI = (4, 30)         # agents exactly PSI_IJ apart: no push (the test is strict <)
+
+
+def crowded_scenario():
+    """36 agents in shuffled index order: a five-agent cluster (three or more
+    neighbours within psi_ij each), a coincident pair with a third agent near
+    both, a pair exactly psi_ij apart, obstacles, and every kind of model."""
+    rng = np.random.default_rng(5)
+    n = 36
+    spots = [0.0, 0.2, 0.4, 0.6, 0.8, 5.0, 5.0, 5.3, 10.0, 10.0 + PSI_IJ]
+    spots += [13.0 + 1.7 * j + rng.uniform(-0.2, 0.2) for j in range(n - len(spots))]
+    slots = list(rng.permutation(n))
+    # pin the coincident and the exactly-psi pairs to known indices
+    for index, spot in zip(COINCIDENT + AT_PSI, (5, 6, 8, 9)):
+        other = slots.index(spot)
+        slots[other], slots[index] = slots[index], slots[other]
+    pos = np.array([spots[k] for k in slots])
+    assert pos[COINCIDENT[0]] == pos[COINCIDENT[1]]
+    assert pos[AT_PSI[1]] - pos[AT_PSI[0]] == PSI_IJ
+
+    adjacency = np.zeros((n, n))
+    for i in range(n - 1):
+        adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
+    topo = gr.Topology(n_agents=n, adjacency=adjacency,
+                       leader_weights=[1.0 if i % 6 == 0 else 0.0 for i in range(n)],
+                       nu1=1.1, nu2=0.9)
+
+    def drift(i):
+        if i == 0:
+            return dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_1"](1200.0)
+        if i == 1:
+            return lambda x, t: -0.3 * x[1] + 0.1 * math.sin(t)
+        if i == 2:
+            return dyn.compile_state_expression("exp(-0.1*s*s) - v**3/10 + tan(0.1*t)", 2)
+        if i % 4 == 3:
+            return dyn.compile_state_expression(
+                f"{0.5 + 0.01 * i}*cos(x1) - {0.1 + 0.002 * i}*x2*x2", 2)
+        return dyn.compile_state_expression(
+            f"-{1.0 + 0.03 * i}*v + {0.4 + 0.01 * i}*sin({0.5 + 0.02 * i}*s)", 2)
+
+    def disturbance(i):
+        if i % 3 == 0:
+            return dyn.constant_disturbance(0.1 * i - 1.0)
+        if i % 3 == 1:
+            return dyn.sinusoid_disturbance(0.2 + 0.01 * i, 0.5 + 0.1 * i)
+        return dyn.compile_time_expression(f"{0.1 + 0.001 * i}*cos({1 + i}*t) + 0.05")
+
+    models = tuple(dyn.AgentModel(order=2, drift=drift(i), mass=1.0,
+                                  disturbance=disturbance(i), label=f"a{i}")
+                   for i in range(n))
+    leader = dyn.LeaderModel(order=2, drift=dyn.compile_state_expression("-2*v - s", 2))
+    gains = ctl.ControlGains(
+        lambda_bar=np.array([1.5]), c=np.array([2.0, 1.0]),
+        gamma0=0.7, gamma1=0.9, gamma2=0.4, chi=0.6,
+        psi_ij=PSI_IJ, psi_i0=0.8, detect_radius=1.1, obstacle_radius=0.2,
+        obstacles=np.array([2.0, 14.9, 30.2]), alpha_bar=1.0)
+    cfg = nn.NNConfig(
+        f_basis=nn.gaussian_grid([(-5.0, 80.0), (-2.0, 2.0)], [6, 3]),
+        leader_basis=nn.gaussian_grid([(-2.0, 2.0), (-2.0, 2.0)], 2),
+        w_basis=nn.fourier_basis((2.0, 1.0)),
+        gain=1.5, kappa=0.1, kappa0=0.2, kappaw=0.3)
+    initial = dyn.FleetState(agents=np.column_stack([pos, rng.uniform(-0.5, 0.5, n)]),
+                             leader=np.array([0.3, 0.1]))
+    return sim.Scenario(topology=topo, agent_models=models, leader_model=leader,
+                        gains=gains, offsets=ctl.Offsets.zero(n, 2), nn_config=cfg,
+                        initial=initial, duration=0.01, dt=1e-3, record_stride=5)
 
 
 class TestRun:
