@@ -23,6 +23,11 @@ from . import sim
 
 THREADS_ENV = "CONSENSUS_LAB_THREADS"
 P1_RESIDUAL_TOL = 1e-10
+# Most agents (points x N) one stacked sweep integration holds.  Up to about
+# this many a stacked field costs at most about twice a lone small run, so
+# stacking beats spreading the points over worker processes; past it the
+# per-agent work dominates and the points are spread again.
+SWEEP_BATCH_AGENTS = 128
 
 FIG_FILES = ("fig_positions.csv", "fig_velocities.csv", "fig_pos_error.csv",
              "fig_vel_error.csv", "fig_controls.csv")
@@ -233,17 +238,49 @@ def _resolve_param(doc: dict, name: str) -> str:
     raise sio.ScenarioError(name, f"ambiguous field; use one of {', '.join(hits)}")
 
 
-def _sweep_one(doc_json: str) -> tuple:
-    doc = json.loads(doc_json)
-    value = doc.pop("__sweep_value__")
-    scenario = sio.parse_scenario(doc)
-    trace = sim.run(scenario)
+def _sweep_row(value: float, trace: sim.Trace) -> tuple:
     if trace.aborted is None:
         summary = sim.metrics(trace)
         return (value, summary["settling_time"], summary["ultimate_bound"][0],
                 summary["min_pair_distance"])
     min_pair = float(trace.min_pair_distance.min()) if trace.times.size else float("nan")
     return (value, float("nan"), float("nan"), min_pair)
+
+
+def _sweep_group(task: tuple) -> list:
+    """The sweep.csv rows of a batch of points that share one sim.batch_key,
+    integrated together; a task is (values, scenario documents as JSON text)."""
+    values, docs = task
+    traces = sim.run_many([sio.parse_scenario(json.loads(doc)) for doc in docs])
+    return [_sweep_row(value, trace) for value, trace in zip(values, traces)]
+
+
+def _sweep_batches(members: list, n_agents: int, cap: int) -> list:
+    """Cut the points of one batch-key group into batches to stack.
+
+    A batch holds at most SWEEP_BATCH_AGENTS agents.  A group that needs more
+    than one batch is cut into at least min(cap, points) batches, so no worker
+    the cap allows is left idle; the batch sizes differ by at most one.
+    """
+    k = len(members)
+    count = -(-k // max(1, SWEEP_BATCH_AGENTS // n_agents))
+    if count > 1:
+        count = max(count, min(cap, k))
+    return [members[i * k // count:(i + 1) * k // count] for i in range(count)]
+
+
+def _worker_cap() -> int:
+    """Process cap from CONSENSUS_LAB_THREADS (default: the CPU count)."""
+    raw = os.environ.get(THREADS_ENV)
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def cmd_sweep(args) -> int:
@@ -256,31 +293,43 @@ def cmd_sweep(args) -> int:
         print("error: empty sweep value list", file=sys.stderr)
         return 1
     try:
+        cap = _worker_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    jobs, groups, group_agents = [], {}, {}
+    try:
         _scenario, doc = sio.load_scenario(args.scenario)
         dotted = _resolve_param(doc, args.param)
-        jobs = []
         for value in values:
             job = copy.deepcopy(doc)
             if not _set_doc_field(job, dotted, value):
                 raise sio.ScenarioError(dotted, "unknown scenario field")
-            job["__sweep_value__"] = value
-            sio.parse_scenario({k: v for k, v in job.items() if k != "__sweep_value__"})
-            jobs.append(json.dumps(job))
+            scenario = sio.parse_scenario(job)
+            key = sim.batch_key(scenario)
+            groups.setdefault(key, []).append(len(jobs))
+            group_agents[key] = scenario.topology.n_agents
+            jobs.append(json.dumps(job))   # text: far smaller than the parsed scenario
     except sio.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    cap = os.environ.get(THREADS_ENV)
-    try:
-        cap = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    workers = max(1, min(cap, len(jobs)))
+    # the points of one batch run as one stacked integration, in one process
+    tasks, batches = [], []
+    for key, members in groups.items():
+        for batch in _sweep_batches(members, group_agents[key], cap):
+            batches.append(batch)
+            tasks.append(([values[i] for i in batch], [jobs[i] for i in batch]))
+    workers = min(cap, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
+            results = list(pool.map(_sweep_group, tasks))
     else:
-        rows = [_sweep_one(job) for job in jobs]
+        results = [_sweep_group(task) for task in tasks]
+    rows = [None] * len(values)
+    for batch, batch_rows in zip(batches, results):
+        for index, row in zip(batch, batch_rows):
+            rows[index] = row
 
     try:
         out_dir = Path(args.out)

@@ -22,10 +22,6 @@ GRADE_AMPLITUDE = 0.05
 GRADE_WAVENUMBER = 0.1
 
 
-class NonFiniteDrift(RuntimeError):
-    """A drift or disturbance evaluated to NaN/Inf; the model blew up."""
-
-
 def _grade(s: float) -> float:
     return GRADE_AMPLITUDE * math.sin(GRADE_WAVENUMBER * s)
 

@@ -434,7 +434,12 @@ def load_document(source) -> dict:
         p = Path(source)
         if not p.exists():
             raise ScenarioError("", f"scenario file not found: {p}")
-        text = p.read_text(encoding="utf-8")
+        try:
+            text = p.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ScenarioError("", f"cannot read {p}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("", f"cannot read {p}: not UTF-8 text (byte {exc.start})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -6,10 +6,15 @@ the tuning laws so states and weights integrate together (no splitting).
 Integration is classical fixed-step RK4.  Runs are deterministic: identical
 scenarios produce bitwise identical traces.
 
+Scenarios that share a structure (``batch_key``) integrate as one stacked
+state: the field evaluates every variant at once, and each variant's trace
+is bitwise the one it gives alone (``run`` is ``run_many`` of one).
+
 Aborts (non-finite values, weight-norm circuit breaker) are recorded on the
 trace rather than raised, so partial traces stay inspectable.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -102,30 +107,38 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Index layout of the flat closed-loop state vector."""
+    """Index layout of the flat closed-loop state of n_variants scenarios.
+
+    The blocks follow each other whole: the agents of every variant, every
+    leader, then the drift, disturbance and leader weights; within a block
+    the variants follow each other.  With one variant this is the state of
+    a lone scenario.
+    """
 
     n_agents: int
     order: int
     p_f: int
     p_w: int
     p_l: int
+    n_variants: int = 1
 
     @property
     def size(self) -> int:
         base = self.n_agents * self.order + self.order
-        return base + self.n_agents * (self.p_f + self.p_w + self.p_l)
+        return self.n_variants * (base + self.n_agents * (self.p_f + self.p_w + self.p_l))
 
     def split(self, y: np.ndarray):
-        na, n = self.n_agents, self.order
-        i0 = na * n
-        i1 = i0 + n
-        i2 = i1 + na * self.p_f
-        i3 = i2 + na * self.p_w
-        agents = y[:i0].reshape(na, n)
-        leader = y[i0:i1]
-        th_f = y[i1:i2].reshape(na, self.p_f)
-        th_w = y[i2:i3].reshape(na, self.p_w)
-        th_l = y[i3:].reshape(na, self.p_l)
+        """Views of the blocks, each with a leading variant axis."""
+        k, na, n = self.n_variants, self.n_agents, self.order
+        i0 = k * na * n
+        i1 = i0 + k * n
+        i2 = i1 + k * na * self.p_f
+        i3 = i2 + k * na * self.p_w
+        agents = y[:i0].reshape(k, na, n)
+        leader = y[i0:i1].reshape(k, n)
+        th_f = y[i1:i2].reshape(k, na, self.p_f)
+        th_w = y[i2:i3].reshape(k, na, self.p_w)
+        th_l = y[i3:].reshape(k, na, self.p_l)
         return agents, leader, th_f, th_w, th_l
 
 
@@ -140,200 +153,338 @@ def state_layout(scenario: Scenario) -> StateLayout:
     )
 
 
-def initial_state(scenario: Scenario) -> np.ndarray:
-    """Flat initial vector: initial fleet states and all-zero weights."""
-    layout = state_layout(scenario)
+def initial_state(*scenarios: Scenario) -> np.ndarray:
+    """Flat initial vector of the scenarios: their fleet states and all-zero weights."""
+    layout = dataclasses.replace(state_layout(scenarios[0]), n_variants=len(scenarios))
     y = np.zeros(layout.size)
-    na, n = layout.n_agents, layout.order
-    y[:na * n] = scenario.initial.agents.ravel()
-    y[na * n:na * n + n] = scenario.initial.leader
+    agents, leader, _, _, _ = layout.split(y)
+    for k, scenario in enumerate(scenarios):
+        agents[k] = scenario.initial.agents
+        leader[k] = scenario.initial.leader
     return y
 
 
-class _Evaluation(NamedTuple):
-    """Everything downstream of one raw state snapshot (see _SimContext.evaluate)."""
+def _step_count(scenario: Scenario) -> int:
+    return int(round(scenario.duration / scenario.dt)) if scenario.duration > 0 else 0
 
-    agents: np.ndarray      # (N, n)
-    leader: np.ndarray      # (n,)
-    th_f: np.ndarray        # (N, p_f) drift weights
-    th_w: np.ndarray        # (N, p_w) disturbance weights
-    th_l: np.ndarray        # (N, p_l) leader weights
-    rel_errors: np.ndarray  # (N, n): E_i0 per order
-    errors: np.ndarray      # (N, n): column k-1 holds e^k
-    r: np.ndarray           # (N,)
-    phi_f: np.ndarray       # (N, p_f)
-    phi_w: np.ndarray       # (p_w,)
-    phi_l: np.ndarray       # (p_l,)
-    u: np.ndarray           # (N,) composite control
-    s_fac: np.ndarray       # (N,) r_i * p_i * (d_i + b_i0), shared by the tuning laws
-    min_pair: float
-    min_obst: float
+
+def _basis_key(basis: nn.BasisSpec) -> tuple:
+    return basis.kind, basis.centers.shape, basis.centers.tobytes(), basis.width
+
+
+def batch_key(scenario: Scenario) -> tuple:
+    """What scenarios must share to be integrated together by run_many.
+
+    That is everything that fixes an array shape, a branch of the field, a
+    basis or the step grid; the gains, graph weights, offsets, models and
+    initial states may differ.
+    """
+    g = scenario.gains
+    cfg = scenario.nn_config
+    return (state_layout(scenario), scenario.dt, _step_count(scenario), scenario.record_stride,
+            scenario.initial.time, g.obstacles.size, g.signless_avoidance,
+            g.strict_decentralized, _basis_key(cfg.f_basis), _basis_key(cfg.leader_basis),
+            _basis_key(cfg.w_basis))
+
+
+class _Evaluation(NamedTuple):
+    """Everything downstream of one raw state snapshot (see _SimContext.evaluate).
+
+    Every array has a leading variant axis of length K.
+    """
+
+    agents: np.ndarray      # (K, N, n)
+    flat_agents: np.ndarray  # (K*N, n): the agents of every variant, one row each
+    leader: np.ndarray      # (K, n)
+    th_f: np.ndarray        # (K, N, p_f) drift weights
+    th_w: np.ndarray        # (K, N, p_w) disturbance weights
+    th_l: np.ndarray        # (K, N, p_l) leader weights
+    rel_errors: np.ndarray  # (K, N, n): E_i0 per order
+    errors: np.ndarray      # (K, N, n): column k-1 holds e^k
+    r: np.ndarray           # (K, N)
+    phi_f: np.ndarray       # (K, N, p_f)
+    phi_w: np.ndarray       # (p_w,), shared: every variant is at the same t
+    phi_l: np.ndarray       # (K, p_l)
+    u: np.ndarray           # (K, N) composite control
+    s_fac: np.ndarray       # (K, N) r_i * p_i * (d_i + b_i0), shared by the tuning laws
+
+
+# Errors a drift or disturbance callable (the builtins, library callers) can
+# raise on a bad state: overflow, division by zero, leaving math's domain,
+# or a complex value under a fractional power.
+_MODEL_ERRORS = (OverflowError, ZeroDivisionError, TypeError, ValueError)
 
 
 class _SimContext:
-    """Precomputed arrays shared by the derivative field and the recorder."""
+    """Precomputed arrays shared by the derivative field and the recorder.
 
-    def __init__(self, scenario: Scenario):
-        lyap = validate_scenario(scenario)
-        topo = scenario.topology
-        self.scenario = scenario
-        self.layout = state_layout(scenario)
-        self.pounds = gr.pinned_laplacian(topo)
-        self.dvec = topo.adjacency.sum(axis=1)
-        self.bvec = np.asarray(topo.leader_weights)
-        self.pin = self.dvec + self.bvec
-        self.p_vec = lyap.p_diag
-        g = scenario.gains
-        self.lam = np.asarray(g.lambda_bar)
-        self.cvec = np.asarray(g.c)
-        self.psi_a = np.asarray(scenario.offsets.per_agent)
-        self.psi_l = np.asarray(scenario.offsets.leader)
-        self.gains = g
-        if g.strict_decentralized:
-            self.ce_mask = (self.bvec > 0).astype(float)
+    The context serves K scenarios with one batch_key, whose states stack
+    as StateLayout describes.  A per-scenario constant is one value when
+    all K share its bits, else it carries a leading axis of length K (a
+    column where it scales an array).  Each comes from the same scalar
+    expression a lone scenario would use, and every reduction and matrix
+    product runs within one variant, so a variant's numbers do not depend
+    on the others.
+    """
+
+    def __init__(self, scenarios):
+        certificates = [validate_scenario(s) for s in scenarios]
+        first = scenarios[0]
+        key = batch_key(first)
+        if any(batch_key(s) != key for s in scenarios[1:]):
+            raise ValueError("scenarios differ in structure; group them by sim.batch_key")
+        self.layout = dataclasses.replace(state_layout(first), n_variants=len(scenarios))
+        n_var, na = len(scenarios), self.layout.n_agents
+        topos = [s.topology for s in scenarios]
+        gains = [s.gains for s in scenarios]
+        cfgs = [s.nn_config for s in scenarios]
+
+        def shared(arrays) -> bool:
+            return all(a.shape == arrays[0].shape and a.tobytes() == arrays[0].tobytes()
+                       for a in arrays[1:])
+
+        def stacked(arrays):
+            """The (K, ...) stack of the variants' arrays, (1, ...) if all have the same bits."""
+            arrays = [np.asarray(a, dtype=float) for a in arrays]
+            return arrays[0][None] if shared(arrays) else np.stack(arrays)
+
+        def vectors(arrays):
+            """The one (m,) vector if all have the same bits, else a (K, m, 1) stack (see _matvec)."""
+            return arrays[0] if shared(arrays) else np.stack(arrays)[:, :, None]
+
+        def column(values, ndim=1):
+            """One float if every variant has the same bits, else a (K, 1, ...) column."""
+            if len({float(v).hex() for v in values}) == 1:
+                return float(values[0])
+            return np.array(values, dtype=float).reshape((n_var,) + (1,) * ndim)
+
+        bvec = [np.asarray(topo.leader_weights) for topo in topos]
+        self.pounds = stacked([gr.pinned_laplacian(topo) for topo in topos])
+        self.pin = stacked([topo.adjacency.sum(axis=1) + b for topo, b in zip(topos, bvec)])
+        self.p_vec = stacked([cert.p_diag for cert in certificates])
+        self.lam = vectors([g.lambda_bar for g in gains])
+        self.cvec = vectors([g.c for g in gains])
+        self.psi_a = stacked([s.offsets.per_agent for s in scenarios])
+        self.psi_l = stacked([s.offsets.leader for s in scenarios])
+        if first.gains.strict_decentralized:
+            self.ce_mask = stacked([(b > 0).astype(float) for b in bvec])
         else:
-            self.ce_mask = np.ones(topo.n_agents)
-        cfg = scenario.nn_config
-        self.cfg = cfg
-        self.f_basis = cfg.f_basis
-        self.l_basis = cfg.leader_basis
-        self.w_basis = cfg.w_basis
+            self.ce_mask = np.ones((1, na))
+        self.signless = first.gains.signless_avoidance
+        self.chi = column([g.chi for g in gains])
+        self.psi_ij = column([g.psi_ij for g in gains])
+        self.psi_i0 = column([g.psi_i0 for g in gains])
+        self.gamma1 = column([g.gamma1 for g in gains])
+        self.neg_gamma1 = column([-g.gamma1 for g in gains])
+        self.gamma2 = column([g.gamma2 for g in gains])
+        self.obstacles = stacked([g.obstacles for g in gains])
+        self.gamma0 = column([g.gamma0 for g in gains])
+        self.neg_gamma0 = column([-g.gamma0 for g in gains])
+        self.detect_radius = column([g.detect_radius for g in gains], 2)
+        self.detect_sq = column([g.detect_radius ** 2 for g in gains], 2)
+        self.core_sq = column([g.obstacle_radius ** 2 for g in gains], 2)
+        self.core_floor = column([g.obstacle_radius * (1.0 + ctl.DISTANCE_CLAMP) for g in gains], 2)
+        self.gain = column([cfg.gain for cfg in cfgs], 2)
+        self.neg_gain = column([-cfg.gain for cfg in cfgs], 2)
+        self.kappa = column([cfg.kappa for cfg in cfgs], 2)
+        self.kappaw = column([cfg.kappaw for cfg in cfgs], 2)
+        self.kappa0 = column([cfg.kappa0 for cfg in cfgs], 2)
+        self.breaker = [cfg.weight_breaker for cfg in cfgs]
+        self.f_basis = first.nn_config.f_basis
+        self.l_basis = first.nn_config.leader_basis
+        self.w_basis = first.nn_config.w_basis
         self.drift_batches, self.loose_drifts = _batches(
-            [m.drift for m in scenario.agent_models])
+            [m.drift for s in scenarios for m in s.agent_models])
         self.disturbance_batches, self.loose_disturbances = _batches(
-            [m.disturbance for m in scenario.agent_models])
-        self.leader_drift = scenario.leader_model.drift
-        self.obstacles = np.asarray(g.obstacles, dtype=float)
+            [m.disturbance for s in scenarios for m in s.agent_models])
+        self.leader_batches, self.loose_leaders = _batches(
+            [s.leader_model.drift for s in scenarios])
+        # each agent's variant's first flat index; full (K, N) shape, because
+        # integer broadcasting costs more than the sort it serves at small N
+        self.row_start = np.repeat(np.arange(n_var) * na, na).reshape(n_var, na)
+        self.w_time = self.w_phi = None   # the time basis at the last time seen
+        self.no_push = np.zeros((n_var, na))
+        # variant -> first abort seen by the field since the caller last cleared
+        # it: a message, or the exception a model callable raised
+        self.faults = {}
 
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers.
     def evaluate(self, y: np.ndarray, t: float) -> _Evaluation:
-        na, n = self.layout.n_agents, self.layout.order
+        n_var, na, n = self.layout.n_variants, self.layout.n_agents, self.layout.order
         X, x0, th_f, th_w, th_l = self.layout.split(y)
-        g = self.gains
+        flat = X.reshape(n_var * na, n)
 
-        delta = (X - self.psi_a) - (x0 - self.psi_l)[None, :]
+        delta = (X - self.psi_a) - (x0 - self.psi_l)[:, None, :]
         e_cols = -(self.pounds @ delta)                      # column k-1 holds e^k
-        r = e_cols[:, :n - 1] @ self.lam + e_cols[:, n - 1]
-        rho_v = e_cols[:, 1:] @ self.lam
+        r = _matvec(e_cols[:, :, :n - 1], self.lam) + e_cols[:, :, n - 1]
+        rho_v = _matvec(e_cols[:, :, 1:], self.lam)
 
-        phi_f = nn.basis_eval_batch(self.f_basis, X)
-        f_hat = np.einsum("ij,ij->i", th_f, phi_f)
-        phi_w = nn.basis_eval(self.w_basis, t)
+        phi_f = nn.basis_eval_batch(self.f_basis, flat)
+        f_hat = np.einsum("ij,ij->i", th_f.reshape(phi_f.shape), phi_f).reshape(n_var, na)
+        phi_f = phi_f.reshape(th_f.shape)
+        if t != self.w_time:   # the two middle RK4 stages share their time
+            self.w_time, self.w_phi = t, nn.basis_eval(self.w_basis, t)
+        phi_w = self.w_phi
         w_hat = th_w @ phi_w
-        phi_l = nn.basis_eval(self.l_basis, x0)
-        l_hat = th_l @ phi_l
+        phi_l = nn.basis_eval_batch(self.l_basis, x0)
+        l_hat = (th_l @ phi_l[:, :, None])[:, :, 0]
 
         u_d = (rho_v / self.pin - f_hat - w_hat + l_hat + r
-               - (delta @ self.cvec) * self.ce_mask)
+               - _matvec(delta, self.cvec) * self.ce_mask)
 
-        pos = X[:, 0]
-        pair, min_pair = self._pair_sums(pos)
-        dl = pos - x0[0]
+        pos_flat = flat[:, 0]
+        pos = pos_flat.reshape(n_var, na)
+        pair = self._pair_sums(pos, pos_flat)
+        dl = pos - x0[:, :1]
         adl = np.abs(dl)
-        m_lead = np.where(adl < g.psi_i0, g.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
-        if g.signless_avoidance:
-            u_c = g.gamma1 * pair + g.gamma2 * m_lead
+        m_lead = np.where(adl < self.psi_i0, self.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
+        if self.signless:
+            u_c = self.gamma1 * pair + self.gamma2 * m_lead
         else:
-            u_c = -g.gamma1 * pair - g.gamma2 * m_lead * np.sign(dl)
+            u_c = self.neg_gamma1 * pair - self.gamma2 * m_lead * np.sign(dl)
 
-        if self.obstacles.size:
-            do = pos[:, None] - self.obstacles[None, :]
+        if self.obstacles.shape[-1]:
+            do = pos[:, :, None] - self.obstacles[..., None, :]
             ado = np.abs(do)
-            deff = np.maximum(ado, g.obstacle_radius * (1.0 + ctl.DISTANCE_CLAMP))
-            ratio = (g.detect_radius ** 2 - deff ** 2) / (deff ** 2 - g.obstacle_radius ** 2)
-            m_obs = np.where(ado <= g.detect_radius, ratio ** 2, 0.0)
-            if g.signless_avoidance:
-                u_0 = g.gamma0 * m_obs.sum(axis=1)
+            deff = np.maximum(ado, self.core_floor)
+            ratio = (self.detect_sq - deff ** 2) / (deff ** 2 - self.core_sq)
+            m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
+            if self.signless:
+                u_0 = self.gamma0 * m_obs.sum(axis=2)
             else:
-                u_0 = -g.gamma0 * (m_obs * np.sign(do)).sum(axis=1)
-            min_obst = float(ado.min())
+                u_0 = self.neg_gamma0 * (m_obs * np.sign(do)).sum(axis=2)
+            u = u_d - u_c - u_0
         else:
-            u_0 = np.zeros(na)
-            min_obst = math.inf
+            u = u_d - u_c   # less a zero u_0: the same bits
+        return _Evaluation(X, flat, x0, th_f, th_w, th_l, delta, e_cols, r, phi_f, phi_w, phi_l,
+                           u, r * self.p_vec * self.pin)
 
-        u = u_d - u_c - u_0
-        return _Evaluation(X, x0, th_f, th_w, th_l, delta, e_cols, r, phi_f, phi_w, phi_l,
-                           u, r * self.p_vec * self.pin, min_pair, min_obst)
-
-    def _pair_sums(self, pos: np.ndarray):
-        """Per agent sum of the pairwise potentials (times sign(x_i - x_j) unless
-        signless), and the smallest pair distance.
-
-        With the positions sorted, |x_i - x_j| is the gap between sorted slots
-        a and a + k.  Gaps only grow with the offset k, so the scan stops at
-        the first k at which no gap is below psi_ij.
-        """
-        g = self.gains
-        na = pos.shape[0]
+    def distances(self, agents: np.ndarray) -> tuple:
+        """Each variant's smallest pair distance and smallest obstacle distance
+        (inf when there is no pair or no obstacle)."""
+        n_var, na = agents.shape[:2]
+        pos = agents[:, :, 0]
         if na < 2:
-            return np.zeros(na), math.inf
-        order = pos.argsort(kind="stable")
-        ps = pos[order]
-        gap = ps[1:] - ps[:-1]
-        min_pair = float(gap.min())
-        if min_pair >= g.psi_ij:
-            return np.zeros(na), min_pair
-        acc = np.zeros(na)
-        near = gap < g.psi_ij
+            min_pair = np.full(n_var, math.inf)
+        else:
+            ps = np.sort(pos, axis=1, kind="stable")
+            min_pair = (ps[:, 1:] - ps[:, :-1]).min(axis=1)
+        if self.obstacles.shape[-1]:
+            ado = np.abs(pos[:, :, None] - self.obstacles[..., None, :])
+            min_obst = ado.reshape(n_var, -1).min(axis=1)
+        else:
+            min_obst = np.full(n_var, math.inf)
+        return min_pair, min_obst
+
+    def _pair_sums(self, pos: np.ndarray, pos_flat: np.ndarray) -> np.ndarray:
+        """Per agent sum of the pairwise potentials (times sign(x_i - x_j) unless
+        signless).
+
+        With a variant's positions sorted, |x_i - x_j| is the gap between
+        sorted slots a and a + k.  Gaps only grow with the offset k, so the
+        scan stops at the first k at which no variant has a gap below its
+        psi_ij; a variant past its own stop adds exact zeros.
+        """
+        n_var, na = pos.shape
+        if na < 2:
+            return self.no_push
+        slots = pos.argsort(axis=1, kind="stable") + self.row_start
+        ps = pos_flat[slots]
+        gap = ps[:, 1:] - ps[:, :-1]
+        near = gap < self.psi_ij
+        if not near.any():
+            return self.no_push
+        acc = np.zeros((n_var, na))
         k = 1
         while True:
-            if not g.signless_avoidance:
+            if not self.signless:
                 near &= gap > 0.0   # coincident agents exert no push
-            m = np.where(near, g.chi / np.maximum(gap, ctl.DISTANCE_CLAMP), 0.0)
-            acc[k:] += m
-            if g.signless_avoidance:
-                acc[:-k] += m
+            m = np.where(near, self.chi / np.maximum(gap, ctl.DISTANCE_CLAMP), 0.0)
+            acc[:, k:] += m
+            if self.signless:
+                acc[:, :-k] += m
             else:
-                acc[:-k] -= m
+                acc[:, :-k] -= m
             k += 1
             if k == na:
                 break
-            gap = ps[k:] - ps[:-k]
-            near = gap < g.psi_ij
+            gap = ps[:, k:] - ps[:, :-k]
+            near = gap < self.psi_ij
             if not near.any():
                 break
-        sums = np.empty(na)
-        sums[order] = acc
-        return sums, min_pair
+        sums = np.empty(n_var * na)
+        sums[slots] = acc
+        return sums.reshape(n_var, na)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
+        """The derivative of the stacked state; a variant whose models fail is
+        noted in ``faults``."""
         ev = self.evaluate(y, t)
-        X, x0 = ev.agents, ev.leader
-        na, n = self.layout.n_agents, self.layout.order
-        cfg = self.cfg
+        n_var, na, n = self.layout.n_variants, self.layout.n_agents, self.layout.order
+        flat, x0 = ev.flat_agents, ev.leader
+        faults = self.faults
 
-        f_vals = np.empty(na)
+        # per variant the first fault wins: a raising callable, then a
+        # non-finite drift or disturbance, then the leader's
+        f_vals = np.empty(n_var * na)
         for b in self.drift_batches:
-            f_vals[b.index] = b.kernel(b.consts, [X[b.index, k] for k in b.columns], t)
+            f_vals[b.index] = b.kernel(b.consts, [flat[b.index, k] for k in b.columns], t)
         for i, drift in self.loose_drifts:
-            f_vals[i] = drift(X[i], t)
-        w_vals = np.empty(na)
+            try:
+                f_vals[i] = drift(flat[i], t)
+            except _MODEL_ERRORS as exc:
+                f_vals[i] = math.nan
+                faults.setdefault(i // na, exc)
+        w_vals = np.empty(n_var * na)
         for b in self.disturbance_batches:
             w_vals[b.index] = b.kernel(b.consts, (), t)
         for i, disturbance in self.loose_disturbances:
-            w_vals[i] = disturbance(t)
-        if not np.isfinite(f_vals).all() or not np.isfinite(w_vals).all():
-            raise dyn.NonFiniteDrift(f"non-finite drift or disturbance at t={t}")
-        f0 = self.leader_drift(x0, t)
-        if not math.isfinite(f0):
-            raise dyn.NonFiniteDrift(f"non-finite leader drift at t={t}")
+            try:
+                w_vals[i] = disturbance(t)
+            except _MODEL_ERRORS as exc:
+                w_vals[i] = math.nan
+                faults.setdefault(i // na, exc)
+        forcing = f_vals + ev.u.reshape(-1) + w_vals
+        if not np.isfinite(forcing).all():   # a non-finite term, or only a large sum
+            finite = (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(n_var, na).all(axis=1)
+            for k in np.flatnonzero(~finite).tolist():
+                faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
+        f0 = np.empty(n_var)
+        for b in self.leader_batches:
+            f0[b.index] = b.kernel(b.consts, [x0[b.index, k] for k in b.columns], t)
+        for k, drift in self.loose_leaders:
+            try:
+                f0[k] = drift(x0[k], t)
+            except _MODEL_ERRORS as exc:
+                f0[k] = math.nan
+                faults.setdefault(k, exc)
+        f0_list = f0.tolist()
+        if not math.isfinite(sum(f0_list)):   # a non-finite term, or only a large sum
+            for k, value in enumerate(f0_list):
+                if not math.isfinite(value):
+                    faults.setdefault(k, f"non-finite leader drift at t={t}")
 
-        x_dot = np.empty((na, n))
-        x_dot[:, :n - 1] = X[:, 1:]
-        x_dot[:, n - 1] = f_vals + ev.u + w_vals
-        x0_dot = np.empty(n)
-        x0_dot[:n - 1] = x0[1:]
-        x0_dot[n - 1] = f0
+        x_dot = np.empty((n_var * na, n))
+        x_dot[:, :n - 1] = flat[:, 1:]
+        x_dot[:, n - 1] = forcing
+        x0_dot = np.empty((n_var, n))
+        x0_dot[:, :n - 1] = x0[:, 1:]
+        x0_dot[:, n - 1] = f0
 
-        col = ev.s_fac[:, None]
-        d_th_f = -cfg.gain * (ev.phi_f * col + cfg.kappa * ev.th_f)
-        d_th_w = -cfg.gain * (ev.phi_w[None, :] * col + cfg.kappaw * ev.th_w)
-        d_th_l = cfg.gain * (ev.phi_l[None, :] * col - cfg.kappa0 * ev.th_l)
+        col = ev.s_fac[:, :, None]
+        d_th_f = self.neg_gain * (ev.phi_f * col + self.kappa * ev.th_f)
+        d_th_w = self.neg_gain * (ev.phi_w * col + self.kappaw * ev.th_w)
+        d_th_l = self.gain * (ev.phi_l[:, None, :] * col - self.kappa0 * ev.th_l)
 
         return np.concatenate([
-            x_dot.ravel(), x0_dot, d_th_f.ravel(), d_th_w.ravel(), d_th_l.ravel(),
+            x_dot.ravel(), x0_dot.ravel(), d_th_f.ravel(), d_th_w.ravel(), d_th_l.ravel(),
         ])
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(K, N, m) matrices times one (m,) vector or a (K, m, 1) stack of them: (K, N)."""
+    return a @ v if v.ndim == 1 else (a @ v)[..., 0]
 
 
 class _Batch(NamedTuple):
@@ -400,33 +551,41 @@ class Trace:
 
 
 class _Recorder:
-    def __init__(self):
-        self.rows = {name: [] for name in (
-            "times", "agents", "leader", "controls", "errors", "r",
-            "rel_errors", "weight_norms", "min_pair", "min_obst")}
+    """One growing trace per variant."""
 
-    def record(self, ctx: _SimContext, y: np.ndarray, t: float) -> float:
+    def __init__(self, n_variants: int):
+        self.rows = [{name: [] for name in (
+            "times", "agents", "leader", "controls", "errors", "r",
+            "rel_errors", "weight_norms", "min_pair", "min_obst")} for _ in range(n_variants)]
+
+    def record(self, ctx: _SimContext, y: np.ndarray, t: float, live) -> np.ndarray:
+        """Append a row to the trace of every live variant; returns each
+        variant's largest weight norm."""
         ev = ctx.evaluate(y, t)
         norms = np.stack([
-            np.linalg.norm(ev.th_f, axis=1),
-            np.linalg.norm(ev.th_w, axis=1),
-            np.linalg.norm(ev.th_l, axis=1),
-        ], axis=1)
-        rows = self.rows
-        rows["times"].append(t)
-        rows["agents"].append(ev.agents.copy())
-        rows["leader"].append(ev.leader.copy())
-        rows["controls"].append(ev.u)
-        rows["errors"].append(ev.errors)
-        rows["r"].append(ev.r)
-        rows["rel_errors"].append(ev.rel_errors)
-        rows["weight_norms"].append(norms)
-        rows["min_pair"].append(ev.min_pair)
-        rows["min_obst"].append(ev.min_obst)
-        return float(norms.max()) if norms.size else 0.0
+            np.linalg.norm(ev.th_f, axis=2),
+            np.linalg.norm(ev.th_w, axis=2),
+            np.linalg.norm(ev.th_l, axis=2),
+        ], axis=2)
+        agents, leader = ev.agents.copy(), ev.leader.copy()
+        min_pair, min_obst = ctx.distances(agents)
+        for k in live:
+            rows = self.rows[k]
+            rows["times"].append(t)
+            rows["agents"].append(agents[k])
+            rows["leader"].append(leader[k])
+            rows["controls"].append(ev.u[k])
+            rows["errors"].append(ev.errors[k])
+            rows["r"].append(ev.r[k])
+            rows["rel_errors"].append(ev.rel_errors[k])
+            rows["weight_norms"].append(norms[k])
+            rows["min_pair"].append(min_pair[k])
+            rows["min_obst"].append(min_obst[k])
+        n_var = ctx.layout.n_variants
+        return norms.reshape(n_var, -1).max(axis=1) if norms.size else np.zeros(n_var)
 
-    def build(self, aborted: Optional[str]) -> Trace:
-        rows = self.rows
+    def build(self, k: int, aborted: Optional[str]) -> Trace:
+        rows = self.rows[k]
         return Trace(
             times=np.asarray(rows["times"]),
             agents=np.asarray(rows["agents"]),
@@ -442,47 +601,69 @@ class _Recorder:
         )
 
 
-def run(scenario: Scenario) -> Trace:
-    """Integrate the closed loop and record every record_stride steps.
+def run_many(scenarios) -> list:
+    """Integrate scenarios that share one batch_key as one stacked state.
 
-    Abort reasons (non-finite values, weight norms beyond the circuit
-    breaker) are stored on the returned trace instead of being raised.
+    One RK4 loop, with one field evaluation per stage, advances every
+    scenario; each returned trace is bitwise the one the scenario gives
+    alone.  Abort reasons (non-finite values, weight norms beyond the
+    circuit breaker) are stored on the trace instead of being raised; an
+    aborted scenario stops recording and the others run on.
     """
-    ctx = _SimContext(scenario)
-    recorder = _Recorder()
-    y = initial_state(scenario)
-    t0 = scenario.initial.time
-    n_steps = int(round(scenario.duration / scenario.dt)) if scenario.duration > 0 else 0
-    breaker = scenario.nn_config.weight_breaker
-    aborted = None
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    ctx = _SimContext(scenarios)
+    first = scenarios[0]
+    recorder = _Recorder(len(scenarios))
+    y = initial_state(*scenarios)
+    t0, dt, stride = first.initial.time, first.dt, first.record_stride
+    n_steps = _step_count(first)
+    live = list(range(len(scenarios)))
+    aborted = [None] * len(scenarios)
+    # the entries of stopped variants, reset to their (finite) initial state
+    # after each step so the fast finiteness check keeps holding
+    y0, stopped = y.copy(), np.zeros(y.size, dtype=bool)
+
+    def stop(k: int, reason: str) -> None:
+        aborted[k] = reason
+        live.remove(k)
+        for block in ctx.layout.split(stopped):
+            block[k] = True
+
+    def record(t: float) -> None:
+        max_norms = recorder.record(ctx, y, t, live)
+        for k in [k for k in live if max_norms[k] > ctx.breaker[k]]:
+            stop(k, f"weight norm {max_norms[k]:.3e} exceeds circuit breaker at t={t:g}")
 
     with np.errstate(all="ignore"):
-        max_norm = recorder.record(ctx, y, t0)
-        if max_norm > breaker:
-            aborted = f"weight norm {max_norm:.3e} exceeds circuit breaker at t={t0:g}"
+        record(t0)
         step = 0
-        while aborted is None and step < n_steps:
-            t = t0 + step * scenario.dt
-            try:
-                y = rk4_step(ctx.field, y, t, scenario.dt)
-            except dyn.NonFiniteDrift as exc:
-                aborted = str(exc)
-                break
-            except (OverflowError, ZeroDivisionError, TypeError) as exc:
-                # callable drifts (the builtins, library callers) can overflow,
-                # divide by zero, or go complex under fractional powers
-                aborted = f"model evaluation failed at t={t0 + step * scenario.dt:g}: {exc}"
-                break
+        while live and step < n_steps:
+            t = t0 + step * dt
+            ctx.faults.clear()
+            y = rk4_step(ctx.field, y, t, dt)
+            for k, fault in ctx.faults.items():
+                if k in live:
+                    stop(k, fault if isinstance(fault, str)
+                         else f"model evaluation failed at t={t:g}: {fault}")
             step += 1
-            t = t0 + step * scenario.dt
-            if not np.all(np.isfinite(y)):
-                aborted = f"non-finite state at t={t:g}"
-                break
-            if step % scenario.record_stride == 0 or step == n_steps:
-                max_norm = recorder.record(ctx, y, t)
-                if max_norm > breaker:
-                    aborted = f"weight norm {max_norm:.3e} exceeds circuit breaker at t={t:g}"
-    return recorder.build(aborted)
+            t = t0 + step * dt
+            if not np.isfinite(y).all():
+                finite = np.logical_and.reduce([np.isfinite(b).reshape(len(scenarios), -1).all(axis=1)
+                                                for b in ctx.layout.split(y)])
+                for k in [k for k in live if not finite[k]]:
+                    stop(k, f"non-finite state at t={t:g}")
+            if len(live) < len(scenarios):
+                np.copyto(y, y0, where=stopped)
+            if live and (step % stride == 0 or step == n_steps):
+                record(t)
+    return [recorder.build(k, reason) for k, reason in enumerate(aborted)]
+
+
+def run(scenario: Scenario) -> Trace:
+    """Integrate one scenario and record every record_stride steps (run_many of one)."""
+    return run_many([scenario])[0]
 
 
 def metrics(trace: Trace) -> dict:

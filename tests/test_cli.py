@@ -10,6 +10,7 @@ import pytest
 from consensus_lab import cli
 from consensus_lab import estimator as nn
 from consensus_lab import scenario_io as sio
+from consensus_lab import sim
 
 ALL_OUTPUTS = ("trace.csv", "summary.json") + cli.FIG_FILES
 
@@ -174,8 +175,8 @@ class TestSweepCommand:
         assert [float(r.split(",")[0]) for r in rows[1:]] == [0.01, 0.05, 0.1]
 
     def test_dotted_param_avoidance_ordering(self, tmp_path, monkeypatch):
-        # long enough for the unprotected pair to collapse; exercises the
-        # parallel executor path as well
+        # long enough for the unprotected pair to collapse; both points share
+        # a batch key, so they run as one stacked integration in this process
         monkeypatch.setenv(cli.THREADS_ENV, "2")
         doc = load_builtin_doc("close_pair")
         doc["sim"]["duration"] = 6.0
@@ -314,3 +315,142 @@ class TestCsvFormat:
         assert (out / "fig_positions.csv").read_text().splitlines()[0] == "t,x1_0,x1_1,x1_2"
         assert (out / "fig_controls.csv").read_text().splitlines()[0] == "t,u_1,u_2"
         assert (out / "fig_pos_error.csv").read_text().splitlines()[0] == "t,E1_1,E1_2"
+
+
+def test_callable_drift_leaving_math_domain_aborts(tmp_path, capsys):
+    # stage 2 of the first step drives the first vehicle to -inf, where the
+    # builtin drift's math.cos raises ValueError
+    doc = load_builtin_doc("vehicle_platoon")
+    doc["initial_states"]["agents"][0] = [1e308, 0.0]
+    doc["sim"]["duration"] = 0.01
+    spath = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--scenario", spath, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["simulation aborted: model evaluation failed at t=0: math domain error"]
+    assert cli.main(["sweep", "--scenario", spath, "--param", "nn.kappa", "--values", "0.5",
+                     "--out", str(tmp_path / "s")]) == 0
+    row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[1:3] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize("source", ["directory", "non_utf8"])
+@pytest.mark.parametrize("command", ["run", "check", "diagnose", "sweep"])
+def test_unreadable_scenario_source(tmp_path, capsys, command, source):
+    path = tmp_path / "scenario.json"
+    if source == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema": 1, "label": "\xff\xfe"}')
+    argv = [command, "--scenario", str(path)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "cannot read" in lines[0] and str(path) in lines[0], lines
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_invalid_worker_cap_rejected(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    argv = ["sweep", "--scenario", "builtin:close_pair", "--param", "nn.kappa",
+            "--values", "0.5,1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and cli.THREADS_ENV in lines[0] and repr(value) in lines[0], lines
+    assert not (tmp_path / "o").exists()
+
+
+def short_pair_doc(duration=0.3):
+    doc = load_builtin_doc("close_pair")
+    doc["sim"]["duration"] = duration
+    return doc
+
+
+def solo_row(doc, dotted, value):
+    """The sweep.csv row of one point, from its own sim.run."""
+    point = json.loads(json.dumps(doc))
+    assert cli._set_doc_field(point, dotted, value)
+    trace = sim.run(sio.parse_scenario(point))
+    if trace.aborted is None:
+        summary = sim.metrics(trace)
+        row = (value, summary["settling_time"], summary["ultimate_bound"][0],
+               summary["min_pair_distance"])
+    else:
+        row = (value, float("nan"), float("nan"), float(trace.min_pair_distance.min()))
+    return ",".join(cli._fmt(v) for v in row)
+
+
+def sweep_rows(tmp_path, doc, dotted, values):
+    out = tmp_path / f"sweep-{dotted}"
+    assert cli.main(["sweep", "--scenario", write_doc(tmp_path, doc), "--param", dotted,
+                     "--values", ",".join(repr(v) for v in values), "--out", str(out)]) == 0
+    return (out / "sweep.csv").read_text().splitlines()[1:]
+
+
+def batch_keys(doc, dotted, values):
+    keys = set()
+    for value in values:
+        point = json.loads(json.dumps(doc))
+        cli._set_doc_field(point, dotted, value)
+        keys.add(sim.batch_key(sio.parse_scenario(point)))
+    return len(keys)
+
+
+@pytest.mark.parametrize("dotted, values", [
+    ("nn.kappa", [0.5, 1.0, 1.7, 3.0]),
+    ("gains.psi_ij", [0.05, 0.25, 1.0]),
+    ("gains.chi", [0.1, 0.5, 2.5]),
+])
+def test_one_group_sweep_rows_equal_solo_runs(tmp_path, dotted, values):
+    doc = short_pair_doc()
+    assert batch_keys(doc, dotted, values) == 1
+    assert sweep_rows(tmp_path, doc, dotted, values) == [solo_row(doc, dotted, v) for v in values]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_multi_group_sweep_rows_equal_solo_runs(tmp_path, monkeypatch, workers):
+    monkeypatch.setenv(cli.THREADS_ENV, workers)
+    doc = short_pair_doc()
+    values = [0.1, 0.25, 0.1, 0.3]
+    assert batch_keys(doc, "sim.duration", values) == 3
+    assert sweep_rows(tmp_path, doc, "sim.duration", values) == \
+        [solo_row(doc, "sim.duration", v) for v in values]
+
+
+def test_aborted_point_leaves_the_others_alone(tmp_path):
+    doc = short_pair_doc()
+    values = [0.5, 1e12, 2.0]
+    rows = sweep_rows(tmp_path, doc, "nn.F", values)
+    assert rows[1].split(",")[1:3] == ["nan", "nan"]
+    assert rows == [solo_row(doc, "nn.F", v) for v in values]
+
+
+def test_batches_split_at_the_agent_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_BATCH_AGENTS", 4)   # two close_pair points per batch
+    monkeypatch.setenv(cli.THREADS_ENV, "1")             # batches run in this process
+    calls = []
+    run_many = sim.run_many
+    monkeypatch.setattr(sim, "run_many", lambda scenarios: calls.append(len(scenarios))
+                        or run_many(scenarios))
+    doc = short_pair_doc(0.1)
+    values = [0.5, 0.9, 1.3, 1.7, 2.1]
+    assert sweep_rows(tmp_path, doc, "nn.kappa", values) == \
+        [solo_row(doc, "nn.kappa", v) for v in values]
+    assert calls == [1, 2, 2] + [1] * len(values)   # the batches, then the solo runs
+
+
+@pytest.mark.parametrize("points, n_agents, cap, sizes", [
+    (8, 2, 2, [8]),             # 16 agents: one stacked batch, whatever the cap
+    (8, 16, 8, [8]),            # 128 agents: still one batch
+    (8, 64, 2, [2, 2, 2, 2]),   # 512 agents: four batches at the bound
+    (8, 64, 8, [1] * 8),        # ... but never fewer batches than workers
+    (2, 200, 2, [1, 1]),        # a point larger than the bound runs alone
+    (3, 100, 8, [1, 1, 1]),
+])
+def test_sweep_batches_keep_every_worker_busy(points, n_agents, cap, sizes, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_BATCH_AGENTS", 128)
+    batches = cli._sweep_batches(list(range(points)), n_agents, cap)
+    assert [len(b) for b in batches] == sizes
+    assert sum(batches, []) == list(range(points))

@@ -39,10 +39,10 @@ def one_agent_field(model, leader, state, leader_state, t):
                               w_basis=nn.fourier_basis((1.0,))),
         initial=dyn.FleetState(agents=[state], leader=leader_state),
         duration=0.0)
-    ctx = sim._SimContext(scenario)
+    ctx = sim._SimContext([scenario])
     y = sim.initial_state(scenario)
     dx, dx0, _, _, _ = ctx.layout.split(ctx.field(y, t))
-    return dx[0], dx0, ctx.evaluate(y, t)
+    return dx[0, 0], dx0[0], ctx.evaluate(y, t), ctx.faults
 
 
 def platoon_models():
@@ -52,8 +52,8 @@ def platoon_models():
 
 class TestAgentDerivative:
     def test_pure_chain_structure(self):
-        out, _, _ = one_agent_field(zero_model(3), zero_leader(3),
-                                    np.array([1.0, 2.0, 3.0]), np.zeros(3), 0.0)
+        out, _, _, _ = one_agent_field(zero_model(3), zero_leader(3),
+                                       np.array([1.0, 2.0, 3.0]), np.zeros(3), 0.0)
         assert np.array_equal(out[:-1], [2.0, 3.0])
 
     def test_chain_channels_match_state_shift(self):
@@ -61,8 +61,8 @@ class TestAgentDerivative:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             x = rng.normal(size=n)
-            out, _, _ = one_agent_field(zero_model(n), zero_leader(n), x,
-                                        rng.normal(size=n), rng.random())
+            out, _, _, _ = one_agent_field(zero_model(n), zero_leader(n), x,
+                                           rng.normal(size=n), rng.random())
             assert np.array_equal(out[:-1], x[1:])
 
     def test_fleet_agent5_at_origin(self):
@@ -73,22 +73,22 @@ class TestAgentDerivative:
     def test_forcing_adds_u_and_w(self):
         model = dyn.AgentModel(order=2, drift=lambda x, t: 0.25, mass=1.0,
                                disturbance=dyn.constant_disturbance(0.5))
-        out, _, ev = one_agent_field(model, zero_leader(2), np.array([0.3, -0.2]),
-                                     np.zeros(2), 0.0)
-        assert ev.u[0] != 0.0
-        assert out[1] == pytest.approx(0.25 + ev.u[0] + 0.5)
+        out, _, ev, _ = one_agent_field(model, zero_leader(2), np.array([0.3, -0.2]),
+                                        np.zeros(2), 0.0)
+        assert ev.u[0, 0] != 0.0
+        assert out[1] == pytest.approx(0.25 + ev.u[0, 0] + 0.5)
 
-    def test_non_finite_drift_raises(self):
+    def test_non_finite_drift_is_recorded(self):
         model = dyn.AgentModel(order=2, drift=lambda x, t: math.inf, mass=1.0,
                                disturbance=dyn.constant_disturbance(0.0))
-        with pytest.raises(dyn.NonFiniteDrift):
-            one_agent_field(model, zero_leader(2), np.zeros(2), np.zeros(2), 0.0)
+        _, _, _, faults = one_agent_field(model, zero_leader(2), np.zeros(2), np.zeros(2), 0.0)
+        assert faults == {0: "non-finite drift or disturbance at t=0.0"}
 
 
 class TestLeaderDerivative:
     def test_zero_drift_chain(self):
-        _, out, _ = one_agent_field(zero_model(2), zero_leader(2), np.zeros(2),
-                                    np.array([3.0, 4.0]), 0.0)
+        _, out, _, _ = one_agent_field(zero_model(2), zero_leader(2), np.zeros(2),
+                                       np.array([3.0, 4.0]), 0.0)
         assert np.array_equal(out, [4.0, 0.0])
 
     def test_fleet_leader_at_origin(self):

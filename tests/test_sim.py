@@ -77,19 +77,19 @@ class TestDerivativeField:
         scenario = small_scenario()
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
-        a = sim._SimContext(scenario).field(y, 0.37)
-        b = sim._SimContext(scenario).field(y, 0.37)
+        a = sim._SimContext([scenario]).field(y, 0.37)
+        b = sim._SimContext([scenario]).field(y, 0.37)
         assert np.array_equal(a, b)
 
     def test_chain_channels(self):
         scenario = small_scenario()
         y = sim.initial_state(scenario)
-        dy = sim._SimContext(scenario).field(y, 0.0)
+        dy = sim._SimContext([scenario]).field(y, 0.0)
         layout = sim.state_layout(scenario)
         x, x0, _, _, _ = layout.split(y)
         dx, dx0, _, _, _ = layout.split(dy)
-        assert np.array_equal(dx[:, 0], x[:, 1])
-        assert dx0[0] == x0[1]
+        assert np.array_equal(dx[0, :, 0], x[0, :, 1])
+        assert dx0[0, 0] == x0[0, 1]
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_matches_per_agent_law_and_tuning(self, strict):
@@ -116,9 +116,9 @@ class TestDerivativeField:
 
     def test_min_pair_is_the_dense_minimum(self):
         scenario = crowded_scenario()
-        ctx = sim._SimContext(scenario)
+        ctx = sim._SimContext([scenario])
         y = sim.initial_state(scenario)
-        agents = ctx.layout.split(y)[0]   # a view: writing it moves the agents in y
+        agents = ctx.layout.split(y)[0][0]   # a view: writing it moves the agents in y
         n = agents.shape[0]
         rng = np.random.default_rng(11)
         spread = 2.0 * np.arange(n)
@@ -132,7 +132,7 @@ class TestDerivativeField:
                 agents[:, 0] = trial[rng.permutation(n)]
             pos = agents[:, 0]
             dense = np.abs(pos[:, None] - pos[None, :])[~np.eye(pos.size, dtype=bool)].min()
-            assert ctx.evaluate(y, 0.0).min_pair == dense
+            assert ctx.distances(ctx.evaluate(y, 0.0).agents)[0][0] == dense
 
 
 def assert_field_matches_oracles(scenario, seed, t_now):
@@ -141,10 +141,15 @@ def assert_field_matches_oracles(scenario, seed, t_now):
     y = sim.initial_state(scenario)
     y[layout.n_agents * layout.order + layout.order:] = \
         rng.normal(scale=0.5, size=layout.size - layout.n_agents * layout.order - layout.order)
-    dy = sim._SimContext(scenario).field(y, t_now)
+    dy = sim._SimContext([scenario]).field(y, t_now)
+    assert_variant_matches_oracles(scenario, layout.split(y), layout.split(dy), 0, t_now)
 
-    x, x0, th_f, th_w, th_l = layout.split(y)
-    dx, _, dth_f, dth_w, dth_l = layout.split(dy)
+
+def assert_variant_matches_oracles(scenario, blocks, d_blocks, k, t_now):
+    """Variant k of a (stacked) state and its field against the per-agent oracles."""
+    layout = sim.state_layout(scenario)
+    x, x0, th_f, th_w, th_l = (b[k] for b in blocks)
+    dx, _, dth_f, dth_w, dth_l = (b[k] for b in d_blocks)
     fleet = dyn.FleetState(agents=x, leader=x0, time=t_now)
     topo = scenario.topology
     lyap = gr.graph_lyapunov(topo)
@@ -318,6 +323,106 @@ class TestRun:
         scenario = dataclasses.replace(small_scenario(), topology=topo)
         with pytest.raises(ValueError, match="spanning tree"):
             sim.run(scenario)
+
+
+def stacked_variants():
+    """small_scenario variants that share one batch key but no gain, weight,
+    offset, model or initial state."""
+    base = small_scenario(duration=0.2)
+    g, cfg = base.gains, base.nn_config
+    directed = gr.Topology(n_agents=2, adjacency=[[0, 2.0], [0.5, 0]], leader_weights=[1.0, 0.3],
+                           nu1=1.0, nu2=1.5, undirected=False)
+    expr_model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("-0.4*v + 0.2*sin(s)", 2),
+                                mass=1.0, disturbance=dyn.sinusoid_disturbance(0.1, 3.0))
+    builtin = dyn.AgentModel(order=2, drift=dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_2"](1500.0),
+                             mass=1500.0, disturbance=dyn.constant_disturbance(-0.2))
+    return [
+        base,
+        dataclasses.replace(base, gains=dataclasses.replace(g, psi_ij=0.3, chi=1.3, gamma1=0.2)),
+        dataclasses.replace(base, gains=dataclasses.replace(
+            g, obstacles=np.array([-0.1]), detect_radius=0.9, gamma0=2.0,
+            lambda_bar=np.array([3.0]), c=np.array([0.5, 0.25]))),
+        dataclasses.replace(base, nn_config=dataclasses.replace(cfg, kappa=0.7, gain=3.0, kappaw=0.05)),
+        dataclasses.replace(base, topology=directed, agent_models=(expr_model, builtin),
+                            leader_model=dyn.LeaderModel(order=2, drift=dyn.compile_state_expression(
+                                "0.3*cos(t) - 0.1*s", 2))),
+        dataclasses.replace(base, offsets=ctl.Offsets(per_agent=np.array([[0.0, 0.1], [0.2, 0.0]]),
+                                                      leader=np.zeros(2)),
+                            initial=dyn.FleetState(agents=np.array([[0.9, 0.0], [0.0, -0.4]]),
+                                                   leader=np.array([1.0, 0.0]))),
+    ]
+
+
+def crowded_variants():
+    """crowded_scenario with psi_ij reaching 1, 4 and 6+ sorted neighbours:
+    the first variant's scan stops before the others'."""
+    base = crowded_scenario()
+    g = base.gains
+    return [dataclasses.replace(base, gains=dataclasses.replace(g, psi_ij=0.1)),
+            base,
+            dataclasses.replace(base, gains=dataclasses.replace(
+                g, psi_ij=12.0, chi=0.2, obstacles=np.array([1.0, 9.0, 33.0])))]
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("make", [stacked_variants, crowded_variants])
+    def test_stacked_field_matches_oracles_per_variant(self, make):
+        variants = make()
+        ctx = sim._SimContext(variants)
+        rng = np.random.default_rng(21)
+        y = sim.initial_state(*variants)
+        blocks = ctx.layout.split(y)
+        for b in blocks[2:]:
+            b[...] = rng.normal(scale=0.5, size=b.shape)   # the weights, through the views
+        d_blocks = ctx.layout.split(ctx.field(y, 0.61))
+        assert ctx.faults == {}
+        for k, scenario in enumerate(variants):
+            assert_variant_matches_oracles(scenario, blocks, d_blocks, k, 0.61)
+
+    def test_traces_equal_solo_runs_with_a_raising_variant(self):
+        variants = stacked_variants()
+        base = variants[0]
+        def fragile(x, t):
+            if t > 0.05:
+                raise ValueError("math domain error")
+            return -0.1 * x[1]
+
+        raising = dataclasses.replace(base, agent_models=(
+            base.agent_models[0], dataclasses.replace(base.agent_models[1], drift=fragile)))
+        variants.insert(2, raising)
+        assert len({sim.batch_key(v) for v in variants}) == 1
+        traces = sim.run_many(variants)
+        for variant, trace in zip(variants, traces):
+            solo = sim.run(variant)
+            assert trace.aborted == solo.aborted
+            for f in dataclasses.fields(sim.Trace):
+                if f.name != "aborted":
+                    assert np.array_equal(getattr(trace, f.name), getattr(solo, f.name)), f.name
+        # the obstacle variant's core push overflows the lambda drift early
+        assert [trace.aborted for trace in traces] == [
+            None, None, "model evaluation failed at t=0.05: math domain error",
+            "non-finite drift or disturbance at t=0.005", None, None, None]
+        assert traces[2].times[-1] == 0.05 and traces[0].times[-1] == 0.2
+
+    def test_aborted_variant_leaves_the_state_finite(self, monkeypatch):
+        # the obstacle variant's drift turns non-finite at t=0.005; its blocks
+        # are reset, so the fast finiteness check holds on every later step
+        finite = []
+        rk4_step = sim.rk4_step
+        monkeypatch.setattr(sim, "rk4_step", lambda f, y, t, dt: finite.append(
+            bool(np.isfinite(y).all())) or rk4_step(f, y, t, dt))
+        variants = stacked_variants()
+        traces = sim.run_many(variants)
+        assert traces[2].aborted == "non-finite drift or disturbance at t=0.005"
+        assert len(finite) == 200 and all(finite)
+        for variant, trace in zip(variants, traces):
+            if trace.aborted is None:
+                assert np.array_equal(trace.agents, sim.run(variant).agents)
+
+    def test_structures_that_differ_are_refused(self):
+        base = small_scenario()
+        with pytest.raises(ValueError, match="batch_key"):
+            sim.run_many([base, dataclasses.replace(base, dt=2e-3)])
 
 
 def synthetic_trace(times, delta1, delta2=None):
