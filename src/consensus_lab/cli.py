@@ -7,7 +7,6 @@ byte-identical files.
 
 import argparse
 import concurrent.futures
-import copy
 import dataclasses
 import json
 import os
@@ -301,8 +300,9 @@ def cmd_sweep(args) -> int:
     try:
         _scenario, doc = sio.load_scenario(args.scenario)
         dotted = _resolve_param(doc, args.param)
+        text = json.dumps(doc)
         for value in values:
-            job = copy.deepcopy(doc)
+            job = json.loads(text)   # a copy; deepcopy fails on nesting that json accepts
             if not _set_doc_field(job, dotted, value):
                 raise sio.ScenarioError(dotted, "unknown scenario field")
             scenario = sio.parse_scenario(job)

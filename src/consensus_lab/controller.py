@@ -19,7 +19,6 @@ Scenarios can opt into the raw signless form via ``signless_avoidance``.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .graph import _readonly
 
@@ -136,7 +135,11 @@ def check_hurwitz(lambda_bar) -> bool:
 
 
 def lyapunov_P1(lambda_bar, alpha_bar: float) -> np.ndarray:
-    """Solve Delta^T P1 + P1 Delta = -alpha_bar * I for the Hurwitz companion Delta."""
+    """Solve Delta^T P1 + P1 Delta = -alpha_bar * I for the Hurwitz companion Delta.
+
+    The equation is the linear system (I (x) Delta^T + Delta^T (x) I) vec P1
+    = -alpha_bar vec I over the column-major vec of P1, of order (n-1)^2.
+    """
     if not alpha_bar > 0:
         raise ValueError("alpha_bar must be positive")
     lam = np.asarray(lambda_bar, dtype=float)
@@ -144,5 +147,8 @@ def lyapunov_P1(lambda_bar, alpha_bar: float) -> np.ndarray:
         raise NotHurwitz(f"lambda_bar {lam} is not Hurwitz")
     delta = companion(lam)
     m = delta.shape[0]
-    p1 = scipy.linalg.solve_continuous_lyapunov(delta.T, -alpha_bar * np.eye(m))
+    eye = np.eye(m)
+    system = np.kron(eye, delta.T) + np.kron(delta.T, eye)
+    vec_p1 = np.linalg.solve(system, (-alpha_bar * eye).ravel(order="F"))
+    p1 = vec_p1.reshape(m, m, order="F")
     return 0.5 * (p1 + p1.T)

@@ -11,6 +11,7 @@ evaluates for a whole group of agents in one numpy call.
 """
 
 import ast
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -177,6 +178,7 @@ class BatchModel:
         self.key = key
         self.kernel = kernel
         self.consts = np.array(consts, dtype=float)
+        self.consts.setflags(write=False)   # one model may serve many agents and scenarios
         self.columns = tuple(columns)
         self._own = [self.consts[j:j + 1] for j in range(self.consts.size)]
 
@@ -294,6 +296,9 @@ def _expression(cls, text: str, variables: dict, filename: str):
     return cls((cls.__name__, code.co_code, code.co_names), kernel, consts, columns)
 
 
+# A model holds no state, so every agent and scenario with the same text (a
+# fleet's shared drifts, each point of a sweep) shares one compiled model.
+@functools.lru_cache(maxsize=1024)
 def compile_state_expression(text: str, order: int) -> BatchDrift:
     """Compile a drift expression over s, v (aliases of x1, x2), x1..xn, and t."""
     variables = {f"x{k + 1}": k for k in range(order)}
@@ -301,6 +306,7 @@ def compile_state_expression(text: str, order: int) -> BatchDrift:
     return _expression(BatchDrift, text, variables, "<drift>")
 
 
+@functools.lru_cache(maxsize=1024)
 def compile_time_expression(text: str) -> BatchDisturbance:
     """Compile a disturbance expression in t alone."""
     return _expression(BatchDisturbance, text, {}, "<disturbance>")

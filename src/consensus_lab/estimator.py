@@ -67,6 +67,8 @@ class BasisSpec:
             count = 1 + 2 * centers.shape[0]
         if self.kind != FOURIER_TIME and not self.width > 0:
             raise ValueError("width must be positive")
+        if self.kind != FOURIER_TIME and math.isinf(self.width * self.width):
+            raise ValueError("width too large: its square overflows a float")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "count", int(count))

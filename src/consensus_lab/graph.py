@@ -9,11 +9,9 @@ Q = P(nu1*L + nu2*B) + (nu1*L + nu2*B)^T P is positive definite whenever the
 augmented graph contains a spanning tree rooted at the leader.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 # Relative pivot tolerance for declaring the pinned Laplacian singular, and
 # the eigenvalue floor below which Q is not accepted as positive definite.
@@ -22,7 +20,7 @@ Q_EIG_TOL = 1e-10
 
 
 class SingularPinnedLaplacian(RuntimeError):
-    """The solve for q detected rank deficiency in nu1*L + nu2*B."""
+    """nu1*L + nu2*B admits no solve for q: it is rank deficient or not finite."""
 
 
 class NonPositiveQ(RuntimeError):
@@ -145,33 +143,55 @@ def pinned_laplacian(topology: Topology) -> np.ndarray:
     return topology.nu1 * laplacian(topology) + topology.nu2 * np.diag(topology.leader_weights)
 
 
+def _lu_pivots(a: np.ndarray) -> np.ndarray:
+    """|U_kk| of the LU factorization of `a` with partial (row) pivoting.
+
+    Row exchanges follow LAPACK's getrf: the first largest |entry| in the
+    column becomes the pivot.  A zero column leaves a zero pivot and no
+    elimination step.
+    """
+    u = np.array(a, dtype=float)
+    n = u.shape[0]
+    pivots = np.empty(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(u[k:, k])))
+        if p != k:
+            u[[k, p], k:] = u[[p, k], k:]
+        pivots[k] = abs(u[k, k])
+        if u[k, k] != 0.0:
+            u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k + 1:])
+    return pivots
+
+
 def graph_lyapunov(topology: Topology) -> GraphLyapunov:
     """Solve (nu1*L + nu2*B) q = 1 and build P = diag(1/q), Q = P£ + £^T P.
 
-    Raises SingularPinnedLaplacian when the LU factorization produces a pivot
-    below PIVOT_RTOL relative to the matrix scale (the leader-spanning-tree
-    assumption is violated), and NonPositiveQ when q or Q fails positivity.
-    For undirected topologies that pass the spanning-tree check the
-    certificate always succeeds (Q is a symmetric strictly diagonally
-    dominant Z-matrix there); for directed reducible topologies Q can be
-    indefinite even with a spanning tree, and this reports it.
+    Raises SingularPinnedLaplacian when the matrix is not finite, when its LU
+    factorization produces a pivot below PIVOT_RTOL relative to the matrix
+    scale (the leader-spanning-tree assumption is violated) or when the solve
+    fails, and NonPositiveQ when q or Q fails positivity.  For undirected
+    topologies that pass the spanning-tree check the certificate always
+    succeeds (Q is a symmetric strictly diagonally dominant Z-matrix there);
+    for directed reducible topologies Q can be indefinite even with a
+    spanning tree, and this reports it.
     """
     pounds = pinned_laplacian(topology)
     n = topology.n_agents
     scale = np.max(np.abs(pounds))
     if scale == 0.0:
         raise SingularPinnedLaplacian("pinned Laplacian is identically zero")
-    with warnings.catch_warnings():
-        # exact singularity is detected below via the pivot ratio
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(pounds, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < PIVOT_RTOL * scale:
+    if not np.isfinite(scale):
+        raise SingularPinnedLaplacian("pinned Laplacian overflows the float range")
+    pivots = _lu_pivots(pounds)
+    if not np.min(pivots) >= PIVOT_RTOL * scale:
         raise SingularPinnedLaplacian(
             f"pinned Laplacian is numerically singular (pivot ratio "
             f"{np.min(pivots) / scale:.3e} < {PIVOT_RTOL:g})"
         )
-    q = scipy.linalg.lu_solve((lu, piv), np.ones(n), check_finite=False)
+    try:
+        q = np.linalg.solve(pounds, np.ones(n))
+    except np.linalg.LinAlgError as exc:
+        raise SingularPinnedLaplacian(f"pinned Laplacian solve failed: {exc}") from None
     if np.any(q <= 0):
         raise NonPositiveQ(f"solve produced non-positive q entries: {q}")
     p = 1.0 / q

@@ -51,6 +51,17 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _finite(value, here: str) -> float:
+    """A JSON number as a finite float; an integer beyond the float range is not one."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(here, "must be finite")
+    return value
+
+
 def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
     if key not in doc:
         if default is _MISSING:
@@ -60,9 +71,7 @@ def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
     here = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(here, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(here, "must be finite")
+    value = _finite(value, here)
     if positive and not value > 0:
         raise ScenarioError(here, "must be positive")
     if minimum is not None and value < minimum:
@@ -104,6 +113,8 @@ def _get_array(doc, key, path, default=_MISSING):
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(here, f"expected numeric entries: {exc}") from None
+    except OverflowError:
+        raise ScenarioError(here, "entries must be finite") from None
     if arr.size and not np.all(np.isfinite(arr)):
         raise ScenarioError(here, "entries must be finite")
     return arr
@@ -173,7 +184,7 @@ def _parse_disturbance(spec, path: str):
     if isinstance(spec, bool):
         raise ScenarioError(path, "disturbance must be a number or an object")
     if isinstance(spec, (int, float)):
-        return dyn.constant_disturbance(float(spec))
+        return dyn.constant_disturbance(_finite(spec, path))
     if isinstance(spec, dict):
         if "constant" in spec:
             return dyn.constant_disturbance(_get_number(spec, "constant", path))
@@ -256,6 +267,9 @@ def _parse_gains(doc: dict, order: int) -> ctl.ControlGains:
         strict_decentralized=_get_bool(doc, "strict_decentralized", ""),
         signless_avoidance=_get_bool(doc, "signless_avoidance", ""),
     )
+    for key, name in (("R", "detect_radius"), ("core_radius", "obstacle_radius")):
+        if math.isinf(kwargs[name] * kwargs[name]):   # the field uses the squared radii
+            raise ScenarioError(f"gains.{key}", "too large: its square overflows a float")
     try:
         gains = ctl.ControlGains(**kwargs)
     except (ValueError, ctl.NotHurwitz) as exc:
@@ -371,6 +385,9 @@ def parse_scenario(doc: dict) -> sim.Scenario:
     sim_doc = _get_dict(doc, "sim", "")
     duration = _get_number(sim_doc, "duration", "sim", minimum=0.0)
     dt = _get_number(sim_doc, "dt", "sim", default=1e-3, positive=True)
+    if math.isinf(duration / dt):
+        raise ScenarioError("sim.dt", f"too small for a duration of {duration:g}: "
+                                      f"the step count overflows")
     record_stride = _get_int(sim_doc, "record_stride", "sim",
                              default=sim.RECORD_STRIDE_DEFAULT, minimum=1)
 
@@ -445,6 +462,8 @@ def load_document(source) -> dict:
     except json.JSONDecodeError as exc:
         raise ScenarioError("", f"JSON parse error at line {exc.lineno} "
                                 f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError("", "JSON parse error: arrays or objects nested too deeply") from None
 
 
 def load_scenario(source) -> tuple[sim.Scenario, dict]:

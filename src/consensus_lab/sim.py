@@ -79,8 +79,10 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
         raise ValueError(f"gains are sized for order {scenario.gains.order}, models have {n}")
     if not scenario.dt > 0:
         raise ValueError("dt must be positive")
-    if scenario.duration < 0:
+    if not scenario.duration >= 0:
         raise ValueError("duration must be nonnegative")
+    if not math.isfinite(scenario.duration / scenario.dt):
+        raise ValueError("the step count duration / dt must be finite")
     if scenario.duration > 0 and scenario.dt > scenario.duration:
         raise ValueError("dt must not exceed a positive duration")
     if scenario.record_stride < 1:
@@ -822,12 +824,12 @@ def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
 
     half_beta = bounds.beta / 2.0
     denom = half_beta * bounds.kappa * bounds.kappaw * bounds.kappa0
-    if denom > 0:
+    try:
         mu1_required = (half_beta * bounds.kappa * bounds.kappaw * gamma3 ** 2
                         + half_beta * bounds.kappa * gamma2 ** 2 * bounds.kappa0
                         + half_beta * gamma1 ** 2 * bounds.kappaw * bounds.kappa0
                         + g ** 2 * bounds.kappa * bounds.kappaw * bounds.kappa0) / denom
-    else:
+    except (OverflowError, ZeroDivisionError):   # a square beyond the float range, or denom 0
         mu1_required = math.inf
 
     sigma_min_k = float(np.linalg.svd(k, compute_uv=False)[-1])

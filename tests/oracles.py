@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from consensus_lab.controller import DISTANCE_CLAMP, ControlGains, Offsets
 from consensus_lab.dynamics import FleetState
 from consensus_lab.estimator import BasisSpec, basis_eval
-from consensus_lab.graph import GraphLyapunov, Topology, _readonly
+from consensus_lab.graph import GraphLyapunov, Topology, _readonly, pinned_laplacian
 
 
 class IsolatedAgent(RuntimeError):
@@ -246,3 +247,23 @@ def control_input(
     if not np.isfinite(u):
         raise NonFiniteControl(f"control for agent {i} is non-finite at t={t}")
     return float(u)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK reference solves of the two certificates, through scipy.
+
+
+def graph_lyapunov_lu(topology: Topology):
+    """(q, p, Q, |U_kk|) of the graph certificate from scipy's lu_factor/lu_solve."""
+    pounds = pinned_laplacian(topology)
+    lu, piv = scipy.linalg.lu_factor(pounds, check_finite=False)
+    q = scipy.linalg.lu_solve((lu, piv), np.ones(topology.n_agents), check_finite=False)
+    p = 1.0 / q
+    m = p[:, None] * pounds
+    return q, p, m + m.T, np.abs(np.diag(lu))
+
+
+def lyapunov_p1_scipy(delta: np.ndarray, alpha_bar: float) -> np.ndarray:
+    """Symmetrised solve of Delta^T P1 + P1 Delta = -alpha_bar I by Bartels-Stewart."""
+    p1 = scipy.linalg.solve_continuous_lyapunov(delta.T, -alpha_bar * np.eye(delta.shape[0]))
+    return 0.5 * (p1 + p1.T)

@@ -159,6 +159,18 @@ class TestDiagnoseCommand:
         assert code == 1
         assert "bounds" in capsys.readouterr().err
 
+    def test_bound_whose_square_overflows(self, tmp_path, capsys):
+        # gamma1 = -phi_f * sigma(P) * sigma(A) / 2 squares beyond the float range
+        bpath = tmp_path / "bounds.json"
+        bpath.write_text(json.dumps({"phi_f": 1e200, "theta_f": 1.0}), encoding="utf-8")
+        jpath = tmp_path / "report.json"
+        code = cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon",
+                         "--bounds", str(bpath), "--json", str(jpath)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "NotPositiveDefinite" in lines[0], lines
+        assert json.loads(jpath.read_text())["mu1_required"] == float("inf")
+
 
 class TestSweepCommand:
     def test_kappa_sweep_rows(self, tmp_path):
@@ -237,11 +249,28 @@ def fractional_per_axis_doc(basis):
     return doc
 
 
+def close_pair_with(dotted, value):
+    """close_pair with one field set; an integer index picks an array entry."""
+    doc = load_builtin_doc("close_pair")
+    *parents, leaf = [int(p) if p.isdigit() else p for p in dotted.split(".")]
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    return doc
+
+
 INVALID_DOCS = {
     "topology": directed_indefinite_q_doc,
     "initial_states.agents": proximity_count_mismatch_doc,
     "nn.f_basis.per_axis": lambda: fractional_per_axis_doc("f_basis"),
     "nn.leader_basis.per_axis": lambda: fractional_per_axis_doc("leader_basis"),
+    # numbers a float cannot hold, or whose use overflows one
+    "gains.chi": lambda: close_pair_with("gains.chi", 10 ** 400),
+    "offsets.leader": lambda: close_pair_with("offsets.leader.0", 10 ** 400),
+    "agents[0].disturbance": lambda: close_pair_with("agents.0.disturbance", -10 ** 400),
+    "gains.R": lambda: close_pair_with("gains.R", 1e200),
+    "sim.dt": lambda: close_pair_with("sim.dt", 1e-320),
 }
 
 
@@ -281,6 +310,51 @@ def test_oversized_basis_names_json_path(tmp_path, capsys, basis, command):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and f"nn.{basis}.per_axis" in lines[0], lines
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--dt", "1e-320"], "step count"),
+    (["--duration", "inf"], "step count"),
+    (["--duration", "nan"], "duration must be nonnegative"),
+])
+def test_step_count_override_must_be_finite(tmp_path, capsys, override, message):
+    argv = ["run", "--scenario", "builtin:close_pair", "--out", str(tmp_path / "o")] + override
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["run", "check", "diagnose", "sweep", "diagnose --bounds"])
+def test_deeply_nested_document_is_one_line_error(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    command, *bounds = command.split()
+    argv = [command, "--scenario", "builtin:close_pair" if bounds else str(deep)]
+    argv += [bounds[0], str(deep)] if bounds else []
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "nested too deeply" in lines[0], lines
+
+
+def test_sweep_copies_any_document_json_accepts(tmp_path):
+    # 500 levels parse, but copy.deepcopy of them overflows the stack
+    doc = close_pair_with("sim.duration", 0.05)
+    doc["notes"] = json.loads("[" * 500 + "]" * 500)
+    assert cli.main(["sweep", "--scenario", write_doc(tmp_path, doc), "--param", "nn.kappa",
+                     "--values", "0.5", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, consensus_lab.cli; "
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_integer_power_tower_aborts_promptly(tmp_path):

@@ -81,6 +81,17 @@ class TestLyapunovP1:
         with pytest.raises(ctl.NotHurwitz):
             ctl.lyapunov_P1([-1.0], 1.0)
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_matches_bartels_stewart(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(20):
+            lam = ctl.hurwitz_lambda(rng.uniform(0.3, 4.0, size=order - 1))
+            abar = rng.uniform(0.5, 3.0)
+            p1 = ctl.lyapunov_P1(lam, abar)
+            oracle = ref.lyapunov_p1_scipy(ctl.companion(lam), abar)
+            np.testing.assert_allclose(p1, oracle, rtol=0, atol=1e-12 * np.max(np.abs(oracle)))
+            assert np.array_equal(p1, p1.T)
+
     def test_random_orders_positive_definite(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

@@ -182,6 +182,25 @@ class TestExpressions:
         g = dyn.compile_time_expression("2*sin(t)")
         assert g(math.pi / 2) == pytest.approx(2.0)
 
+    def test_same_text_and_order_share_one_model(self):
+        text = "-1.5*v + 0.5*sin(0.7*s)"
+        model = dyn.compile_state_expression(text, 2)
+        assert dyn.compile_state_expression(text, 2) is model
+        assert dyn.compile_state_expression(text, 3) is not model
+        assert dyn.compile_time_expression("2*sin(t)") is dyn.compile_time_expression("2*sin(t)")
+
+    def test_shared_model_constants_are_read_only(self):
+        model = dyn.compile_state_expression("-1.5*v + 0.5*sin(0.7*s)", 2)
+        with pytest.raises(ValueError, match="read-only"):
+            model.consts[0] = 2.0
+        assert model(np.array([0.0, 1.0]), 0.0) == -1.5
+
+    def test_parsed_fleet_shares_compiled_drifts(self):
+        doc = bench_fleet_module().fleet_document(1)
+        drifts = {id(m.drift) for m in sio.parse_scenario(doc).agent_models}
+        texts = {agent["drift"]["expr"] for agent in doc["agents"]}
+        assert len(drifts) == len(texts) < len(doc["agents"])
+
 
 def bench_fleet_module():
     path = Path(__file__).resolve().parents[1] / "bench" / "fleet.py"

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from consensus_lab import graph as gr
 
+import oracles as ref
+
 
 def topo(adj, b, nu1=1.0, nu2=1.0, undirected=True):
     adj = np.asarray(adj, dtype=float)
@@ -199,6 +201,45 @@ class TestGraphLyapunov:
         t = gr.Topology(n_agents=2, adjacency=[[0, 1], [1, 0]],
                         leader_weights=[0.0, 0.0], nu1=1.0, nu2=1.0)
         with pytest.raises(gr.SingularPinnedLaplacian):
+            gr.graph_lyapunov(t)
+
+
+class TestGraphLyapunovAgainstLapack:
+    def test_matches_lu_solve_on_random_spanning_trees(self):
+        rng = np.random.default_rng(17)
+        certified = 0
+        for _ in range(300):
+            t = random_pinned_topology(rng, int(rng.integers(2, 41)))
+            q, p, q_matrix, pivots = ref.graph_lyapunov_lu(t)
+            np.testing.assert_allclose(gr._lu_pivots(gr.pinned_laplacian(t)), pivots,
+                                       rtol=1e-12, atol=0)
+            try:
+                lyap = gr.graph_lyapunov(t)
+            except gr.NonPositiveQ:
+                # only a directed graph may lack the certificate, and then LAPACK agrees
+                assert not t.undirected
+                assert np.any(q <= 0) or np.linalg.eigvalsh(q_matrix)[0] <= gr.Q_EIG_TOL
+                continue
+            certified += 1
+            np.testing.assert_allclose(lyap.q, q, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(lyap.p_diag, p, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(lyap.q_matrix, q_matrix, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(q_matrix)))
+        assert certified >= 250
+
+    def test_nearly_unpinned_connected_graph_is_singular(self):
+        # connected, but the leader is heard with weight 1e-20: solvable in
+        # floating point, singular by the pivot-ratio test
+        t = topo([[0, 1, 0], [1, 0, 1], [0, 1, 0]], [1e-20, 0, 0])
+        assert gr.has_leader_spanning_tree(t)
+        with pytest.raises(gr.SingularPinnedLaplacian, match="pivot ratio"):
+            gr.graph_lyapunov(t)
+
+    def test_overflowing_laplacian_is_singular(self):
+        # finite weights whose degree sums overflow
+        t = topo([[0, 1e308, 1e308], [1e308, 0, 0], [1e308, 0, 0]], [1, 0, 0])
+        with np.errstate(over="ignore"), pytest.raises(gr.SingularPinnedLaplacian,
+                                                       match="float range"):
             gr.graph_lyapunov(t)
 
 
