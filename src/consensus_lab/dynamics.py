@@ -23,12 +23,9 @@ GRADE_AMPLITUDE = 0.05
 GRADE_WAVENUMBER = 0.1
 
 
-def _grade(s: float) -> float:
-    return GRADE_AMPLITUDE * math.sin(GRADE_WAVENUMBER * s)
-
-
 def _slope_force(s: float) -> float:
-    return GRAVITY * math.sin(_grade(s))
+    """g sin(grade) on a road whose grade at position s is A sin(k s)."""
+    return GRAVITY * math.sin(GRADE_AMPLITUDE * math.sin(GRADE_WAVENUMBER * s))
 
 
 @dataclass(frozen=True)
@@ -100,33 +97,35 @@ class FleetState:
 # self-regulating leader, each a factory of the vehicle mass (the masses sit
 # in vehicle_platoon.json).  Control and disturbance enter the library's
 # chain with unit gain, i.e. the simulated input is the acceleration command
-# (physical force / mass).
+# (physical force / mass).  Each reads its state as Python floats
+# (``x.item``): the same double arithmetic as on numpy scalars, with less
+# overhead per operation.
 
 
 def _agent1_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         return v * math.sin(s) / m + math.cos(v) ** 2 - 0.47 * v * v / m - _slope_force(s)
     return f
 
 
 def _agent2_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         return -s * s * v / m + math.cos(v) ** 2 - 0.52 * v * v / m - _slope_force(s)
     return f
 
 
 def _agent3_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         return -s * s * v / m + math.sin(v) ** 2 - 0.57 * v * v / m - _slope_force(s)
     return f
 
 
 def _agent4_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         w = s + v - 1.0
         return (-3.0 * w * w * w / m - v + 0.5 * math.sin(2.0 * t) + math.cos(2.0 * t)
                 - 0.65 * v * v / m - _slope_force(s))
@@ -135,14 +134,14 @@ def _agent4_drift(m):
 
 def _agent5_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         return math.cos(s) - 0.74 * v * v / m - _slope_force(s)
     return f
 
 
 def _leader_drift(m):
     def f(x, t):
-        s, v = x[0], x[1]
+        s, v = x.item(0), x.item(1)
         w = s + v - 1.0
         return (-3.0 * v + 1.0 - _slope_force(s) - 0.4 * v * v / m
                 + (3.0 * math.sin(2.0 * t) + 6.0 * math.cos(2.0 * t)) / m

@@ -110,26 +110,62 @@ def basis_eval(basis: BasisSpec, value) -> np.ndarray:
         t = float(value)
         d2 = (basis.centers - t) ** 2
         return np.exp(-d2 / (2.0 * basis.width ** 2))
-    t = float(value)
+    arg = basis.centers * float(value)
     out = np.empty(basis.count)
     out[0] = 1.0
-    out[1::2] = np.sin(basis.centers * t)
-    out[2::2] = np.cos(basis.centers * t)
+    out[1::2] = np.sin(arg)
+    out[2::2] = np.cos(arg)
     return out
 
 
 def basis_eval_batch(basis: BasisSpec, states: np.ndarray) -> np.ndarray:
     """Evaluate a state RBF basis for a stack of states, returning (N, p)."""
-    if basis.kind != GAUSSIAN_RBF_STATE:
-        raise DimensionMismatch("batch evaluation is defined for state RBF bases only")
     x = np.asarray(states, dtype=float)
-    centers = basis.centers
-    # squared distances summed one axis at a time: no (N, p, d) temporary
-    d2 = (x[:, 0:1] - centers[:, 0]) ** 2
-    for k in range(1, centers.shape[1]):
-        d2 += (x[:, k:k + 1] - centers[:, k]) ** 2
-    d2 /= -2.0 * basis.width ** 2   # bitwise -d2 / (2 width^2), one pass fewer
-    return np.exp(d2, out=d2)
+    return StateBases([basis], [x.shape[0]])(x)[0]
+
+
+class StateBases:
+    """State RBF bases, each evaluated on its own run of rows of one input.
+
+    Basis j reads the next rows[j] rows of an (R, d) input.  Every (row,
+    centre) pair of every basis is one entry of a flat layout fixed when
+    the object is built, so each step runs once over all of them: repeat
+    the rows, subtract the centres, square, sum over the axes in axis order,
+    divide by -2 width^2, exp.  A basis's numbers are the ones it gives
+    alone.
+    """
+
+    def __init__(self, bases, rows):
+        if any(b.kind != GAUSSIAN_RBF_STATE for b in bases):
+            raise DimensionMismatch("batch evaluation is defined for state RBF bases only")
+        if len({b.centers.shape[1] for b in bases}) != 1:
+            raise DimensionMismatch("the bases differ in dimension")
+        d = bases[0].centers.shape[1]
+        self.shape = (sum(rows), d)
+        # the entries, basis by basis and row by row: each input row repeated
+        # once per centre of its basis, against the centres tiled per row
+        self.repeats = np.concatenate([np.full(m, b.count) for b, m in zip(bases, rows)])
+        self.centres = np.concatenate([np.tile(b.centers, (m, 1)) for b, m in zip(bases, rows)])
+        self.scale = np.concatenate([np.full(m * b.count, -2.0 * b.width ** 2)
+                                     for b, m in zip(bases, rows)])
+        ends = np.cumsum([0] + [m * b.count for b, m in zip(bases, rows)]).tolist()
+        self.blocks = [(slice(e0, e1), (m, b.count))
+                       for e0, e1, b, m in zip(ends, ends[1:], bases, rows)]
+
+    def __call__(self, states: np.ndarray) -> list:
+        """The (rows[j], p_j) block of each basis."""
+        x = np.asarray(states, dtype=float)
+        if x.shape != self.shape:
+            raise DimensionMismatch(f"input of shape {x.shape} does not match {self.shape}")
+        off = x.repeat(self.repeats, axis=0)
+        off -= self.centres
+        np.square(off, out=off)
+        d2 = off[:, 0]
+        for k in range(1, off.shape[1]):
+            d2 = d2 + off[:, k]
+        phi = d2 / self.scale   # bitwise -d2 / (2 width^2)
+        np.exp(phi, out=phi)
+        return [phi[entries].reshape(shape) for entries, shape in self.blocks]
 
 
 def basis_bound(basis: BasisSpec) -> float:

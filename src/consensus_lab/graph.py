@@ -197,6 +197,9 @@ def graph_lyapunov(topology: Topology) -> GraphLyapunov:
     p = 1.0 / q
     m = p[:, None] * pounds
     q_matrix = m + m.T
+    if not np.isfinite(q_matrix).all():
+        raise SingularPinnedLaplacian("pinned Laplacian too large: the certificate Q "
+                                      "overflows the float range")
     min_eig = float(np.linalg.eigvalsh(q_matrix)[0])
     if min_eig <= Q_EIG_TOL:
         raise NonPositiveQ(f"Q has minimum eigenvalue {min_eig:.3e} <= {Q_EIG_TOL:g}")

@@ -15,6 +15,7 @@ trace rather than raised, so partial traces stay inspectable.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -27,6 +28,13 @@ from . import estimator as nn
 from . import graph as gr
 
 RECORD_STRIDE_DEFAULT = 10
+# The most work a scenario may ask for, checked when it is validated: RK4
+# steps, and values in its trace (records times trace_width).  At the step
+# limit a run of the five-vehicle platoon takes about an hour; the trace
+# limit is 160 MB of float64 (about 0.4 GB as trace.csv).  The bundled
+# platoon asks for 40 000 steps and 240 060 trace values.
+MAX_STEPS = 10_000_000
+MAX_TRACE_VALUES = 20_000_000
 
 
 class EmptyTrace(ValueError):
@@ -81,12 +89,20 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
         raise ValueError("dt must be positive")
     if not scenario.duration >= 0:
         raise ValueError("duration must be nonnegative")
-    if not math.isfinite(scenario.duration / scenario.dt):
-        raise ValueError("the step count duration / dt must be finite")
+    steps = scenario.duration / scenario.dt
+    if steps > MAX_STEPS:
+        raise ValueError(f"sim.duration / sim.dt asks for a step count of {steps:.4g}, "
+                         f"above the limit of {MAX_STEPS} (sim.MAX_STEPS)")
     if scenario.duration > 0 and scenario.dt > scenario.duration:
         raise ValueError("dt must not exceed a positive duration")
     if scenario.record_stride < 1:
         raise ValueError("record_stride must be >= 1")
+    records = record_count(scenario)
+    width = trace_width(n_agents, n)
+    if records * width > MAX_TRACE_VALUES:
+        raise ValueError(f"sim.record_stride: {records} records of {width} trace values "
+                         f"exceed the limit of {MAX_TRACE_VALUES} values "
+                         f"(sim.MAX_TRACE_VALUES); record less often")
     if not gr.has_leader_spanning_tree(topo):
         raise ValueError("topology has no leader spanning tree: some agent cannot hear the leader")
     if scenario.nn_config.f_basis.kind != nn.GAUSSIAN_RBF_STATE:
@@ -100,7 +116,8 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
     if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
         raise ValueError("w_basis must be a time basis")
     try:
-        lyap = gr.graph_lyapunov(topo)
+        with np.errstate(all="ignore"):   # an overflow fails the certificate's checks
+            lyap = gr.graph_lyapunov(topo)
     except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
         raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
     object.__setattr__(scenario, "certificate", lyap)
@@ -126,22 +143,34 @@ class StateLayout:
 
     @property
     def size(self) -> int:
-        base = self.n_agents * self.order + self.order
-        return self.n_variants * (base + self.n_agents * (self.p_f + self.p_w + self.p_l))
+        return self.bounds[-1]
+
+    @functools.cached_property
+    def bounds(self) -> tuple:
+        """Where the blocks start, and the size: (0, leader, th_f, th_w, th_l, size).
+
+        The agents and leaders form the chains part [0, th_f), the weights
+        the theta part [th_f, size).
+        """
+        k, na = self.n_variants, self.n_agents
+        i0 = k * na * self.order
+        i1 = i0 + k * self.order
+        i2 = i1 + k * na * self.p_f
+        i3 = i2 + k * na * self.p_w
+        return 0, i0, i1, i2, i3, i3 + k * na * self.p_l
+
+    @functools.cached_property
+    def shapes(self) -> tuple:
+        """The shapes of the five blocks split returns."""
+        k, na, n = self.n_variants, self.n_agents, self.order
+        return (k, na, n), (k, n), (k, na, self.p_f), (k, na, self.p_w), (k, na, self.p_l)
 
     def split(self, y: np.ndarray):
         """Views of the blocks, each with a leading variant axis."""
-        k, na, n = self.n_variants, self.n_agents, self.order
-        i0 = k * na * n
-        i1 = i0 + k * n
-        i2 = i1 + k * na * self.p_f
-        i3 = i2 + k * na * self.p_w
-        agents = y[:i0].reshape(k, na, n)
-        leader = y[i0:i1].reshape(k, n)
-        th_f = y[i1:i2].reshape(k, na, self.p_f)
-        th_w = y[i2:i3].reshape(k, na, self.p_w)
-        th_l = y[i3:].reshape(k, na, self.p_l)
-        return agents, leader, th_f, th_w, th_l
+        _, i0, i1, i2, i3, _ = self.bounds
+        s_x, s_x0, s_f, s_w, s_l = self.shapes
+        return (y[:i0].reshape(s_x), y[i0:i1].reshape(s_x0), y[i1:i2].reshape(s_f),
+                y[i2:i3].reshape(s_w), y[i3:].reshape(s_l))
 
 
 def state_layout(scenario: Scenario) -> StateLayout:
@@ -170,6 +199,20 @@ def _step_count(scenario: Scenario) -> int:
     return int(round(scenario.duration / scenario.dt)) if scenario.duration > 0 else 0
 
 
+def record_count(scenario: Scenario) -> int:
+    """Records in the trace of a run that does not abort: the start, every
+    record_stride-th step and the last step."""
+    steps = _step_count(scenario)
+    return 1 + steps // scenario.record_stride + (steps % scenario.record_stride > 0)
+
+
+def trace_width(n_agents: int, order: int) -> int:
+    """Values per trace record, the columns of trace.csv: t, the agent and
+    leader states, u, e, r and E, three weight norms per agent, and the two
+    smallest distances."""
+    return 3 + order + n_agents * (3 * order + 5)
+
+
 def _basis_key(basis: nn.BasisSpec) -> tuple:
     return basis.kind, basis.centers.shape, basis.centers.tobytes(), basis.width
 
@@ -192,19 +235,18 @@ def batch_key(scenario: Scenario) -> tuple:
 class _Evaluation(NamedTuple):
     """Everything downstream of one raw state snapshot (see _SimContext.evaluate).
 
-    Every array has a leading variant axis of length K.
+    Every array has a leading variant axis of length K, or stacks the
+    variants' rows.
     """
 
+    chains: np.ndarray      # (K*N + K, n): every agent row, then every leader row
     agents: np.ndarray      # (K, N, n)
     flat_agents: np.ndarray  # (K*N, n): the agents of every variant, one row each
     leader: np.ndarray      # (K, n)
-    th_f: np.ndarray        # (K, N, p_f) drift weights
-    th_w: np.ndarray        # (K, N, p_w) disturbance weights
-    th_l: np.ndarray        # (K, N, p_l) leader weights
     rel_errors: np.ndarray  # (K, N, n): E_i0 per order
     errors: np.ndarray      # (K, N, n): column k-1 holds e^k
     r: np.ndarray           # (K, N)
-    phi_f: np.ndarray       # (K, N, p_f)
+    phi_f: np.ndarray       # (K*N, p_f)
     phi_w: np.ndarray       # (p_w,), shared: every variant is at the same t
     phi_l: np.ndarray       # (K, p_l)
     u: np.ndarray           # (K, N) composite control
@@ -235,8 +277,8 @@ class _SimContext:
         key = batch_key(first)
         if any(batch_key(s) != key for s in scenarios[1:]):
             raise ValueError("scenarios differ in structure; group them by sim.batch_key")
-        self.layout = dataclasses.replace(state_layout(first), n_variants=len(scenarios))
-        n_var, na = len(scenarios), self.layout.n_agents
+        self.layout = layout = dataclasses.replace(state_layout(first), n_variants=len(scenarios))
+        n_var, na, n = len(scenarios), layout.n_agents, layout.order
         topos = [s.topology for s in scenarios]
         gains = [s.gains for s in scenarios]
         cfgs = [s.nn_config for s in scenarios]
@@ -266,12 +308,16 @@ class _SimContext:
         self.p_vec = stacked([cert.p_diag for cert in certificates])
         self.lam = vectors([g.lambda_bar for g in gains])
         self.cvec = vectors([g.c for g in gains])
-        self.psi_a = stacked([s.offsets.per_agent for s in scenarios])
-        self.psi_l = stacked([s.offsets.leader for s in scenarios])
+        # every chain's offset, in the row order of the chains part of the state
+        self.psi = np.concatenate([
+            np.broadcast_to(stacked([s.offsets.per_agent for s in scenarios]),
+                            (n_var, na, n)).reshape(-1, n),
+            np.broadcast_to(stacked([s.offsets.leader for s in scenarios]), (n_var, n))])
+        # which agents see the c.E_i0 term; None when all do, since x * 1.0 is x
+        self.ce_mask = None
         if first.gains.strict_decentralized:
-            self.ce_mask = stacked([(b > 0).astype(float) for b in bvec])
-        else:
-            self.ce_mask = np.ones((1, na))
+            mask = stacked([(b > 0).astype(float) for b in bvec])
+            self.ce_mask = None if mask.all() else mask
         self.signless = first.gains.signless_avoidance
         self.chi = column([g.chi for g in gains])
         self.psi_ij = column([g.psi_ij for g in gains])
@@ -286,14 +332,25 @@ class _SimContext:
         self.detect_sq = column([g.detect_radius ** 2 for g in gains], 2)
         self.core_sq = column([g.obstacle_radius ** 2 for g in gains], 2)
         self.core_floor = column([g.obstacle_radius * (1.0 + ctl.DISTANCE_CLAMP) for g in gains], 2)
-        self.gain = column([cfg.gain for cfg in cfgs], 2)
-        self.neg_gain = column([-cfg.gain for cfg in cfgs], 2)
-        self.kappa = column([cfg.kappa for cfg in cfgs], 2)
-        self.kappaw = column([cfg.kappaw for cfg in cfgs], 2)
-        self.kappa0 = column([cfg.kappa0 for cfg in cfgs], 2)
+        # the three tuning laws as one multiply-add over the theta block,
+        # g * (phi * s + kappa * theta): per weight its variant's gain and
+        # damping, with the leader law's signs moved into them (negating a
+        # factor is exact, so each law keeps its bits)
+        def per_weight(values, p):
+            return np.repeat(np.array(values, dtype=float), na * p)
+        self.theta_gain = np.concatenate([
+            per_weight([-cfg.gain for cfg in cfgs], layout.p_f),
+            per_weight([-cfg.gain for cfg in cfgs], layout.p_w),
+            per_weight([cfg.gain for cfg in cfgs], layout.p_l)])
+        self.theta_kappa = np.concatenate([
+            per_weight([cfg.kappa for cfg in cfgs], layout.p_f),
+            per_weight([cfg.kappaw for cfg in cfgs], layout.p_w),
+            per_weight([-cfg.kappa0 for cfg in cfgs], layout.p_l)])
         self.breaker = [cfg.weight_breaker for cfg in cfgs]
-        self.f_basis = first.nn_config.f_basis
-        self.l_basis = first.nn_config.leader_basis
+        # the agents' drift basis and the leaders' basis, on the chains part
+        # of the state: every agent row, then every leader row
+        self.state_bases = nn.StateBases(
+            [first.nn_config.f_basis, first.nn_config.leader_basis], [n_var * na, n_var])
         self.w_basis = first.nn_config.w_basis
         self.drift_batches, self.loose_drifts = _batches(
             [m.drift for s in scenarios for m in s.agent_models])
@@ -305,7 +362,8 @@ class _SimContext:
         # integer broadcasting costs more than the sort it serves at small N
         self.row_start = np.repeat(np.arange(n_var) * na, na).reshape(n_var, na)
         self.w_time = self.w_phi = None   # the time basis at the last time seen
-        self.no_push = np.zeros((n_var, na))
+        # the pair term when no pair interacts: the gain times zero sums
+        self.no_push = (self.gamma1 if self.signless else self.neg_gamma1) * np.zeros((n_var, na))
         # variant -> first abort seen by the field since the caller last cleared
         # it: a message, or the exception a model callable raised
         self.faults = {}
@@ -313,38 +371,53 @@ class _SimContext:
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers.
     def evaluate(self, y: np.ndarray, t: float) -> _Evaluation:
-        n_var, na, n = self.layout.n_variants, self.layout.n_agents, self.layout.order
-        X, x0, th_f, th_w, th_l = self.layout.split(y)
-        flat = X.reshape(n_var * na, n)
+        layout = self.layout
+        n_var, na, n = layout.n_variants, layout.n_agents, layout.order
+        _, _, i1, i2, i3, _ = layout.bounds
+        s_x, _, _, s_w, s_l = layout.shapes
+        chains = y[:i1].reshape(-1, n)
+        flat, x0 = chains[:n_var * na], chains[n_var * na:]
+        X = flat.reshape(s_x)
+        lam, signless = self.lam, self.signless
 
-        delta = (X - self.psi_a) - (x0 - self.psi_l)[:, None, :]
+        rel = chains - self.psi   # x_i - psi_i, then x_0 - psi_0
+        delta = rel[:n_var * na].reshape(s_x) - rel[n_var * na:, None, :]
         e_cols = -(self.pounds @ delta)                      # column k-1 holds e^k
-        r = _matvec(e_cols[:, :, :n - 1], self.lam) + e_cols[:, :, n - 1]
-        rho_v = _matvec(e_cols[:, :, 1:], self.lam)
+        r = _matvec(e_cols[:, :, :n - 1], lam) + e_cols[:, :, n - 1]
+        rho_v = _matvec(e_cols[:, :, 1:], lam)
 
-        phi_f = nn.basis_eval_batch(self.f_basis, flat)
-        f_hat = np.einsum("ij,ij->i", th_f.reshape(phi_f.shape), phi_f).reshape(n_var, na)
-        phi_f = phi_f.reshape(th_f.shape)
+        phi_f, phi_l = self.state_bases(chains)
+        f_hat = np.einsum("ij,ij->i", y[i1:i2].reshape(phi_f.shape), phi_f).reshape(n_var, na)
         if t != self.w_time:   # the two middle RK4 stages share their time
             self.w_time, self.w_phi = t, nn.basis_eval(self.w_basis, t)
         phi_w = self.w_phi
-        w_hat = th_w @ phi_w
-        phi_l = nn.basis_eval_batch(self.l_basis, x0)
-        l_hat = (th_l @ phi_l[:, :, None])[:, :, 0]
+        w_hat = y[i2:i3].reshape(s_w) @ phi_w
+        l_hat = (y[i3:].reshape(s_l) @ phi_l[:, :, None])[:, :, 0]
 
-        u_d = (rho_v / self.pin - f_hat - w_hat + l_hat + r
-               - _matvec(delta, self.cvec) * self.ce_mask)
+        c_e = _matvec(delta, self.cvec)
+        if self.ce_mask is not None:
+            c_e = c_e * self.ce_mask
+        u_d = rho_v / self.pin   # less f_hat and w_hat, plus l_hat and r, less c_e
+        u_d -= f_hat
+        u_d -= w_hat
+        u_d += l_hat
+        u_d += r
+        u_d -= c_e
 
-        pos_flat = flat[:, 0]
-        pos = pos_flat.reshape(n_var, na)
-        pair = self._pair_sums(pos, pos_flat)
+        pos = X[:, :, 0]
+        push = self._pair_push(pos)
         dl = pos - x0[:, :1]
         adl = np.abs(dl)
-        m_lead = np.where(adl < self.psi_i0, self.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
-        if self.signless:
-            u_c = self.gamma1 * pair + self.gamma2 * m_lead
+        psi_i0 = self.psi_i0
+        if (adl >= psi_i0).all():   # no agent near the leader (a NaN takes the other branch)
+            # m_lead is 0, so gamma2 * m_lead * sign(dl) is a zero signed like dl
+            u_c = push + 0.0 if signless else push - np.copysign(0.0, dl)
         else:
-            u_c = self.neg_gamma1 * pair - self.gamma2 * m_lead * np.sign(dl)
+            m_lead = np.where(adl < psi_i0, self.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
+            if signless:
+                u_c = push + self.gamma2 * m_lead
+            else:
+                u_c = push - self.gamma2 * m_lead * np.sign(dl)
 
         if self.obstacles.shape[-1]:
             do = pos[:, :, None] - self.obstacles[..., None, :]
@@ -352,15 +425,15 @@ class _SimContext:
             deff = np.maximum(ado, self.core_floor)
             ratio = (self.detect_sq - deff ** 2) / (deff ** 2 - self.core_sq)
             m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
-            if self.signless:
+            if signless:
                 u_0 = self.gamma0 * m_obs.sum(axis=2)
             else:
                 u_0 = self.neg_gamma0 * (m_obs * np.sign(do)).sum(axis=2)
             u = u_d - u_c - u_0
         else:
             u = u_d - u_c   # less a zero u_0: the same bits
-        return _Evaluation(X, flat, x0, th_f, th_w, th_l, delta, e_cols, r, phi_f, phi_w, phi_l,
-                           u, r * self.p_vec * self.pin)
+        return _Evaluation(chains, X, flat, x0, delta, e_cols, r, phi_f, phi_w, phi_l, u,
+                           r * self.p_vec * self.pin)
 
     def distances(self, agents: np.ndarray) -> tuple:
         """Each variant's smallest pair distance and smallest obstacle distance
@@ -379,24 +452,30 @@ class _SimContext:
             min_obst = np.full(n_var, math.inf)
         return min_pair, min_obst
 
-    def _pair_sums(self, pos: np.ndarray, pos_flat: np.ndarray) -> np.ndarray:
-        """Per agent sum of the pairwise potentials (times sign(x_i - x_j) unless
-        signless).
+    def _pair_push(self, pos: np.ndarray) -> np.ndarray:
+        """Per agent the pair term of u_c: gamma1 times the sum of the pairwise
+        potentials, or -gamma1 times their sum times sign(x_i - x_j) unless
+        signless.
 
         With a variant's positions sorted, |x_i - x_j| is the gap between
         sorted slots a and a + k.  Gaps only grow with the offset k, so the
         scan stops at the first k at which no variant has a gap below its
-        psi_ij; a variant past its own stop adds exact zeros.
+        psi_ij; a variant past its own stop adds exact zeros.  The stable
+        argsort that scatters the sums back runs only when some pair
+        interacts.  It orders a tie as np.sort does, except that -0.0 and
+        0.0 may swap; a gap to any other value is the same either way, and
+        the gap between them is a zero of either sign, which counts the same.
         """
         n_var, na = pos.shape
         if na < 2:
             return self.no_push
-        slots = pos.argsort(axis=1, kind="stable") + self.row_start
-        ps = pos_flat[slots]
+        ps = pos.copy()
+        ps.sort(axis=1)
         gap = ps[:, 1:] - ps[:, :-1]
         near = gap < self.psi_ij
         if not near.any():
             return self.no_push
+        slots = pos.argsort(axis=1, kind="stable") + self.row_start
         acc = np.zeros((n_var, na))
         k = 1
         while True:
@@ -417,15 +496,25 @@ class _SimContext:
                 break
         sums = np.empty(n_var * na)
         sums[slots] = acc
-        return sums.reshape(n_var, na)
+        return (self.gamma1 if self.signless else self.neg_gamma1) * sums.reshape(n_var, na)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
-        """The derivative of the stacked state; a variant whose models fail is
-        noted in ``faults``."""
+        """The derivative of the stacked state, a new array; a variant whose
+        models fail is noted in ``faults``."""
         ev = self.evaluate(y, t)
-        n_var, na, n = self.layout.n_variants, self.layout.n_agents, self.layout.order
+        layout = self.layout
+        n_var, na, n = layout.n_variants, layout.n_agents, layout.order
+        _, _, i1, i2, i3, size = layout.bounds
         flat, x0 = ev.flat_agents, ev.leader
         faults = self.faults
+
+        # the chains part, row by row as in ev.chains: each chain shifts up
+        # by one order and takes its forcing in the last column
+        out = np.empty(size)
+        chains = out[:i1].reshape(-1, n)
+        chains[:, :n - 1] = ev.chains[:, 1:]
+        forcing = chains[:n_var * na, n - 1]
+        f0 = chains[n_var * na:, n - 1]
 
         # per variant the first fault wins: a raising callable, then a
         # non-finite drift or disturbance, then the leader's
@@ -447,12 +536,12 @@ class _SimContext:
             except _MODEL_ERRORS as exc:
                 w_vals[i] = math.nan
                 faults.setdefault(i // na, exc)
-        forcing = f_vals + ev.u.reshape(-1) + w_vals
-        if not np.isfinite(forcing).all():   # a non-finite term, or only a large sum
+        np.add(f_vals, ev.u.reshape(-1), out=forcing)
+        forcing += w_vals
+        if not math.isfinite(forcing.sum()):   # a non-finite term, or only a large sum
             finite = (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(n_var, na).all(axis=1)
             for k in np.flatnonzero(~finite).tolist():
                 faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
-        f0 = np.empty(n_var)
         for b in self.leader_batches:
             f0[b.index] = b.kernel(b.consts, [x0[b.index, k] for k in b.columns], t)
         for k, drift in self.loose_leaders:
@@ -467,21 +556,16 @@ class _SimContext:
                 if not math.isfinite(value):
                     faults.setdefault(k, f"non-finite leader drift at t={t}")
 
-        x_dot = np.empty((n_var * na, n))
-        x_dot[:, :n - 1] = flat[:, 1:]
-        x_dot[:, n - 1] = forcing
-        x0_dot = np.empty((n_var, n))
-        x0_dot[:, :n - 1] = x0[:, 1:]
-        x0_dot[:, n - 1] = f0
-
-        col = ev.s_fac[:, :, None]
-        d_th_f = self.neg_gain * (ev.phi_f * col + self.kappa * ev.th_f)
-        d_th_w = self.neg_gain * (ev.phi_w * col + self.kappaw * ev.th_w)
-        d_th_l = self.gain * (ev.phi_l[:, None, :] * col - self.kappa0 * ev.th_l)
-
-        return np.concatenate([
-            x_dot.ravel(), x0_dot.ravel(), d_th_f.ravel(), d_th_w.ravel(), d_th_l.ravel(),
-        ])
+        # the theta part: g * (phi * s + kappa * theta) for all three laws
+        s_rows = ev.s_fac.reshape(-1, 1)
+        np.multiply(ev.phi_f, s_rows, out=out[i1:i2].reshape(ev.phi_f.shape))
+        np.multiply(ev.phi_w, s_rows, out=out[i2:i3].reshape(n_var * na, -1))
+        np.multiply(ev.phi_l[:, None, :], ev.s_fac[:, :, None],
+                    out=out[i3:].reshape(layout.shapes[-1]))
+        d_theta = out[i1:]
+        d_theta += self.theta_kappa * y[i1:]
+        d_theta *= self.theta_gain
+        return out
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -517,14 +601,27 @@ def _batches(models) -> tuple:
 
 def rk4_step(field: Callable[[np.ndarray, float], np.ndarray],
              full_state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Classical 4-stage fixed-step update."""
+    """Classical 4-stage fixed-step update, returned as a new array.
+
+    Nothing is written into ``full_state`` or into an array the field
+    returned, and each stage's derivative is used up before the field is
+    called again: a field may return its input, or one array that it
+    overwrites on every call.  The sum is y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
+    accumulated in that order.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    k1 = field(full_state, t)
-    k2 = field(full_state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = field(full_state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = field(full_state + dt * k3, t + dt)
-    return full_state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = field(full_state, t)
+    acc = np.array(k, dtype=float)
+    stage = np.empty_like(acc)
+    for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        np.multiply(k, h, out=stage)
+        stage += full_state
+        k = field(stage, t + h)
+        acc += weight * k   # 1.0 * k4 is k4
+    acc *= dt / 6.0
+    acc += full_state
+    return acc
 
 
 @dataclass
@@ -564,10 +661,11 @@ class _Recorder:
         """Append a row to the trace of every live variant; returns each
         variant's largest weight norm."""
         ev = ctx.evaluate(y, t)
+        _, _, th_f, th_w, th_l = ctx.layout.split(y)
         norms = np.stack([
-            np.linalg.norm(ev.th_f, axis=2),
-            np.linalg.norm(ev.th_w, axis=2),
-            np.linalg.norm(ev.th_l, axis=2),
+            np.linalg.norm(th_f, axis=2),
+            np.linalg.norm(th_w, axis=2),
+            np.linalg.norm(th_l, axis=2),
         ], axis=2)
         agents, leader = ev.agents.copy(), ev.leader.copy()
         min_pair, min_obst = ctx.distances(agents)
@@ -787,7 +885,17 @@ def bd_value(omega_l1: float, sigma_min_k: float) -> float:
 
 def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
                      lyap: gr.GraphLyapunov, gains: ctl.ControlGains) -> DiagnosticsReport:
-    """Assemble K, test its five Sylvester minors, and compute B_d."""
+    """Assemble K, test its five Sylvester minors, and compute B_d.
+
+    Bounds large enough to overflow give infinite or NaN minors, which fail
+    their test, so numpy's overflow warnings are silenced here.
+    """
+    with np.errstate(all="ignore"):
+        return _cuub_diagnostics(bounds, topology, lyap, gains)
+
+
+def _cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
+                      lyap: gr.GraphLyapunov, gains: ctl.ControlGains) -> DiagnosticsReport:
     pounds = gr.pinned_laplacian(topology)
     adjacency = topology.adjacency
     dvec = adjacency.sum(axis=1)

@@ -324,6 +324,107 @@ def test_step_count_override_must_be_finite(tmp_path, capsys, override, message)
     assert len(lines) == 1 and message in lines[0], lines
 
 
+# documents that ask for more than the step budget (sim.MAX_STEPS,
+# sim.MAX_TRACE_VALUES), keyed by the field the message names
+OVER_BUDGET_SIM = {
+    "sim.dt": {"dt": 1e-300, "duration": 0.01},             # 1e298 steps
+    "sim.duration": {"duration": 1e5},                       # 1e8 steps of 1 ms
+    "sim.record_stride": {"duration": 800.0, "record_stride": 1},   # 800 001 x 27 values
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("json_path", sorted(OVER_BUDGET_SIM))
+def test_run_beyond_the_step_budget_is_refused(tmp_path, capsys, json_path, command):
+    doc = load_builtin_doc("close_pair")
+    doc["sim"].update(OVER_BUDGET_SIM[json_path])
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json_path in lines[0], lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "builtin:close_pair", "--dt", "1e-9"],
+    ["run", "--scenario", "builtin:vehicle_platoon", "--duration", "1e5"],
+    ["sweep", "--scenario", "builtin:close_pair", "--param", "sim.dt", "--values", "0.001,1e-300"],
+])
+def test_overrides_and_sweep_points_keep_the_step_budget(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "step count" in lines[0], lines
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_agents, order", [(1, 2), (5, 2), (3, 4)])
+def test_trace_width_counts_the_trace_columns(n_agents, order):
+    assert sim.trace_width(n_agents, order) == len(cli.trace_columns(n_agents, order))
+
+
+def huge_weights_doc(weight, where):
+    """vehicle_platoon with the given adjacency (and pinning) weights replaced."""
+    doc = load_builtin_doc("vehicle_platoon")
+    adjacency = doc["topology"]["adjacency"]
+    for i, j in where:
+        adjacency[i][j] = adjacency[j][i] = weight
+    return doc
+
+
+def uniform_weights_doc(weight):
+    doc = load_builtin_doc("vehicle_platoon")
+    topo = doc["topology"]
+    topo["adjacency"] = [[weight if w else 0 for w in row] for row in topo["adjacency"]]
+    topo["leader_weights"] = [weight if w else 0 for w in topo["leader_weights"]]
+    return doc
+
+
+# inputs whose numbers overflow in numpy while the scenario is loaded or
+# diagnosed; each must end in one line, with no RuntimeWarning on the way
+OVERFLOWING = {
+    "degree sum": lambda: huge_weights_doc(1e308, [(0, 1), (1, 2)]),
+    "certificate": lambda: uniform_weights_doc(1e200),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_topology_warns_nothing(tmp_path, capsys, case, command):
+    argv = [command, "--scenario", write_doc(tmp_path, OVERFLOWING[case]())]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "topology" in lines[0], lines
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_proximity_distance_warns_nothing(tmp_path):
+    # |x_1 - x_2| overflows to inf, which is beyond proximity_psi: no new edge
+    doc = load_builtin_doc("close_pair")
+    doc["topology"]["proximity_psi"] = 1.0
+    doc["initial_states"]["agents"][0][0] = 1e308
+    doc["initial_states"]["agents"][1][0] = -1e308
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_bounds_warn_nothing(tmp_path, capsys):
+    # the minors of K overflow in det: the fifth is -inf
+    bpath = tmp_path / "bounds.json"
+    bpath.write_text(json.dumps({"phi_f": 1e200, "theta_f": 1.0}), encoding="utf-8")
+    assert cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon",
+                     "--bounds", str(bpath)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "NotPositiveDefinite" in lines[0], lines
+
+
 @pytest.mark.parametrize("command", ["run", "check", "diagnose", "sweep", "diagnose --bounds"])
 def test_deeply_nested_document_is_one_line_error(tmp_path, capsys, command):
     deep = tmp_path / "deep.json"

@@ -71,6 +71,32 @@ class TestRk4:
         ratio = global_error(1e-2) / global_error(5e-3)
         assert 12.0 <= ratio <= 20.0
 
+    def test_state_is_left_unchanged(self):
+        scenario = small_scenario()
+        ctx = sim._SimContext([scenario])
+        y = sim.initial_state(scenario)
+        y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
+        before = y.copy()
+        sim.rk4_step(ctx.field, y, 0.1, 1e-3)
+        assert np.array_equal(y, before)
+
+    def test_field_may_reuse_its_output_or_return_its_input(self):
+        y = np.random.default_rng(2).normal(size=7)
+        before = y.copy()
+        shared = np.empty(7)
+
+        def fresh(s, t):
+            return np.sin(s) * t - s
+
+        def reused(s, t):   # one array, overwritten on every call
+            np.copyto(shared, fresh(s, t))
+            return shared
+        assert np.array_equal(sim.rk4_step(reused, y, 0.3, 0.01),
+                              sim.rk4_step(fresh, y, 0.3, 0.01))
+        assert np.array_equal(sim.rk4_step(lambda s, t: s, y, 0.3, 0.01),
+                              sim.rk4_step(lambda s, t: s.copy(), y, 0.3, 0.01))
+        assert np.array_equal(y, before)
+
 
 class TestDerivativeField:
     def test_bitwise_purity(self):
@@ -80,6 +106,16 @@ class TestDerivativeField:
         a = sim._SimContext([scenario]).field(y, 0.37)
         b = sim._SimContext([scenario]).field(y, 0.37)
         assert np.array_equal(a, b)
+
+    def test_consecutive_calls_return_equal_arrays_that_do_not_alias(self):
+        scenario = small_scenario()
+        ctx = sim._SimContext([scenario])
+        y = sim.initial_state(scenario)
+        y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
+        a = ctx.field(y, 0.37)
+        b = ctx.field(y, 0.37)
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, y)
 
     def test_chain_channels(self):
         scenario = small_scenario()
@@ -95,6 +131,42 @@ class TestDerivativeField:
     def test_matches_per_agent_law_and_tuning(self, strict):
         """The vectorized field must reproduce control_input and the tuning laws."""
         assert_field_matches_oracles(small_scenario(strict=strict), seed=8, t_now=0.83)
+
+    @pytest.mark.parametrize("signless", [False, True])
+    def test_fleet_far_from_the_leader_matches_oracles(self, signless):
+        # no agent within psi_i0 of the leader: the leader potential is zero
+        scenario = small_scenario()
+        scenario = dataclasses.replace(
+            scenario, initial=dyn.FleetState(agents=scenario.initial.agents, leader=[4.0, 0.3]),
+            gains=dataclasses.replace(scenario.gains, signless_avoidance=signless))
+        assert_field_matches_oracles(scenario, seed=6, t_now=0.41)
+
+    @pytest.mark.parametrize("signless", [False, True])
+    def test_far_agents_get_the_same_bits_on_either_leader_branch(self, signless):
+        # psi_i0 = 0.8: both agents are far from the leader at 4, so the leader
+        # term is skipped; psi_i0 = 4: agent 0 is near, agent 1 still far
+        scenario = small_scenario()
+        scenario = dataclasses.replace(
+            scenario, initial=dyn.FleetState(agents=scenario.initial.agents, leader=[4.0, 0.3]),
+            gains=dataclasses.replace(scenario.gains, signless_avoidance=signless))
+        wide = dataclasses.replace(scenario, gains=dataclasses.replace(scenario.gains, psi_i0=4.0))
+        y = sim.initial_state(scenario)
+        y[6:] = np.linspace(-0.4, 0.4, y.size - 6)   # the weights
+        u_skip = sim._SimContext([scenario]).evaluate(y, 0.3).u
+        u_full = sim._SimContext([wide]).evaluate(y, 0.3).u
+        assert u_skip[0, 1].tobytes() == u_full[0, 1].tobytes()
+        assert u_skip[0, 0] != u_full[0, 0]
+
+    @pytest.mark.parametrize("leader", [0.05, 4.0])
+    def test_non_finite_position_reaches_the_control(self, leader):
+        scenario = small_scenario()
+        ctx = sim._SimContext([scenario])
+        y = sim.initial_state(scenario)
+        y[ctx.layout.bounds[1]] = leader
+        for bad in (math.nan, math.inf):
+            y[0] = bad
+            with np.errstate(all="ignore"):
+                assert not math.isfinite(ctx.evaluate(y, 0.2).u[0, 0])
 
     def test_crowded_fleet_matches_oracles(self):
         """Sorted-gap pair scan and grouped models against the per-agent oracles."""
@@ -286,6 +358,11 @@ class TestRun:
         assert np.array_equal(t1.controls, t2.controls)
         assert np.array_equal(t1.weight_norms, t2.weight_norms)
         assert t1.aborted is None and t2.aborted is None
+
+    @pytest.mark.parametrize("stride", [1, 5, 7, 50, 60])
+    def test_record_count_is_the_records_a_run_writes(self, stride):
+        scenario = dataclasses.replace(small_scenario(), record_stride=stride)
+        assert sim.record_count(scenario) == sim.run(scenario).times.size
 
     def test_records_at_stride_and_final(self):
         scenario = small_scenario(duration=0.102)  # 102 steps, stride 5
