@@ -7,8 +7,11 @@ byte-identical files.
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
+import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -54,41 +57,49 @@ def trace_columns(n_agents: int, order: int) -> list[str]:
     return cols
 
 
-def _write_csv(path: Path, header: list[str], block: np.ndarray) -> None:
-    """One header line, then one line per row of the (T, C) block."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in block.tolist():
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _series(times: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
     """The (T, C) block of the times followed by each (T, ...) block flattened per row."""
     return np.concatenate([times[:, None]] + [b.reshape(times.size, -1) for b in blocks], axis=1)
 
 
 def write_trace_csv(trace: sim.Trace, path: Path) -> None:
+    """trace.csv: the header, then one line per record, each value as _fmt writes it."""
     block = _series(trace.times, trace.agents, trace.leader, trace.controls, trace.errors,
                     trace.r, trace.rel_errors, trace.weight_norms,
                     trace.min_pair_distance, trace.min_obstacle_distance)
-    _write_csv(path, trace_columns(trace.n_agents, trace.order), block)
+    header = trace_columns(trace.n_agents, trace.order)
+    line = ",".join(["%.17g"] * len(header)) + "\n"   # the bytes of _fmt, one call per row
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in block:
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_figure_data(trace: sim.Trace, out_dir: Path) -> None:
-    """Per-figure plot data: positions, velocities, errors, controls."""
-    n_agents = trace.n_agents
-    agent_ids = [str(i) for i in range(1, n_agents + 1)]
-    t = trace.times
-    _write_csv(out_dir / "fig_positions.csv", ["t", "x1_0"] + [f"x1_{i}" for i in agent_ids],
-               _series(t, trace.leader[:, :1], trace.agents[:, :, 0]))
-    _write_csv(out_dir / "fig_velocities.csv", ["t"] + [f"x2_{i}" for i in agent_ids],
-               _series(t, trace.agents[:, :, 1]))
-    _write_csv(out_dir / "fig_pos_error.csv", ["t"] + [f"E1_{i}" for i in agent_ids],
-               _series(t, trace.rel_errors[:, :, 0]))
-    _write_csv(out_dir / "fig_vel_error.csv", ["t"] + [f"E2_{i}" for i in agent_ids],
-               _series(t, trace.rel_errors[:, :, 1]))
-    _write_csv(out_dir / "fig_controls.csv", ["t"] + [f"u_{i}" for i in agent_ids],
-               _series(t, trace.controls))
+    """Per-figure plot data: positions, velocities, errors, controls.
+
+    Every figure column is a trace.csv column, so each figure line picks its
+    cells from the matching line of the out_dir/trace.csv that
+    write_trace_csv wrote for this trace; no value is formatted twice.
+    """
+    ids = range(1, trace.n_agents + 1)
+    headers = zip(FIG_FILES, (["t", "x1_0"] + [f"x1_{i}" for i in ids],
+                              ["t"] + [f"x2_{i}" for i in ids],
+                              ["t"] + [f"E1_{i}" for i in ids],
+                              ["t"] + [f"E2_{i}" for i in ids],
+                              ["t"] + [f"u_{i}" for i in ids]))
+    with contextlib.ExitStack() as stack:
+        source = stack.enter_context(open(out_dir / "trace.csv", encoding="utf-8", newline="\n"))
+        column = {name: j for j, name in enumerate(source.readline().rstrip("\n").split(","))}
+        figures = []
+        for name, header in headers:
+            fh = stack.enter_context(open(out_dir / name, "w", encoding="utf-8", newline="\n"))
+            fh.write(",".join(header) + "\n")
+            figures.append((fh, operator.itemgetter(*[column[c] for c in header])))
+        for line in source:
+            cells = line.rstrip("\n").split(",")
+            for fh, pick in figures:
+                fh.write(",".join(pick(cells)) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -214,8 +225,14 @@ def _set_doc_field(doc: dict, dotted: str, value: float) -> bool:
         node = node[part]
     if not isinstance(node, dict) or parts[-1] not in node:
         return False
-    if not isinstance(node[parts[-1]], (int, float)) or isinstance(node[parts[-1]], bool):
+    old = node[parts[-1]]
+    if not isinstance(old, (int, float)) or isinstance(old, bool):
         return False
+    # an integral value stays a JSON integer where the document holds one,
+    # because an integer field (sim.record_stride) rejects a float; -0.0
+    # stays a float, whose sign a float field keeps
+    if isinstance(old, int) and value.is_integer() and (value or math.copysign(1.0, value) > 0):
+        value = int(value)
     node[parts[-1]] = value
     return True
 

@@ -252,36 +252,65 @@ def _check_expression(text: str, variables: set[str]) -> ast.Expression:
     return tree
 
 
-class _LiftConstants(ast.NodeTransformer):
-    """Replace the k-th numeric literal by the name _ck; collect literals and names."""
+# symbol, precedence, and the least precedence an operand may have on the
+# left and on the right without parentheses (** groups right to left and
+# takes a unary operand on its right)
+_BINARY_OPS = {ast.Add: ("+", 1, 1, 2), ast.Sub: ("-", 1, 1, 2), ast.Mult: ("*", 2, 2, 3),
+               ast.Div: ("/", 2, 2, 3), ast.Pow: ("**", 4, 5, 3)}
+_UNARY_OPS = {ast.USub: "-", ast.UAdd: "+"}
 
-    def __init__(self):
-        self.values = []
-        self.names = set()
 
-    def visit_Constant(self, node):
-        name = ast.Name(id=f"_c{len(self.values)}", ctx=ast.Load())
-        self.values.append(node.value)
-        return ast.copy_location(name, node)
+def _lift(node, values: list, names: set) -> tuple[str, int]:
+    """Source of a checked expression node, with the k-th numeric literal
+    renamed _ck, and the precedence of its outermost operator.
 
-    def visit_Name(self, node):
-        self.names.add(node.id)
-        return node
+    The literals go to `values` and the names read to `names`.  An operand is
+    parenthesised only where Python's grammar needs it, so the source nests
+    no deeper than the text it came from.
+    """
+    if isinstance(node, ast.BinOp):
+        op, prec, left_least, right_least = _BINARY_OPS[type(node.op)]
+        left, left_prec = _lift(node.left, values, names)
+        right, right_prec = _lift(node.right, values, names)
+        if left_prec < left_least:
+            left = f"({left})"
+        if right_prec < right_least:
+            right = f"({right})"
+        return left + op + right, prec
+    if isinstance(node, ast.UnaryOp):
+        operand, operand_prec = _lift(node.operand, values, names)
+        return _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
+    if isinstance(node, ast.Call):
+        args = ",".join(_lift(arg, values, names)[0] for arg in node.args)
+        return f"{node.func.id}({args})", 5
+    if isinstance(node, ast.Constant):
+        values.append(node.value)
+        return f"_c{len(values) - 1}", 5
+    names.add(node.id)
+    return node.id, 5
+
+
+# Expressions that differ only in their literals lift to the same source,
+# so they share one code object.
+@functools.lru_cache(maxsize=1024)
+def _compiled(source: str, filename: str):
+    return compile(source, filename, "eval")
 
 
 def _expression(cls, text: str, variables: dict, filename: str):
     """A `cls` model of `text`; `variables` maps each state name to its column."""
-    lift = _LiftConstants()
-    code = compile(lift.visit(_check_expression(text, set(variables) | {"t"})), filename, "eval")
+    values, names = [], set()
+    source, _ = _lift(_check_expression(text, set(variables) | {"t"}).body, values, names)
+    code = _compiled(source, filename)
     try:
-        consts = [float(v) for v in lift.values]
+        consts = [float(v) for v in values]
     except OverflowError:
         raise ValueError(f"expression {text!r} has a constant too large for a float") from None
-    used = sorted(lift.names & set(variables))
+    used = sorted(names & set(variables))
     columns = sorted({variables[name] for name in used})
     slots = [(name, columns.index(variables[name])) for name in used]
     const_names = [f"_c{j}" for j in range(len(consts))]
-    uses_t = "t" in lift.names
+    uses_t = "t" in names
 
     def kernel(consts, states, t):
         env = dict(zip(const_names, consts))

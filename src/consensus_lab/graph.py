@@ -17,6 +17,8 @@ import numpy as np
 # the eigenvalue floor below which Q is not accepted as positive definite.
 PIVOT_RTOL = 1e-12
 Q_EIG_TOL = 1e-10
+# Columns per panel of the blocked LU factorization in _lu_pivots.
+LU_PANEL = 32
 
 
 class SingularPinnedLaplacian(RuntimeError):
@@ -146,20 +148,30 @@ def pinned_laplacian(topology: Topology) -> np.ndarray:
 def _lu_pivots(a: np.ndarray) -> np.ndarray:
     """|U_kk| of the LU factorization of `a` with partial (row) pivoting.
 
-    Row exchanges follow LAPACK's getrf: the first largest |entry| in the
-    column becomes the pivot.  A zero column leaves a zero pivot and no
-    elimination step.
+    Blocked as LAPACK's getrf: each panel of LU_PANEL columns is factored
+    one column at a time, updating only the panel's columns; forward
+    substitution then gives the panel's U rows, and the trailing matrix
+    takes the panel's whole update as one matmul.  Row exchanges follow
+    getrf: the first largest |entry| in the column becomes the pivot.  A
+    zero column leaves a zero pivot and no elimination step.
     """
     u = np.array(a, dtype=float)
     n = u.shape[0]
     pivots = np.empty(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
-        if p != k:
-            u[[k, p], k:] = u[[p, k], k:]
-        pivots[k] = abs(u[k, k])
-        if u[k, k] != 0.0:
-            u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / u[k, k], u[k, k + 1:])
+    for j0 in range(0, n, LU_PANEL):
+        j1 = min(j0 + LU_PANEL, n)
+        for k in range(j0, j1):
+            p = k + int(np.argmax(np.abs(u[k:, k])))
+            if p != k:
+                u[[k, p], j0:] = u[[p, k], j0:]
+            pivot = u[k, k]
+            pivots[k] = abs(pivot)
+            if pivot != 0.0:
+                u[k + 1:, k] /= pivot
+                u[k + 1:, k + 1:j1] -= u[k + 1:, k, None] * u[k, k + 1:j1]
+        for k in range(j0, j1 - 1):
+            u[k + 1:j1, j1:] -= u[k + 1:j1, k, None] * u[k, j1:]
+        u[j1:, j1:] -= u[j1:, j0:j1] @ u[j0:j1, j1:]
     return pivots
 
 

@@ -263,6 +263,12 @@ def graph_lyapunov_lu(topology: Topology):
     return q, p, m + m.T, np.abs(np.diag(lu))
 
 
+def lu_pivots_lapack(a: np.ndarray) -> np.ndarray:
+    """|U_kk| of LAPACK's getrf (partial pivoting) through scipy's lu_factor."""
+    lu, _piv = scipy.linalg.lu_factor(a, check_finite=False)
+    return np.abs(np.diag(lu))
+
+
 def lyapunov_p1_scipy(delta: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Symmetrised solve of Delta^T P1 + P1 Delta = -alpha_bar I by Bartels-Stewart."""
     p1 = scipy.linalg.solve_continuous_lyapunov(delta.T, -alpha_bar * np.eye(delta.shape[0]))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from consensus_lab import cli
 from consensus_lab import estimator as nn
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
+
+from test_golden import GOLDEN_ENV, digest, environment
 
 ALL_OUTPUTS = ("trace.csv", "summary.json") + cli.FIG_FILES
 
@@ -629,3 +632,114 @@ def test_sweep_batches_keep_every_worker_busy(points, n_agents, cap, sizes, monk
     batches = cli._sweep_batches(list(range(points)), n_agents, cap)
     assert [len(b) for b in batches] == sizes
     assert sum(batches, []) == list(range(points))
+
+
+# Every value a float64 trace cell can need: signed zeros, infinities, nan,
+# the smallest subnormal, the largest finite magnitudes and integral floats.
+SPECIAL_VALUES = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+                  1.0, -3.0, 2.0 ** 53, 1e16, 1e22, 0.1, 1 / 3, 123456789.0]
+
+
+def cell_trace(n_agents, order, records=4):
+    """(Trace, M): a Trace whose trace.csv row i must be the (records, width) matrix's row i."""
+    rng = np.random.default_rng(order)
+    pool = np.concatenate([SPECIAL_VALUES,
+                           rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)])
+    width = len(cli.trace_columns(n_agents, order))
+    matrix = np.resize(pool, (records, width))
+    shapes = {"times": (), "agents": (n_agents, order), "leader": (order,),
+              "controls": (n_agents,), "errors": (n_agents, order), "r": (n_agents,),
+              "rel_errors": (n_agents, order), "weight_norms": (n_agents, 3),
+              "min_pair_distance": (), "min_obstacle_distance": ()}
+    fields, start = {}, 0
+    for name, shape in shapes.items():   # trace.csv's column order
+        size = int(np.prod(shape))
+        fields[name] = matrix[:, start:start + size].reshape((records,) + shape)
+        start += size
+    assert start == width
+    return sim.Trace(**fields), matrix
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_writers_format_each_cell_as_fmt(tmp_path, order):
+    trace, matrix = cell_trace(3, order)
+    assert {cli._fmt(v) for v in SPECIAL_VALUES} >= {
+        "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "1e+308", "-3", "9007199254740992"}
+    cli.write_trace_csv(trace, tmp_path / "trace.csv")
+    cli.write_figure_data(trace, tmp_path)
+    lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == ",".join(cli.trace_columns(3, order))
+    assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in matrix]
+    columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+    for name in cli.FIG_FILES:
+        fig = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert len(fig) == len(lines)
+        for j, header in enumerate(fig[0].split(",")):
+            assert tuple(line.split(",")[j] for line in fig[1:]) == columns[header], (name, header)
+
+
+def order3_doc(duration):
+    """A three-agent chain of order-3 agents with expression drifts."""
+    doc = load_builtin_doc("close_pair")
+    doc["agents"] = [
+        {"drift": {"expr": "-0.3*x3 + 0.1*sin(x1) - 0.2*x2"},
+         "disturbance": {"sinusoid": {"amp": 0.1, "freq": 1.3}}},
+        {"drift": {"expr": "-0.25*x3 + 0.12*cos(x1)"}, "disturbance": 0.05},
+        {"drift": {"expr": "-0.5*x3 - x2*x2*0.01"}}]
+    doc["topology"].update(adjacency=[[0, 1, 0], [1, 0, 1], [0, 1, 0]], leader_weights=[1, 0, 0])
+    doc["leader"]["drift"] = {"expr": "-x3 - x2 - 0.2*x1 + 0.1*sin(t)"}
+    doc["initial_states"] = {"agents": [[0.5, 0, 0], [-0.3, 0.1, 0], [-1.2, 0, 0.2]],
+                             "leader": [0, 0, 0]}
+    doc["offsets"] = {"agents": [[-0.4, 0, 0], [-0.8, 0, 0], [-1.2, 0, 0]], "leader": [0, 0, 0]}
+    doc["gains"].update(lambda_xi=[2.0, 1.0], c=[10.0, 8.0, 5.0])
+    for basis in ("f_basis", "leader_basis"):
+        doc["nn"][basis]["box"] = [[-2, 2]] * 3
+    doc["sim"]["duration"] = duration
+    return doc
+
+
+# SHA-256 of the outputs of order3_doc(1.0), 101 records
+ORDER3_DIGESTS = {
+    "trace.csv": "e77b8714a17eccd0306da86a81f48594dc233f7e8fb41ca64a64d9f2f606155f",
+    "summary.json": "3e6ddae32a30c209a7dcd35ddecb8d43f6b2719f54315ef85c6dadf740dfdbb7",
+    "fig_positions.csv": "c0e48e53c010f555573697037f839fd2b0620abb64a0ba959d1519643f8bbf00",
+    "fig_velocities.csv": "254d21dbce5573c74187c6f376f64a62f519681ffea8aeb9806ebfd080429a88",
+    "fig_pos_error.csv": "cf18c5fd8257affd1a391f74987a81dc4a0079dfb09e939f63197b978e28a2af",
+    "fig_vel_error.csv": "680035765e9cc61655c790c0f45cb74239df265392e6b0c9c5c4503fed9361c8",
+    "fig_controls.csv": "a0a063b5a922dc0d0f83a31144994a9c7f7189e12cad82f1a4fbe44bec834d5e",
+}
+
+
+def test_order3_run_matches_golden_digests(tmp_path):
+    if environment() != GOLDEN_ENV:
+        pytest.skip(f"digests were taken with {GOLDEN_ENV}: exp/sin/cos may differ in the last bit")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", write_doc(tmp_path, order3_doc(1.0)),
+                     "--out", str(out)]) == 0
+    assert {f: digest(out / f) for f in ORDER3_DIGESTS} == ORDER3_DIGESTS
+
+
+def test_integer_field_sweeps_as_an_integer(tmp_path, monkeypatch, capsys):
+    # an integer field rejects a float: "sim.record_stride: expected an
+    # integer, got float"
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    spath = write_doc(tmp_path, short_pair_doc(0.1))
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--scenario", spath, "--param", "sim.record_stride",
+                     "--values", "2,3", "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in (out / "sweep.csv").read_text().splitlines()[1:]] == \
+        ["2", "3"]
+    capsys.readouterr()
+    assert cli.main(["sweep", "--scenario", spath, "--param", "record_stride",
+                     "--values", "2,2.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "sim.record_stride" in err[0], err
+
+
+def test_sweep_value_keeps_the_type_the_document_holds():
+    doc = {"a": {"n": 1, "x": 1.5, "z": 0}}
+    assert cli._set_doc_field(doc, "a.n", 4.0) and type(doc["a"]["n"]) is int
+    assert cli._set_doc_field(doc, "a.x", 4.0) and type(doc["a"]["x"]) is float
+    assert cli._set_doc_field(doc, "a.n", 2.5) and doc["a"]["n"] == 2.5
+    assert cli._set_doc_field(doc, "a.z", -0.0) and math.copysign(1.0, doc["a"]["z"]) == -1.0
+    assert doc == {"a": {"n": 2.5, "x": 4.0, "z": 0.0}}

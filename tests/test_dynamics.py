@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import itertools
 import math
 import random
@@ -194,6 +195,29 @@ class TestExpressions:
         with pytest.raises(ValueError, match="read-only"):
             model.consts[0] = 2.0
         assert model(np.array([0.0, 1.0]), 0.0) == -1.5
+
+    @pytest.mark.parametrize("text", [
+        "-s**2", "(-s)**2", "s**-v", "2**3**2", "(2**3)**2", "s-(v-1)", "s-v-1", "s/(v*2)",
+        "s/v*2", "-(s+v)", "s- -v", "+s*-v", "(s**v)**2", "sin(s+v)*cos(-v)**2", "2*-3"])
+    def test_lifted_source_keeps_precedence(self, text):
+        s, v = 1.7, -0.6
+        scope = {"s": s, "v": v, "sin": math.sin, "cos": math.cos}
+        assert dyn.compile_state_expression(text, 2)(np.array([s, v]), 0.0) == \
+            pytest.approx(eval(text, scope), rel=1e-12)
+
+    def test_long_sum_compiles(self):
+        # a fully parenthesised source of 300 terms would nest past the
+        # parser's limit of 200 parentheses
+        f = dyn.compile_state_expression("s" + "+1" * 300, 2)
+        assert f(np.array([0.5, 0.0]), 0.0) == 300.5
+
+    def test_equal_shapes_share_one_code_object(self):
+        def code(model):
+            return inspect.getclosurevars(model.kernel).nonlocals["code"]
+        a = dyn.compile_state_expression("-1.5*v + 0.5*sin(0.7*s)", 2)
+        b = dyn.compile_state_expression("-2*v + 0.25*sin(3*s)", 2)
+        assert a is not b and code(a) is code(b)
+        assert code(dyn.compile_state_expression("-1.5*v + 0.5*cos(0.7*s)", 2)) is not code(a)
 
     def test_parsed_fleet_shares_compiled_drifts(self):
         doc = bench_fleet_module().fleet_document(1)

@@ -243,6 +243,58 @@ class TestGraphLyapunovAgainstLapack:
             gr.graph_lyapunov(t)
 
 
+def chain_topology(n, leader_weights):
+    adj = np.zeros((n, n))
+    i = np.arange(n - 1)
+    adj[i, i + 1] = adj[i + 1, i] = 1.0
+    return topo(adj, leader_weights)
+
+
+class TestBlockedLuAgainstLapack:
+    """The blocked pivots on one panel, across panel edges and past many panels."""
+
+    P = gr.LU_PANEL
+
+    @pytest.mark.parametrize("n", [1, P - 1, P, P + 1, 2 * P + 3])
+    def test_pivots_at_panel_edges(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            t = random_pinned_topology(rng, n)
+            np.testing.assert_allclose(gr._lu_pivots(gr.pinned_laplacian(t)),
+                                       ref.graph_lyapunov_lu(t)[3], rtol=1e-12, atol=0)
+        # a Laplacian rarely exchanges rows; a Gaussian matrix does at most
+        # steps, and its small pivots carry cancellation error of the matrix scale
+        for _ in range(20):
+            a = rng.standard_normal((n, n))
+            np.testing.assert_allclose(gr._lu_pivots(a), ref.lu_pivots_lapack(a),
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("n, seed", [(520, 1), (640, 2)])
+    def test_large_topologies(self, n, seed):
+        rng = np.random.default_rng(seed)
+        for t in (random_pinned_topology(rng, n),
+                  chain_topology(n, (np.arange(n) % 25 == 0).astype(float))):
+            q, _p, _qm, pivots = ref.graph_lyapunov_lu(t)
+            np.testing.assert_allclose(gr._lu_pivots(gr.pinned_laplacian(t)), pivots,
+                                       rtol=1e-12, atol=0)
+            if t.undirected:
+                np.testing.assert_allclose(gr.graph_lyapunov(t).q, q, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("weight", [1e-13, 1e-20])
+    def test_tiny_pivot_in_a_later_panel_is_singular(self, weight):
+        # a chain that hears the leader only at its first agent, with a tiny
+        # weight: its last pivot, in the third panel, is tiny or exactly zero
+        n = 2 * self.P + 3
+        t = chain_topology(n, [weight] + [0.0] * (n - 1))
+        pounds = gr.pinned_laplacian(t)
+        for pivots in (gr._lu_pivots(pounds), ref.graph_lyapunov_lu(t)[3]):
+            assert np.argmin(pivots) == n - 1
+            assert np.min(pivots) < gr.PIVOT_RTOL * np.max(np.abs(pounds))
+        with pytest.raises(gr.SingularPinnedLaplacian, match="pivot ratio"):
+            gr.graph_lyapunov(t)
+
+
 class TestProximityAugment:
     def test_out_of_range_unchanged(self):
         t = topo([[0, 0], [0, 0]], [1, 0])

@@ -2,15 +2,18 @@
 
 Each example applies a few mutations to a bundled document (dropped keys,
 values of the wrong type, extreme numbers, directed adjacencies), then runs
-``check`` and a two-step ``run`` through ``cli.main``.  Neither may raise,
-and a failure is reported in at most one line.
+``check`` and a two-step ``run``, or ``diagnose`` and a two-point ``sweep``,
+through ``cli.main``.  None may raise, and a failure is reported in at most
+one line.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
+from unittest import mock
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -98,6 +101,32 @@ def test_mutated_document_ends_in_an_exit_code(doc):
         for argv in (["check", "--scenario", str(path)],
                      ["run", "--scenario", str(path), "--out", str(Path(tmp) / "out"),
                       "--duration", "0.01", "--dt", "0.005"]):
+            code, err = _main(argv)
+            assert code in (0, 1, 2), (argv[0], code, err)
+            assert len(err.strip().splitlines()) <= 1, (argv[0], err)
+
+
+SWEEP_PARAMS = ["nn.kappa", "gains.gamma1", "gains.psi_ij", "topology.nu1", "sim.dt",
+                "sim.record_stride", "kappa", "F"]
+SWEEP_VALUES = ["0", "-0.0", "1", "2", "0.5", "-1", "1e308", "1e-300", "inf", "nan", "x"]
+
+
+@given(mutated_documents(), st.sampled_from(SWEEP_PARAMS),
+       st.lists(st.sampled_from(SWEEP_VALUES), min_size=2, max_size=2))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_document_diagnoses_and_sweeps(doc, param, values):
+    # a sweep has no --duration: two steps of the mutated document, unless
+    # its sim section is gone
+    if isinstance(doc.get("sim"), dict):
+        doc["sim"].update(duration=0.01, dt=0.005)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {cli.THREADS_ENV: "1"}):
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        # --values=: a list that starts with "-" would be read as an option
+        for argv in (["diagnose", "--scenario", str(path)],
+                     ["sweep", "--scenario", str(path), "--param", param,
+                      f"--values={','.join(values)}", "--out", str(Path(tmp) / "out")]):
             code, err = _main(argv)
             assert code in (0, 1, 2), (argv[0], code, err)
             assert len(err.strip().splitlines()) <= 1, (argv[0], err)
