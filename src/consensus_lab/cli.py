@@ -6,7 +6,6 @@ byte-identical files.
 """
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import json
@@ -339,6 +338,7 @@ def cmd_sweep(args) -> int:
             tasks.append(([values[i] for i in batch], [jobs[i] for i in batch]))
     workers = min(cap, len(tasks))
     if workers > 1:
+        import concurrent.futures   # only here: it costs every command ~6 ms to import
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_group, tasks))
     else:
@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one simulation per parameter value")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--param", required=True, help="scalar field, e.g. nn.kappa or gamma1")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated values; --values=-1,2 if the first is negative")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

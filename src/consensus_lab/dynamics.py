@@ -168,9 +168,10 @@ class BatchModel:
     ``kernel(consts, states, t)`` maps per-agent constant columns (one
     float64 array per entry of ``consts``) and the state columns listed in
     ``columns`` (x1 is column 0) to the model values.  Models with equal
-    ``key`` share their kernel, so the field evaluates a group of them once
-    over stacked columns.  Calling a model for one agent runs the same
-    kernel on one-element columns, so both give the same bits.
+    ``key`` (an expression's is its kernel's source) share their kernel, so
+    the field evaluates a group of them once over stacked columns.  Calling
+    a model for one agent runs the same kernel on one-element columns, so
+    both give the same bits.
     """
 
     def __init__(self, key, kernel, consts, columns=()):
@@ -224,7 +225,7 @@ def sinusoid_disturbance(amp: float, freq: float) -> BatchDisturbance:
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}
 _ALLOWED_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
-_EVAL_GLOBALS = {"__builtins__": {}, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
+_KERNEL_GLOBALS = {"__builtins__": {}, "_float64": np.float64, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
     ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
@@ -232,10 +233,7 @@ _ALLOWED_NODES = (
 
 
 def _check_expression(text: str, variables: set[str]) -> ast.Expression:
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    tree = ast.parse(text, mode="eval")
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"expression {text!r} uses unsupported syntax: {type(node).__name__}")
@@ -244,6 +242,9 @@ def _check_expression(text: str, variables: set[str]) -> ast.Expression:
                 raise ValueError(f"expression {text!r} calls an unsupported function")
             if node.keywords:
                 raise ValueError("keyword arguments are not supported in expressions")
+            if len(node.args) != 1:
+                raise ValueError(f"expression {text!r}: {node.func.id}() takes exactly one "
+                                 f"argument, got {len(node.args)}")
         if isinstance(node, ast.Name):
             if node.id not in variables and node.id not in _ALLOWED_FUNCS and node.id not in _ALLOWED_CONSTS:
                 raise ValueError(f"expression {text!r} references unknown name {node.id!r}")
@@ -281,8 +282,7 @@ def _lift(node, values: list, names: set) -> tuple[str, int]:
         operand, operand_prec = _lift(node.operand, values, names)
         return _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
     if isinstance(node, ast.Call):
-        args = ",".join(_lift(arg, values, names)[0] for arg in node.args)
-        return f"{node.func.id}({args})", 5
+        return f"{node.func.id}({_lift(node.args[0], values, names)[0]})", 5
     if isinstance(node, ast.Constant):
         values.append(node.value)
         return f"_c{len(values) - 1}", 5
@@ -290,38 +290,38 @@ def _lift(node, values: list, names: set) -> tuple[str, int]:
     return node.id, 5
 
 
-# Expressions that differ only in their literals lift to the same source,
-# so they share one code object.
+# Expressions that differ only in their literals lift to the same source, so
+# they share one kernel: a function of (literals, state columns, t) that
+# binds the literals to _c0, _c1, ... and the columns to the state names.
 @functools.lru_cache(maxsize=1024)
-def _compiled(source: str, filename: str):
-    return compile(source, filename, "eval")
+def _kernel(source: str, filename: str):
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _expression(cls, text: str, variables: dict, filename: str):
     """A `cls` model of `text`; `variables` maps each state name to its column."""
     values, names = [], set()
-    source, _ = _lift(_check_expression(text, set(variables) | {"t"}).body, values, names)
-    code = _compiled(source, filename)
     try:
+        body, _ = _lift(_check_expression(text, set(variables) | {"t"}).body, values, names)
+        used = sorted(names & set(variables))
+        source = "\n".join((
+            "def kernel(_consts, _states, t):",
+            f"    [{', '.join(f'_c{j}' for j in range(len(values)))}] = _consts",
+            f"    [{', '.join(used)}] = _states",
+            "    t = _float64(t)",
+            f"    return {body}"))
+        kernel = _kernel(source, filename)
         consts = [float(v) for v in values]
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValueError("expression is nested too deeply") from None
     except OverflowError:
         raise ValueError(f"expression {text!r} has a constant too large for a float") from None
-    used = sorted(names & set(variables))
-    columns = sorted({variables[name] for name in used})
-    slots = [(name, columns.index(variables[name])) for name in used]
-    const_names = [f"_c{j}" for j in range(len(consts))]
-    uses_t = "t" in names
-
-    def kernel(consts, states, t):
-        env = dict(zip(const_names, consts))
-        for name, j in slots:
-            env[name] = states[j]
-        if uses_t:
-            env["t"] = np.float64(t)
-        return eval(code, _EVAL_GLOBALS, env)
-
-    # equal bytecode over the lifted names means equal arithmetic: one group
-    return cls((cls.__name__, code.co_code, code.co_names), kernel, consts, columns)
+    # equal sources mean equal arithmetic: one group
+    return cls(source, kernel, consts, [variables[name] for name in used])
 
 
 # A model holds no state, so every agent and scenario with the same text (a

@@ -45,9 +45,14 @@ def builtin_scenario_text(name: str) -> str:
     return ref.read_text(encoding="utf-8")
 
 
-def _require(doc: dict, key: str, path: str):
+def _here(path: str, key: str) -> str:
+    """The JSON path of `key` inside the object at `path` ("" for the top level)."""
+    return f"{path}.{key}" if path else key
+
+
+def _require(doc: dict, key: str, path: str, what: str = "field"):
     if key not in doc:
-        raise ScenarioError(f"{path}.{key}" if path else key, "missing required field")
+        raise ScenarioError(_here(path, key), f"missing required {what}")
     return doc[key]
 
 
@@ -63,12 +68,10 @@ def _finite(value, here: str) -> float:
 
 
 def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(f"{path}.{key}" if path else key, "missing required number")
+    if key not in doc and default is not _MISSING:
         return default
-    value = doc[key]
-    here = f"{path}.{key}" if path else key
+    value = _require(doc, key, path, "number")
+    here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(here, f"expected a number, got {type(value).__name__}")
     value = _finite(value, here)
@@ -80,12 +83,10 @@ def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
 
 
 def _get_int(doc, key, path, default=_MISSING, minimum=None):
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(f"{path}.{key}" if path else key, "missing required integer")
+    if key not in doc and default is not _MISSING:
         return default
-    value = doc[key]
-    here = f"{path}.{key}" if path else key
+    value = _require(doc, key, path, "integer")
+    here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(here, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
@@ -96,17 +97,15 @@ def _get_int(doc, key, path, default=_MISSING, minimum=None):
 def _get_bool(doc, key, path, default=False):
     value = doc.get(key, default)
     if not isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}" if path else key, "expected true or false")
+        raise ScenarioError(_here(path, key), "expected true or false")
     return value
 
 
 def _get_array(doc, key, path, default=_MISSING):
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(f"{path}.{key}" if path else key, "missing required array")
+    if key not in doc and default is not _MISSING:
         return default
-    value = doc[key]
-    here = f"{path}.{key}" if path else key
+    value = _require(doc, key, path, "array")
+    here = _here(path, key)
     if not isinstance(value, list):
         raise ScenarioError(here, f"expected an array, got {type(value).__name__}")
     try:
@@ -121,14 +120,11 @@ def _get_array(doc, key, path, default=_MISSING):
 
 
 def _get_dict(doc, key, path, default=_MISSING):
-    if key not in doc:
-        if default is _MISSING:
-            raise ScenarioError(f"{path}.{key}" if path else key, "missing required object")
+    if key not in doc and default is not _MISSING:
         return default
-    value = doc[key]
+    value = _require(doc, key, path, "object")
     if not isinstance(value, dict):
-        raise ScenarioError(f"{path}.{key}" if path else key,
-                            f"expected an object, got {type(value).__name__}")
+        raise ScenarioError(_here(path, key), f"expected an object, got {type(value).__name__}")
     return value
 
 
@@ -157,25 +153,27 @@ def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
     return topology
 
 
+def _compile_expression(path: str, text, compile_text, *args):
+    """compile_text(text, *args) for the expression at `path`, failing with that path."""
+    if not isinstance(text, str):
+        raise ScenarioError(path, "expected a string expression")
+    try:
+        return compile_text(text, *args)
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
+
+
 def _parse_drift(spec, path: str, order: int, mass: float, leader: bool):
     registry = dyn.BUILTIN_LEADER_DRIFTS if leader else dyn.BUILTIN_AGENT_DRIFTS
     if isinstance(spec, str):
         name = spec[len(BUILTIN_PREFIX):] if spec.startswith(BUILTIN_PREFIX) else spec
         if name in registry:
             return registry[name](mass), name
-        try:
-            return dyn.compile_state_expression(spec, order), spec
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from None
-    if isinstance(spec, dict) and "expr" in spec:
-        expr = spec["expr"]
-        if not isinstance(expr, str):
-            raise ScenarioError(f"{path}.expr", "expected a string expression")
-        try:
-            return dyn.compile_state_expression(expr, order), expr
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.expr", str(exc)) from None
-    raise ScenarioError(path, "drift must be a builtin name or an expression")
+    elif isinstance(spec, dict) and "expr" in spec:
+        spec, path = spec["expr"], f"{path}.expr"
+    else:
+        raise ScenarioError(path, "drift must be a builtin name or an expression")
+    return _compile_expression(path, spec, dyn.compile_state_expression, order), spec
 
 
 def _parse_disturbance(spec, path: str):
@@ -194,13 +192,7 @@ def _parse_disturbance(spec, path: str):
             freq = _get_number(sub, "freq", f"{path}.sinusoid")
             return dyn.sinusoid_disturbance(amp, freq)
         if "expr" in spec:
-            expr = spec["expr"]
-            if not isinstance(expr, str):
-                raise ScenarioError(f"{path}.expr", "expected a string expression")
-            try:
-                return dyn.compile_time_expression(expr)
-            except ValueError as exc:
-                raise ScenarioError(f"{path}.expr", str(exc)) from None
+            return _compile_expression(f"{path}.expr", spec["expr"], dyn.compile_time_expression)
     raise ScenarioError(path, "disturbance must be a number, "
                               "{constant: v}, {sinusoid: {amp, freq}}, or {expr: text}")
 

@@ -105,14 +105,12 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
                          f"(sim.MAX_TRACE_VALUES); record less often")
     if not gr.has_leader_spanning_tree(topo):
         raise ValueError("topology has no leader spanning tree: some agent cannot hear the leader")
-    if scenario.nn_config.f_basis.kind != nn.GAUSSIAN_RBF_STATE:
-        raise ValueError("f_basis must be a state RBF basis")
-    if scenario.nn_config.f_basis.centers.shape[1] != n:
-        raise ValueError("f_basis centers must match the chain order")
-    if scenario.nn_config.leader_basis.kind != nn.GAUSSIAN_RBF_STATE:
-        raise ValueError("leader_basis must be a state RBF basis")
-    if scenario.nn_config.leader_basis.centers.shape[1] != n:
-        raise ValueError("leader_basis centers must match the chain order")
+    for name in ("f_basis", "leader_basis"):
+        basis = getattr(scenario.nn_config, name)
+        if basis.kind != nn.GAUSSIAN_RBF_STATE:
+            raise ValueError(f"{name} must be a state RBF basis")
+        if basis.centers.shape[1] != n:
+            raise ValueError(f"{name} centers must match the chain order")
     if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
         raise ValueError("w_basis must be a time basis")
     try:
@@ -322,12 +320,13 @@ class _SimContext:
         self.chi = column([g.chi for g in gains])
         self.psi_ij = column([g.psi_ij for g in gains])
         self.psi_i0 = column([g.psi_i0 for g in gains])
-        self.gamma1 = column([g.gamma1 for g in gains])
-        self.neg_gamma1 = column([-g.gamma1 for g in gains])
-        self.gamma2 = column([g.gamma2 for g in gains])
+        # the pair, leader and obstacle gains carry the sign of their terms:
+        # each is subtracted unless signless (negating a factor is exact)
+        sign = 1.0 if self.signless else -1.0
+        self.pair_gain = column([sign * g.gamma1 for g in gains])
+        self.leader_gain = column([sign * g.gamma2 for g in gains])
         self.obstacles = stacked([g.obstacles for g in gains])
-        self.gamma0 = column([g.gamma0 for g in gains])
-        self.neg_gamma0 = column([-g.gamma0 for g in gains])
+        self.obstacle_gain = column([sign * g.gamma0 for g in gains])
         self.detect_radius = column([g.detect_radius for g in gains], 2)
         self.detect_sq = column([g.detect_radius ** 2 for g in gains], 2)
         self.core_sq = column([g.obstacle_radius ** 2 for g in gains], 2)
@@ -352,18 +351,15 @@ class _SimContext:
         self.state_bases = nn.StateBases(
             [first.nn_config.f_basis, first.nn_config.leader_basis], [n_var * na, n_var])
         self.w_basis = first.nn_config.w_basis
-        self.drift_batches, self.loose_drifts = _batches(
-            [m.drift for s in scenarios for m in s.agent_models])
-        self.disturbance_batches, self.loose_disturbances = _batches(
-            [m.disturbance for s in scenarios for m in s.agent_models])
-        self.leader_batches, self.loose_leaders = _batches(
-            [s.leader_model.drift for s in scenarios])
+        self.drifts = _batches([m.drift for s in scenarios for m in s.agent_models])
+        self.disturbances = _batches([m.disturbance for s in scenarios for m in s.agent_models])
+        self.leader_drifts = _batches([s.leader_model.drift for s in scenarios])
         # each agent's variant's first flat index; full (K, N) shape, because
         # integer broadcasting costs more than the sort it serves at small N
         self.row_start = np.repeat(np.arange(n_var) * na, na).reshape(n_var, na)
         self.w_time = self.w_phi = None   # the time basis at the last time seen
         # the pair term when no pair interacts: the gain times zero sums
-        self.no_push = (self.gamma1 if self.signless else self.neg_gamma1) * np.zeros((n_var, na))
+        self.no_push = self.pair_gain * np.zeros((n_var, na))
         # variant -> first abort seen by the field since the caller last cleared
         # it: a message, or the exception a model callable raised
         self.faults = {}
@@ -410,14 +406,13 @@ class _SimContext:
         adl = np.abs(dl)
         psi_i0 = self.psi_i0
         if (adl >= psi_i0).all():   # no agent near the leader (a NaN takes the other branch)
-            # m_lead is 0, so gamma2 * m_lead * sign(dl) is a zero signed like dl
+            # m_lead is 0, so the leader term subtracts a zero signed like dl
             u_c = push + 0.0 if signless else push - np.copysign(0.0, dl)
         else:
             m_lead = np.where(adl < psi_i0, self.chi / np.maximum(adl, ctl.DISTANCE_CLAMP), 0.0)
-            if signless:
-                u_c = push + self.gamma2 * m_lead
-            else:
-                u_c = push - self.gamma2 * m_lead * np.sign(dl)
+            if not signless:
+                m_lead *= np.sign(dl)
+            u_c = push + self.leader_gain * m_lead
 
         if self.obstacles.shape[-1]:
             do = pos[:, :, None] - self.obstacles[..., None, :]
@@ -425,11 +420,9 @@ class _SimContext:
             deff = np.maximum(ado, self.core_floor)
             ratio = (self.detect_sq - deff ** 2) / (deff ** 2 - self.core_sq)
             m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
-            if signless:
-                u_0 = self.gamma0 * m_obs.sum(axis=2)
-            else:
-                u_0 = self.neg_gamma0 * (m_obs * np.sign(do)).sum(axis=2)
-            u = u_d - u_c - u_0
+            if not signless:
+                m_obs *= np.sign(do)
+            u = u_d - u_c - self.obstacle_gain * m_obs.sum(axis=2)
         else:
             u = u_d - u_c   # less a zero u_0: the same bits
         return _Evaluation(chains, X, flat, x0, delta, e_cols, r, phi_f, phi_w, phi_l, u,
@@ -453,9 +446,8 @@ class _SimContext:
         return min_pair, min_obst
 
     def _pair_push(self, pos: np.ndarray) -> np.ndarray:
-        """Per agent the pair term of u_c: gamma1 times the sum of the pairwise
-        potentials, or -gamma1 times their sum times sign(x_i - x_j) unless
-        signless.
+        """Per agent the pair term of u_c: pair_gain times the sum of the
+        pairwise potentials, each times sign(x_i - x_j) unless signless.
 
         With a variant's positions sorted, |x_i - x_j| is the gap between
         sorted slots a and a + k.  Gaps only grow with the offset k, so the
@@ -496,7 +488,23 @@ class _SimContext:
                 break
         sums = np.empty(n_var * na)
         sums[slots] = acc
-        return (self.gamma1 if self.signless else self.neg_gamma1) * sums.reshape(n_var, na)
+        return self.pair_gain * sums.reshape(n_var, na)
+
+    def _call_models(self, models, out, states, t: float, per_variant: int) -> None:
+        """Write the value of model i into out[i] for the models of one kind,
+        grouped as _batches returns them: each group's kernel over its rows of
+        `states`, then each loose callable on states[i], or on t alone when
+        states is None.  A loose model that raises gives nan and is the fault
+        of variant i // per_variant unless that variant already has one."""
+        batches, loose = models
+        for b in batches:
+            out[b.index] = b.kernel(b.consts, [states[b.index, k] for k in b.columns], t)
+        for i, model in loose:
+            try:
+                out[i] = model(t) if states is None else model(states[i], t)
+            except _MODEL_ERRORS as exc:
+                out[i] = math.nan
+                self.faults.setdefault(i // per_variant, exc)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
         """The derivative of the stacked state, a new array; a variant whose
@@ -506,7 +514,6 @@ class _SimContext:
         n_var, na, n = layout.n_variants, layout.n_agents, layout.order
         _, _, i1, i2, i3, size = layout.bounds
         flat, x0 = ev.flat_agents, ev.leader
-        faults = self.faults
 
         # the chains part, row by row as in ev.chains: each chain shifts up
         # by one order and takes its forcing in the last column
@@ -519,42 +526,21 @@ class _SimContext:
         # per variant the first fault wins: a raising callable, then a
         # non-finite drift or disturbance, then the leader's
         f_vals = np.empty(n_var * na)
-        for b in self.drift_batches:
-            f_vals[b.index] = b.kernel(b.consts, [flat[b.index, k] for k in b.columns], t)
-        for i, drift in self.loose_drifts:
-            try:
-                f_vals[i] = drift(flat[i], t)
-            except _MODEL_ERRORS as exc:
-                f_vals[i] = math.nan
-                faults.setdefault(i // na, exc)
+        self._call_models(self.drifts, f_vals, flat, t, na)
         w_vals = np.empty(n_var * na)
-        for b in self.disturbance_batches:
-            w_vals[b.index] = b.kernel(b.consts, (), t)
-        for i, disturbance in self.loose_disturbances:
-            try:
-                w_vals[i] = disturbance(t)
-            except _MODEL_ERRORS as exc:
-                w_vals[i] = math.nan
-                faults.setdefault(i // na, exc)
+        self._call_models(self.disturbances, w_vals, None, t, na)
         np.add(f_vals, ev.u.reshape(-1), out=forcing)
         forcing += w_vals
         if not math.isfinite(forcing.sum()):   # a non-finite term, or only a large sum
             finite = (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(n_var, na).all(axis=1)
             for k in np.flatnonzero(~finite).tolist():
-                faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
-        for b in self.leader_batches:
-            f0[b.index] = b.kernel(b.consts, [x0[b.index, k] for k in b.columns], t)
-        for k, drift in self.loose_leaders:
-            try:
-                f0[k] = drift(x0[k], t)
-            except _MODEL_ERRORS as exc:
-                f0[k] = math.nan
-                faults.setdefault(k, exc)
+                self.faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
+        self._call_models(self.leader_drifts, f0, x0, t, 1)
         f0_list = f0.tolist()
         if not math.isfinite(sum(f0_list)):   # a non-finite term, or only a large sum
             for k, value in enumerate(f0_list):
                 if not math.isfinite(value):
-                    faults.setdefault(k, f"non-finite leader drift at t={t}")
+                    self.faults.setdefault(k, f"non-finite leader drift at t={t}")
 
         # the theta part: g * (phi * s + kappa * theta) for all three laws
         s_rows = ev.s_fac.reshape(-1, 1)
@@ -650,55 +636,35 @@ class Trace:
 
 
 class _Recorder:
-    """One growing trace per variant."""
+    """The traces of K variants: one K-stacked row per record, and per
+    variant the number of rows recorded while it was live.  A stopped
+    variant never records again, so its trace is its first rows."""
 
     def __init__(self, n_variants: int):
-        self.rows = [{name: [] for name in (
-            "times", "agents", "leader", "controls", "errors", "r",
-            "rel_errors", "weight_norms", "min_pair", "min_obst")} for _ in range(n_variants)]
+        self.rows = []
+        self.counts = [0] * n_variants
 
     def record(self, ctx: _SimContext, y: np.ndarray, t: float, live) -> np.ndarray:
-        """Append a row to the trace of every live variant; returns each
-        variant's largest weight norm."""
+        """Append a row for every variant and count it for the live ones;
+        returns each variant's largest weight norm."""
         ev = ctx.evaluate(y, t)
         _, _, th_f, th_w, th_l = ctx.layout.split(y)
-        norms = np.stack([
-            np.linalg.norm(th_f, axis=2),
-            np.linalg.norm(th_w, axis=2),
-            np.linalg.norm(th_l, axis=2),
-        ], axis=2)
+        norms = np.stack([np.linalg.norm(th, axis=2) for th in (th_f, th_w, th_l)], axis=2)
         agents, leader = ev.agents.copy(), ev.leader.copy()
         min_pair, min_obst = ctx.distances(agents)
-        for k in live:
-            rows = self.rows[k]
-            rows["times"].append(t)
-            rows["agents"].append(agents[k])
-            rows["leader"].append(leader[k])
-            rows["controls"].append(ev.u[k])
-            rows["errors"].append(ev.errors[k])
-            rows["r"].append(ev.r[k])
-            rows["rel_errors"].append(ev.rel_errors[k])
-            rows["weight_norms"].append(norms[k])
-            rows["min_pair"].append(min_pair[k])
-            rows["min_obst"].append(min_obst[k])
         n_var = ctx.layout.n_variants
+        # one entry per Trace field, in their order
+        self.rows.append((np.full(n_var, t), agents, leader, ev.u, ev.errors, ev.r,
+                          ev.rel_errors, norms, min_pair, min_obst))
+        for k in live:
+            self.counts[k] += 1
         return norms.reshape(n_var, -1).max(axis=1) if norms.size else np.zeros(n_var)
 
-    def build(self, k: int, aborted: Optional[str]) -> Trace:
-        rows = self.rows[k]
-        return Trace(
-            times=np.asarray(rows["times"]),
-            agents=np.asarray(rows["agents"]),
-            leader=np.asarray(rows["leader"]),
-            controls=np.asarray(rows["controls"]),
-            errors=np.asarray(rows["errors"]),
-            r=np.asarray(rows["r"]),
-            rel_errors=np.asarray(rows["rel_errors"]),
-            weight_norms=np.asarray(rows["weight_norms"]),
-            min_pair_distance=np.asarray(rows["min_pair"]),
-            min_obstacle_distance=np.asarray(rows["min_obst"]),
-            aborted=aborted,
-        )
+    def traces(self, aborted: list) -> list:
+        """Each variant's trace: its first counts[k] rows, with its abort reason."""
+        columns = [np.stack(column) for column in zip(*self.rows)]
+        return [Trace(*[c[:n, k] for c in columns], aborted=reason)
+                for k, (n, reason) in enumerate(zip(self.counts, aborted))]
 
 
 def run_many(scenarios) -> list:
@@ -758,7 +724,7 @@ def run_many(scenarios) -> list:
                 np.copyto(y, y0, where=stopped)
             if live and (step % stride == 0 or step == n_steps):
                 record(t)
-    return [recorder.build(k, reason) for k, reason in enumerate(aborted)]
+    return recorder.traces(aborted)
 
 
 def run(scenario: Scenario) -> Trace:

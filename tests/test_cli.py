@@ -743,3 +743,70 @@ def test_sweep_value_keeps_the_type_the_document_holds():
     assert cli._set_doc_field(doc, "a.n", 2.5) and doc["a"]["n"] == 2.5
     assert cli._set_doc_field(doc, "a.z", -0.0) and math.copysign(1.0, doc["a"]["z"]) == -1.0
     assert doc == {"a": {"n": 2.5, "x": 4.0, "z": 0.0}}
+
+
+# An expression function takes exactly one argument: sin() would fail in the
+# middle of a run, and numpy would take the second argument of sin(s, v) as
+# its output array, so the text would silently mean sin(s).
+BAD_ARITY = {
+    "agents[0].drift.expr": [("agents", 0, "drift"), {"expr": "sin()"}],
+    "agents[1].drift.expr": [("agents", 1, "drift"), {"expr": "-v + sin(s, v)"}],
+    "agents[0].disturbance.expr": [("agents", 0, "disturbance"), {"expr": "cos()"}],
+    "agents[1].disturbance.expr": [("agents", 1, "disturbance"), {"expr": "exp(t, t)"}],
+}
+
+
+def close_pair_with_model(where, spec):
+    doc = short_pair_doc(0.05)
+    section, index, key = where
+    doc[section][index][key] = spec
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("json_path", sorted(BAD_ARITY))
+def test_expression_call_arity_is_one_line_error(tmp_path, capsys, json_path, command):
+    doc = close_pair_with_model(*BAD_ARITY[json_path])
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    argv += ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json_path in lines[0] and "exactly one argument" in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("depth", [1500, 3000])
+def test_deeply_nested_expression_is_one_line_error(tmp_path, capsys, depth, command):
+    # 1500 unary minuses overflow the stack while the literals are lifted,
+    # 3000 already while Python builds the syntax tree
+    doc = close_pair_with_model(("agents", 0, "drift"), {"expr": "-" * depth + "s"})
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    argv += ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "agents[0].drift.expr" in lines[0], lines
+    assert "nested too deeply" in lines[0]
+
+
+def test_negative_sweep_values_take_the_equals_form(tmp_path, capsys):
+    # argparse reads "--values -1,2" as an option; "--values=-1,2" works
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    assert "--values=-1,2" in capsys.readouterr().out
+    doc = short_pair_doc(0.05)
+    doc["notes"] = {"offset": 0.5}   # a field the scenario does not read
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--scenario", write_doc(tmp_path, doc), "--param", "notes.offset",
+                     "--values=-1,2", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["-1", "2"]
+    assert rows[0].split(",")[1:] == rows[1].split(",")[1:]
+
+
+def test_cli_import_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, consensus_lab.cli; "
+                               "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,4 @@
 import importlib.util
-import inspect
 import itertools
 import math
 import random
@@ -212,12 +211,27 @@ class TestExpressions:
         assert f(np.array([0.5, 0.0]), 0.0) == 300.5
 
     def test_equal_shapes_share_one_code_object(self):
-        def code(model):
-            return inspect.getclosurevars(model.kernel).nonlocals["code"]
+        # expressions that differ only in their literals share one kernel function
         a = dyn.compile_state_expression("-1.5*v + 0.5*sin(0.7*s)", 2)
         b = dyn.compile_state_expression("-2*v + 0.25*sin(3*s)", 2)
-        assert a is not b and code(a) is code(b)
-        assert code(dyn.compile_state_expression("-1.5*v + 0.5*cos(0.7*s)", 2)) is not code(a)
+        assert a is not b and a.kernel is b.kernel and a.key == b.key
+        assert dyn.compile_state_expression("-1.5*v + 0.5*cos(0.7*s)", 2).kernel is not a.kernel
+
+    @pytest.mark.parametrize("text", ["sin()", "cos(s, v)", "exp(s, v, t)", "tan(sin(), s)"])
+    def test_functions_take_exactly_one_argument(self, text):
+        with pytest.raises(ValueError, match="takes exactly one argument"):
+            dyn.compile_state_expression(text, 2)
+
+    @pytest.mark.parametrize("depth", [1500, 3000, 100_000])
+    def test_deep_nesting_is_a_value_error(self, depth):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            dyn.compile_state_expression("-" * depth + "s", 2)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            dyn.compile_time_expression("-" * depth + "t")
+
+    def test_aliases_read_their_column(self):
+        f = dyn.compile_state_expression("s*x1 + v - x2 + x3*t", 3)
+        assert f(np.array([3.0, 2.0, 0.5]), 4.0) == 11.0
 
     def test_parsed_fleet_shares_compiled_drifts(self):
         doc = bench_fleet_module().fleet_document(1)
