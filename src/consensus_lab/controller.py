@@ -84,6 +84,8 @@ class ControlGains:
             raise ValueError("lambda_bar must be a nonempty vector")
         if c.ndim != 1 or c.shape[0] != lam.shape[0] + 1:
             raise ValueError("c must have length n = len(lambda_bar) + 1")
+        if obstacles.ndim != 1:
+            raise ValueError("obstacles must be a flat vector of positions")
         for name in ("gamma0", "gamma1", "gamma2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

@@ -30,19 +30,15 @@ def _slope_force(s: float) -> float:
 
 @dataclass(frozen=True)
 class AgentModel:
-    """One follower: chain order, drift f(x, t), mass, disturbance w(t)."""
+    """One follower: chain order, drift f(x, t), disturbance w(t)."""
 
     order: int
     drift: Callable[[np.ndarray, float], float]
-    mass: float
     disturbance: Callable[[float], float]
-    label: str = ""
 
     def __post_init__(self):
         if self.order < 2:
             raise ValueError("chain order must be >= 2")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,6 @@ class LeaderModel:
 
     order: int
     drift: Callable[[np.ndarray, float], float]
-    label: str = ""
 
     def __post_init__(self):
         if self.order < 2:

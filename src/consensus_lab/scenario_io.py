@@ -5,6 +5,8 @@ Every validation failure names the offending JSON path (for example
 ``builtin:<name>`` references to the scenarios shipped with the package.
 """
 
+import contextlib
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -43,6 +45,17 @@ def builtin_scenario_text(name: str) -> str:
         raise ScenarioError("", f"unknown builtin scenario {name!r}; "
                                 f"available: {', '.join(builtin_scenario_names())}")
     return ref.read_text(encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Anchor a plain ValueError raised in the block at `path`; a ScenarioError keeps its own."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(path, str(exc)) from None
 
 
 def _here(path: str, key: str) -> str:
@@ -101,7 +114,7 @@ def _get_bool(doc, key, path, default=False):
     return value
 
 
-def _get_array(doc, key, path, default=_MISSING):
+def _get_array(doc, key, path, default=_MISSING, flat=False):
     if key not in doc and default is not _MISSING:
         return default
     value = _require(doc, key, path, "array")
@@ -116,6 +129,8 @@ def _get_array(doc, key, path, default=_MISSING):
         raise ScenarioError(here, "entries must be finite") from None
     if arr.size and not np.all(np.isfinite(arr)):
         raise ScenarioError(here, "entries must be finite")
+    if flat and arr.ndim != 1:
+        raise ScenarioError(here, "expected a flat array of numbers")
     return arr
 
 
@@ -131,19 +146,17 @@ def _get_dict(doc, key, path, default=_MISSING):
 def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
     topo = _get_dict(doc, "topology", "")
     adjacency = _get_array(topo, "adjacency", "topology")
-    leader_weights = _get_array(topo, "leader_weights", "topology")
+    leader_weights = _get_array(topo, "leader_weights", "topology", flat=True)
     nu1 = _get_number(topo, "nu1", "topology", default=1.0, positive=True)
     nu2 = _get_number(topo, "nu2", "topology", default=1.0, positive=True)
     undirected = _get_bool(topo, "undirected", "topology", default=True)
-    try:
+    with _at("topology"):
         topology = gr.Topology(
-            n_agents=leader_weights.shape[0] if leader_weights.ndim == 1 else 0,
+            n_agents=leader_weights.shape[0],
             adjacency=adjacency,
             leader_weights=leader_weights,
             nu1=nu1, nu2=nu2, undirected=undirected,
         )
-    except ValueError as exc:
-        raise ScenarioError("topology", str(exc)) from None
     if topology.n_agents != initial_positions.shape[0]:
         raise ScenarioError("initial_states.agents",
                             f"got {initial_positions.shape[0]} states for {topology.n_agents} agents")
@@ -157,23 +170,25 @@ def _compile_expression(path: str, text, compile_text, *args):
     """compile_text(text, *args) for the expression at `path`, failing with that path."""
     if not isinstance(text, str):
         raise ScenarioError(path, "expected a string expression")
-    try:
+    with _at(path):
         return compile_text(text, *args)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
 
 
-def _parse_drift(spec, path: str, order: int, mass: float, leader: bool):
+def _parse_drift(obj: dict, path: str, order: int, leader: bool):
+    """The drift of the agent or leader object at `path`; a builtin is built for its mass."""
+    mass = _get_number(obj, "mass", path, default=1.0, positive=True)
+    spec = _require(obj, "drift", path)
+    path = f"{path}.drift"
     registry = dyn.BUILTIN_LEADER_DRIFTS if leader else dyn.BUILTIN_AGENT_DRIFTS
     if isinstance(spec, str):
         name = spec[len(BUILTIN_PREFIX):] if spec.startswith(BUILTIN_PREFIX) else spec
         if name in registry:
-            return registry[name](mass), name
+            return registry[name](mass)
     elif isinstance(spec, dict) and "expr" in spec:
         spec, path = spec["expr"], f"{path}.expr"
     else:
         raise ScenarioError(path, "drift must be a builtin name or an expression")
-    return _compile_expression(path, spec, dyn.compile_state_expression, order), spec
+    return _compile_expression(path, spec, dyn.compile_state_expression, order)
 
 
 def _parse_disturbance(spec, path: str):
@@ -206,43 +221,28 @@ def _parse_agents(doc: dict, order: int) -> list[dyn.AgentModel]:
         path = f"agents[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError(path, "expected an object")
-        mass = _get_number(entry, "mass", path, default=1.0, positive=True)
-        drift_spec = _require(entry, "drift", path)
-        drift, label = _parse_drift(drift_spec, f"{path}.drift", order, mass, leader=False)
+        drift = _parse_drift(entry, path, order, leader=False)
         disturbance = _parse_disturbance(entry.get("disturbance"), f"{path}.disturbance")
-        label = entry.get("label", label)
-        try:
-            models.append(dyn.AgentModel(order=order, drift=drift, mass=mass,
-                                         disturbance=disturbance, label=str(label)))
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from None
+        models.append(dyn.AgentModel(order=order, drift=drift, disturbance=disturbance))
     return models
 
 
 def _parse_leader(doc: dict, order: int) -> dyn.LeaderModel:
     leader_doc = _get_dict(doc, "leader", "")
-    mass = _get_number(leader_doc, "mass", "leader", default=1.0, positive=True)
-    drift_spec = _require(leader_doc, "drift", "leader")
-    drift, label = _parse_drift(drift_spec, "leader.drift", order, mass, leader=True)
-    label = leader_doc.get("label", label)
-    try:
-        return dyn.LeaderModel(order=order, drift=drift, label=str(label))
-    except ValueError as exc:
-        raise ScenarioError("leader", str(exc)) from None
+    drift = _parse_drift(leader_doc, "leader", order, leader=True)
+    return dyn.LeaderModel(order=order, drift=drift)
 
 
-def _parse_gains(doc: dict, order: int) -> ctl.ControlGains:
+def _parse_gains(doc: dict) -> ctl.ControlGains:
     gd = _get_dict(doc, "gains", "")
     if "lambda_bar" in gd:
         lambda_bar = _get_array(gd, "lambda_bar", "gains")
     else:
         xi = _get_array(gd, "lambda_xi", "gains")
-        try:
+        with _at("gains.lambda_xi"):
             lambda_bar = ctl.hurwitz_lambda(xi)
-        except ValueError as exc:
-            raise ScenarioError("gains.lambda_xi", str(exc)) from None
     c = _get_array(gd, "c", "gains")
-    obstacles = _get_array(doc, "obstacles", "", default=np.zeros(0))
+    obstacles = _get_array(doc, "obstacles", "", default=np.zeros(0), flat=True)
     kwargs = dict(
         lambda_bar=lambda_bar,
         c=c,
@@ -262,13 +262,8 @@ def _parse_gains(doc: dict, order: int) -> ctl.ControlGains:
     for key, name in (("R", "detect_radius"), ("core_radius", "obstacle_radius")):
         if math.isinf(kwargs[name] * kwargs[name]):   # the field uses the squared radii
             raise ScenarioError(f"gains.{key}", "too large: its square overflows a float")
-    try:
-        gains = ctl.ControlGains(**kwargs)
-    except (ValueError, ctl.NotHurwitz) as exc:
-        raise ScenarioError("gains", str(exc)) from None
-    if gains.order != order:
-        raise ScenarioError("gains.c", f"length {gains.order} does not match chain order {order}")
-    return gains
+    with _at("gains"):
+        return ctl.ControlGains(**kwargs)
 
 
 def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
@@ -290,10 +285,8 @@ def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
     if all(v >= 1 for v in entries) and math.prod(entries) > nn.MAX_GRID_CENTERS:
         raise ScenarioError(f"{here}.per_axis", f"a grid of {math.prod(entries)} centres "
                                                 f"exceeds the limit of {nn.MAX_GRID_CENTERS}")
-    try:
+    with _at(here):
         return nn.gaussian_grid([(lo, hi) for lo, hi in box], per_axis, width)
-    except ValueError as exc:
-        raise ScenarioError(here, str(exc)) from None
 
 
 def _parse_w_basis(doc, path) -> nn.BasisSpec:
@@ -303,23 +296,19 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
     here = f"{path}.w_basis"
     if "freqs" in bd:
         freqs = _get_array(bd, "freqs", here)
-        try:
+        with _at(f"{here}.freqs"):
             return nn.fourier_basis(freqs)
-        except ValueError as exc:
-            raise ScenarioError(here, str(exc)) from None
     if "centers" in bd:
         centers = _get_array(bd, "centers", here)
         width = _get_number(bd, "width", here, positive=True)
-        try:
+        with _at(here):
             return nn.BasisSpec(kind=nn.GAUSSIAN_RBF_TIME, centers=centers, width=width)
-        except ValueError as exc:
-            raise ScenarioError(here, str(exc)) from None
     raise ScenarioError(here, "expected {freqs: [...]} or {centers: [...], width: w}")
 
 
 def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
     nd = _get_dict(doc, "nn", "", default={})
-    try:
+    with _at("nn"):
         return nn.NNConfig(
             f_basis=_parse_state_basis(nd, "f_basis", "nn", order),
             leader_basis=_parse_state_basis(nd, "leader_basis", "nn", order),
@@ -329,8 +318,6 @@ def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
             kappa0=_get_number(nd, "kappa0", "nn", default=0.05, positive=True),
             kappaw=_get_number(nd, "kappaw", "nn", default=0.05, positive=True),
         )
-    except ValueError as exc:
-        raise ScenarioError("nn", str(exc)) from None
 
 
 def parse_scenario(doc: dict) -> sim.Scenario:
@@ -365,24 +352,16 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
 
     topology = _parse_topology(doc, agents0[:, 0])
     agent_models = _parse_agents(doc, order)
-    if len(agent_models) != topology.n_agents:
-        raise ScenarioError("agents", f"got {len(agent_models)} models for "
-                                      f"{topology.n_agents} topology agents")
     leader_model = _parse_leader(doc, order)
-    gains = _parse_gains(doc, order)
+    gains = _parse_gains(doc)
     nn_config = _parse_nn(doc, order)
 
     off_doc = _get_dict(doc, "offsets", "", default={})
     per_agent = _get_array(off_doc, "agents", "offsets",
                            default=np.zeros((topology.n_agents, order)))
     leader_off = _get_array(off_doc, "leader", "offsets", default=np.zeros(order))
-    try:
+    with _at("offsets"):
         offsets = ctl.Offsets(per_agent=per_agent, leader=leader_off)
-    except ValueError as exc:
-        raise ScenarioError("offsets", str(exc)) from None
-    if offsets.per_agent.shape != (topology.n_agents, order):
-        raise ScenarioError("offsets.agents", f"expected shape "
-                                              f"({topology.n_agents}, {order})")
 
     sim_doc = _get_dict(doc, "sim", "")
     duration = _get_number(sim_doc, "duration", "sim", minimum=0.0)
@@ -390,10 +369,8 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
     record_stride = _get_int(sim_doc, "record_stride", "sim",
                              default=sim.RECORD_STRIDE_DEFAULT, minimum=1)
 
-    try:
+    with _at("initial_states"):
         initial = dyn.FleetState(agents=agents0, leader=leader0, time=0.0)
-    except ValueError as exc:
-        raise ScenarioError("initial_states", str(exc)) from None
 
     scenario = sim.Scenario(
         topology=topology,
@@ -407,10 +384,8 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
         dt=dt,
         record_stride=record_stride,
     )
-    try:
+    with _at(""):
         sim.validate_scenario(scenario)
-    except ValueError as exc:
-        raise ScenarioError("", str(exc)) from None
     return scenario
 
 
@@ -428,17 +403,14 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim
         "kappa0": cfg.kappa0,
     }
     kwargs = {}
-    for name in ("theta_f", "theta_w", "theta_leader", "phi_f", "phi_w", "phi_leader",
-                 "eps_f", "eps_w", "eps_leader", "t_m", "t_n", "beta",
-                 "kappa", "kappaw", "kappa0", "e0_bound"):
-        default = defaults.get(name, sim.CuubBounds.__dataclass_fields__[name].default)
-        kwargs[name] = _get_number(doc, name, path, default=default, minimum=0.0)
+    for f in dataclasses.fields(sim.CuubBounds):
+        if f.name != "alpha_bar":
+            default = defaults.get(f.name, f.default)
+            kwargs[f.name] = _get_number(doc, f.name, path, default=default, minimum=0.0)
     if "alpha_bar" in doc:
         kwargs["alpha_bar"] = _get_number(doc, "alpha_bar", path, positive=True)
-    try:
+    with _at(path):
         return sim.CuubBounds(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from None
 
 
 def load_document(source) -> dict:
@@ -449,7 +421,7 @@ def load_document(source) -> dict:
     else:
         p = Path(source)
         if not p.exists():
-            raise ScenarioError("", f"scenario file not found: {p}")
+            raise ScenarioError("", f"file not found: {p}")
         try:
             text = p.read_text(encoding="utf-8")
         except OSError as exc:

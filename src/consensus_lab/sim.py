@@ -75,16 +75,17 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
     n = scenario.leader_model.order
     n_agents = topo.n_agents
     if len(scenario.agent_models) != n_agents:
-        raise ValueError(f"expected {n_agents} agent models, got {len(scenario.agent_models)}")
+        raise ValueError(f"agents: got {len(scenario.agent_models)} models for "
+                         f"{n_agents} topology agents")
     for i, model in enumerate(scenario.agent_models):
         if model.order != n:
             raise ValueError(f"agent {i} has order {model.order}, leader has {n}")
     if scenario.initial.agents.shape != (n_agents, n):
         raise ValueError("initial agent states must be (N, n)")
     if scenario.offsets.per_agent.shape != (n_agents, n):
-        raise ValueError("offsets must be (N, n)")
+        raise ValueError(f"offsets.agents: expected shape ({n_agents}, {n})")
     if scenario.gains.order != n:
-        raise ValueError(f"gains are sized for order {scenario.gains.order}, models have {n}")
+        raise ValueError(f"gains.c: length {scenario.gains.order} does not match chain order {n}")
     if not scenario.dt > 0:
         raise ValueError("dt must be positive")
     if not scenario.duration >= 0:
@@ -802,11 +803,9 @@ class CuubBounds:
     alpha_bar: Optional[float] = None  # defaults to the scenario's gains value
 
     def __post_init__(self):
-        for name in ("theta_f", "theta_w", "theta_leader", "phi_f", "phi_w",
-                     "phi_leader", "eps_f", "eps_w", "eps_leader", "t_m", "t_n",
-                     "beta", "kappa", "kappaw", "kappa0", "e0_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in dataclasses.fields(self):
+            if f.name != "alpha_bar" and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,13 @@ INVALID_DOCS = {
     "agents[0].disturbance": lambda: close_pair_with("agents.0.disturbance", -10 ** 400),
     "gains.R": lambda: close_pair_with("gains.R", 1e200),
     "sim.dt": lambda: close_pair_with("sim.dt", 1e-320),
+    # cross-field checks, made by sim.validate_scenario
+    "agents": lambda: close_pair_with("agents", load_builtin_doc("close_pair")["agents"] * 2),
+    "offsets.agents": lambda: close_pair_with("offsets.agents", [[0.0, 0.0]]),
+    "gains.c": lambda: close_pair_with("gains", {"lambda_xi": [1.0, 2.0], "c": [1.0, 2.0, 3.0]}),
+    # arrays of arrays where a flat list of numbers belongs
+    "obstacles": lambda: close_pair_with("obstacles", [[1.0], [2.0]]),
+    "topology.leader_weights": lambda: close_pair_with("topology.leader_weights", [[1, 1]]),
 }
 
 
@@ -290,6 +297,32 @@ def test_invalid_document_names_json_path(tmp_path, capsys, json_path, command):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json_path in lines[0], lines
+
+
+@pytest.mark.parametrize("command, prefix", [("run", "error: "), ("check", "FAIL load: ")])
+@pytest.mark.parametrize("dotted, value, json_path", [
+    ("nn.F", -1, "nn.F"),
+    ("nn.w_basis.freqs", [], "nn.w_basis.freqs"),
+    ("nn.f_basis.per_axis", [0, 5], "nn.f_basis"),
+])
+def test_nn_error_names_its_path_once(tmp_path, capsys, command, prefix, dotted, value,
+                                      json_path):
+    doc = close_pair_with(dotted, value)
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{prefix}{json_path}: "), lines
+    assert lines[0].count("nn.") == 1, lines
+
+
+def test_missing_bounds_file_is_not_called_a_scenario(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon",
+                     "--bounds", str(missing)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: file not found: {missing}"]
 
 
 def oversized_basis_doc(basis):

@@ -411,3 +411,9 @@ class TestControlGainsValidation:
     def test_lambda_must_be_hurwitz(self):
         with pytest.raises(ctl.NotHurwitz):
             ctl.ControlGains(lambda_bar=np.array([-1.0]), c=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("obstacles", [[[-30.0, -60.0]], [[1.0], [2.0]], [[4.0]]])
+    def test_obstacles_must_be_flat(self, obstacles):
+        with pytest.raises(ValueError, match="obstacles"):
+            ctl.ControlGains(lambda_bar=np.array([1.0]), c=np.array([1.0, 1.0]),
+                             obstacles=obstacles)

@@ -16,12 +16,12 @@ from consensus_lab import sim
 
 
 def zero_model(order=3):
-    return dyn.AgentModel(order=order, drift=lambda x, t: 0.0, mass=1.0,
-                          disturbance=dyn.constant_disturbance(0.0), label="zero")
+    return dyn.AgentModel(order=order, drift=lambda x, t: 0.0,
+                          disturbance=dyn.constant_disturbance(0.0))
 
 
 def zero_leader(order=3):
-    return dyn.LeaderModel(order=order, drift=lambda x, t: 0.0, label="zero")
+    return dyn.LeaderModel(order=order, drift=lambda x, t: 0.0)
 
 
 def one_agent_field(model, leader, state, leader_state, t):
@@ -71,7 +71,7 @@ class TestAgentDerivative:
         assert drift(np.array([0.0, 0.0]), 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_forcing_adds_u_and_w(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.25, mass=1.0,
+        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.25,
                                disturbance=dyn.constant_disturbance(0.5))
         out, _, ev, _ = one_agent_field(model, zero_leader(2), np.array([0.3, -0.2]),
                                         np.zeros(2), 0.0)
@@ -79,7 +79,7 @@ class TestAgentDerivative:
         assert out[1] == pytest.approx(0.25 + ev.u[0, 0] + 0.5)
 
     def test_non_finite_drift_is_recorded(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: math.inf, mass=1.0,
+        model = dyn.AgentModel(order=2, drift=lambda x, t: math.inf,
                                disturbance=dyn.constant_disturbance(0.0))
         _, _, _, faults = one_agent_field(model, zero_leader(2), np.zeros(2), np.zeros(2), 0.0)
         assert faults == {0: "non-finite drift or disturbance at t=0.0"}
@@ -100,11 +100,12 @@ class TestLeaderDerivative:
 
 class TestBuiltinFleet:
     def test_masses(self):
+        # the models keep no mass; each drift must be the builtin built for its mass
         leader, agents = platoon_models()
-        assert [a.mass for a in agents] == [1200.0, 1100.0, 1500.0, 1400.0, 1500.0]
-        assert [a.label for a in agents] == [f"platoon_agent_{i}" for i in range(1, 6)]
-        # the leader model keeps no mass; its drift must be the one built for 2000
         x = np.array([1.3, -0.4])
+        for i, (a, mass) in enumerate(zip(agents, [1200.0, 1100.0, 1500.0, 1400.0, 1500.0])):
+            builtin = dyn.BUILTIN_AGENT_DRIFTS[f"platoon_agent_{i + 1}"](mass)
+            assert a.drift(x, 0.7) == builtin(x, 0.7)
         assert leader.drift(x, 0.7) == dyn.BUILTIN_LEADER_DRIFTS["platoon_leader"](2000.0)(x, 0.7)
 
     def test_constant_disturbance_five(self):
@@ -136,7 +137,7 @@ class TestDisturbanceEval:
         assert model.disturbance(5.0) == 0.0
 
     def test_sinusoid_phase_zero(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.0, mass=1.0,
+        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.0,
                                disturbance=dyn.sinusoid_disturbance(2.0, 1.0))
         assert model.disturbance(0.0) == 0.0
         assert model.disturbance(math.pi / 2) == pytest.approx(2.0)

@@ -26,7 +26,8 @@ BUNDLED = {name: sio.builtin_scenario_text(name) for name in sio.builtin_scenari
 
 EXTREME_NUMBERS = [10 ** 400, -10 ** 400, 1e308, -1e308, 1e200, 1e-320, -1e-320,
                    0, 0.0, -1, 2 ** 63, 0.5]
-WRONG_TYPES = ["x", "", None, True, [], {}, [1.0, "a"], [[1.0], [2.0, 3.0]], {"expr": "s"}]
+WRONG_TYPES = ["x", "", None, True, [], {}, [1.0, "a"], [[1.0], [2.0, 3.0]], [[1.0], [2.0]],
+               {"expr": "s"}]
 
 numbers = st.one_of(st.sampled_from(EXTREME_NUMBERS),
                     st.floats(allow_nan=False, allow_infinity=False),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from consensus_lab import dynamics as dyn
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
@@ -35,9 +36,16 @@ class TestParsing:
         doc["agents"][0]["drift"] = "builtin:platoon_agent_1"
         doc["agents"][1]["drift"] = "platoon_agent_2"
         doc["leader"]["drift"] = "platoon_leader"
+        doc["agents"][1]["mass"] = 1100.0
+        doc["leader"]["mass"] = 2000.0
         scenario = sio.parse_scenario(doc)
-        assert scenario.agent_models[0].label == "platoon_agent_1"
-        assert scenario.agent_models[1].label == "platoon_agent_2"
+        # each drift is the builtin built for the mass of its object
+        x = np.array([1.3, -0.4])
+        for i, (model, mass) in enumerate(zip(scenario.agent_models, [1.0, 1100.0])):
+            builtin = dyn.BUILTIN_AGENT_DRIFTS[f"platoon_agent_{i + 1}"](mass)
+            assert model.drift(x, 0.7) == builtin(x, 0.7)
+        leader = dyn.BUILTIN_LEADER_DRIFTS["platoon_leader"](2000.0)
+        assert scenario.leader_model.drift(x, 0.7) == leader(x, 0.7)
 
     def test_bare_string_expression_drift(self):
         doc = minimal_doc()

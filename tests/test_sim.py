@@ -19,11 +19,11 @@ def small_scenario(strict=False, obstacles=(0.6,), duration=0.05):
                        leader_weights=[1.0, 0.0], nu1=1.2, nu2=0.8)
     models = (
         dyn.AgentModel(order=2, drift=dyn.compile_state_expression("cos(s) - 0.1*v", 2),
-                       mass=2.0, disturbance=dyn.sinusoid_disturbance(0.5, 2.0), label="a"),
+                       disturbance=dyn.sinusoid_disturbance(0.5, 2.0)),
         dyn.AgentModel(order=2, drift=lambda x, t: -0.2 * x[0] ** 2 + 0.05 * math.sin(t),
-                       mass=1.0, disturbance=dyn.constant_disturbance(0.3), label="b"),
+                       disturbance=dyn.constant_disturbance(0.3)),
     )
-    leader = dyn.LeaderModel(order=2, drift=lambda x, t: 0.1 * math.cos(0.5 * t), label="lead")
+    leader = dyn.LeaderModel(order=2, drift=lambda x, t: 0.1 * math.cos(0.5 * t))
     gains = ctl.ControlGains(
         lambda_bar=np.array([1.5]), c=np.array([2.0, 1.0]),
         gamma0=0.7, gamma1=0.9, gamma2=0.4, chi=0.6,
@@ -303,8 +303,7 @@ def crowded_scenario():
             return dyn.sinusoid_disturbance(0.2 + 0.01 * i, 0.5 + 0.1 * i)
         return dyn.compile_time_expression(f"{0.1 + 0.001 * i}*cos({1 + i}*t) + 0.05")
 
-    models = tuple(dyn.AgentModel(order=2, drift=drift(i), mass=1.0,
-                                  disturbance=disturbance(i), label=f"a{i}")
+    models = tuple(dyn.AgentModel(order=2, drift=drift(i), disturbance=disturbance(i))
                    for i in range(n))
     leader = dyn.LeaderModel(order=2, drift=dyn.compile_state_expression("-2*v - s", 2))
     gains = ctl.ControlGains(
@@ -339,7 +338,7 @@ class TestRun:
 
     def test_overflowing_expression_aborts(self):
         model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("exp(s**2)", 2),
-                               mass=1.0, disturbance=dyn.constant_disturbance(0.0))
+                               disturbance=dyn.constant_disturbance(0.0))
         base = small_scenario(duration=3.0)
         scenario = dataclasses.replace(
             base,
@@ -382,7 +381,7 @@ class TestRun:
     def test_blowup_aborts_with_reason(self):
         # cubic antidamping: finite-time escape; the run must record an abort
         model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("v**3 + 1", 2),
-                               mass=1.0, disturbance=dyn.constant_disturbance(0.0))
+                               disturbance=dyn.constant_disturbance(0.0))
         base = small_scenario(duration=5.0)
         scenario = dataclasses.replace(
             base,
@@ -410,9 +409,9 @@ def stacked_variants():
     directed = gr.Topology(n_agents=2, adjacency=[[0, 2.0], [0.5, 0]], leader_weights=[1.0, 0.3],
                            nu1=1.0, nu2=1.5, undirected=False)
     expr_model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("-0.4*v + 0.2*sin(s)", 2),
-                                mass=1.0, disturbance=dyn.sinusoid_disturbance(0.1, 3.0))
+                                disturbance=dyn.sinusoid_disturbance(0.1, 3.0))
     builtin = dyn.AgentModel(order=2, drift=dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_2"](1500.0),
-                             mass=1500.0, disturbance=dyn.constant_disturbance(-0.2))
+                             disturbance=dyn.constant_disturbance(-0.2))
     return [
         base,
         dataclasses.replace(base, gains=dataclasses.replace(g, psi_ij=0.3, chi=1.3, gamma1=0.2)),
