@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
     # loading validated the leader spanning tree, the graph certificate and
     # the Hurwitz lambda_bar; those lines report what it found
     gains = scenario.gains
-    lyap = sim.validate_scenario(scenario)
+    lyap = scenario.topology.certificate
     cond = float(np.linalg.cond(gr.pinned_laplacian(scenario.topology)))
     p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
     delta = ctl.companion(gains.lambda_bar)
@@ -193,8 +193,7 @@ def cmd_diagnose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report = sim.cuub_diagnostics(bounds, scenario.topology, sim.validate_scenario(scenario),
-                                  scenario.gains)
+    report = sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
     for idx, (minor, ok) in enumerate(zip(report.minors, report.minors_pass), start=1):
         print(f"minor {idx}: {minor:.12g} ({'PASS' if ok else 'FAIL'})")
     print(f"mu1 = {report.mu1:.12g} (required > {report.mu1_required:.12g})")

@@ -30,27 +30,17 @@ def _slope_force(s: float) -> float:
 
 @dataclass(frozen=True)
 class AgentModel:
-    """One follower: chain order, drift f(x, t), disturbance w(t)."""
+    """One follower: drift f(x, t) and disturbance w(t); its state fixes the chain order."""
 
-    order: int
     drift: Callable[[np.ndarray, float], float]
     disturbance: Callable[[float], float]
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("chain order must be >= 2")
 
 
 @dataclass(frozen=True)
 class LeaderModel:
-    """Leader: chain order and autonomous drift f0(x0, t)."""
+    """Leader: autonomous drift f0(x0, t); its state fixes the chain order."""
 
-    order: int
     drift: Callable[[np.ndarray, float], float]
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("chain order must be >= 2")
 
 
 @dataclass(frozen=True)

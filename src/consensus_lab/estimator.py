@@ -47,7 +47,6 @@ class BasisSpec:
     kind: str
     centers: np.ndarray
     width: float = 1.0
-    count: int = 0
 
     def __post_init__(self):
         if self.kind not in (GAUSSIAN_RBF_STATE, GAUSSIAN_RBF_TIME, FOURIER_TIME):
@@ -56,22 +55,23 @@ class BasisSpec:
         if self.kind == GAUSSIAN_RBF_STATE:
             if centers.ndim != 2:
                 raise ValueError("state RBF centers must be a (p, d) array")
-            count = centers.shape[0]
         elif self.kind == GAUSSIAN_RBF_TIME:
             if centers.ndim != 1:
                 raise ValueError("time RBF centers must be a 1-D array")
-            count = centers.shape[0]
-        else:
-            if centers.ndim != 1 or centers.shape[0] < 1:
-                raise ValueError("fourier basis needs at least one frequency")
-            count = 1 + 2 * centers.shape[0]
+        elif centers.ndim != 1 or centers.shape[0] < 1:
+            raise ValueError("fourier basis needs at least one frequency")
         if self.kind != FOURIER_TIME and not self.width > 0:
             raise ValueError("width must be positive")
         if self.kind != FOURIER_TIME and math.isinf(self.width * self.width):
             raise ValueError("width too large: its square overflows a float")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "width", float(self.width))
-        object.__setattr__(self, "count", int(count))
+
+    @property
+    def count(self) -> int:
+        """Basis size p: one per centre, or 1 + 2 per frequency for fourier_time."""
+        m = self.centers.shape[0]
+        return 1 + 2 * m if self.kind == FOURIER_TIME else m
 
 
 def gaussian_grid(box, per_axis=DEFAULT_GRID_PER_AXIS, width=None) -> BasisSpec:

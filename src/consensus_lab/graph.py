@@ -9,6 +9,7 @@ Q = P(nu1*L + nu2*B) + (nu1*L + nu2*B)^T P is positive definite whenever the
 augmented graph contains a spanning tree rooted at the leader.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,9 +45,9 @@ class Topology:
     leader directly.  A topology with all leader weights zero is
     constructible (some operations are defined on it) but can never pass
     ``has_leader_spanning_tree`` and is rejected by scenario validation.
+    The agent count is the length of leader_weights.
     """
 
-    n_agents: int
     adjacency: np.ndarray
     leader_weights: np.ndarray
     nu1: float
@@ -54,20 +55,17 @@ class Topology:
     undirected: bool = True
 
     def __post_init__(self):
-        n = int(self.n_agents)
-        if n < 1:
-            raise ValueError("n_agents must be >= 1")
-        adj = _readonly(np.asarray(self.adjacency, dtype=float))
-        lw = _readonly(np.asarray(self.leader_weights, dtype=float))
-        object.__setattr__(self, "n_agents", n)
+        adj = _readonly(self.adjacency)
+        lw = _readonly(self.leader_weights)
+        if lw.ndim != 1 or lw.size == 0:
+            raise ValueError("leader_weights must be a non-empty 1-D array")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "leader_weights", lw)
         object.__setattr__(self, "nu1", float(self.nu1))
         object.__setattr__(self, "nu2", float(self.nu2))
+        n = lw.size
         if adj.shape != (n, n):
             raise ValueError(f"adjacency must be {n}x{n}, got {adj.shape}")
-        if lw.shape != (n,):
-            raise ValueError(f"leader_weights must have length {n}, got {lw.shape}")
         if not np.all(np.isfinite(adj)) or not np.all(np.isfinite(lw)):
             raise ValueError("adjacency and leader_weights must be finite")
         if np.any(adj < 0):
@@ -81,10 +79,19 @@ class Topology:
         if not (self.nu1 > 0 and self.nu2 > 0):
             raise ValueError("coupling gains nu1 and nu2 must be positive")
 
+    @property
+    def n_agents(self) -> int:
+        return self.leader_weights.size
+
+    @functools.cached_property
+    def certificate(self) -> "GraphLyapunov":
+        """graph_lyapunov of this topology, solved on first use and kept."""
+        return graph_lyapunov(self)
+
 
 @dataclass(frozen=True)
 class GraphLyapunov:
-    """Diagonal Lyapunov certificate (q, P, Q) for a pinned topology."""
+    """Diagonal Lyapunov certificate (q, P, Q) of a pinned topology; graph_lyapunov checks it."""
 
     q: np.ndarray
     p_diag: np.ndarray
@@ -92,19 +99,10 @@ class GraphLyapunov:
     min_eig_q: float
 
     def __post_init__(self):
-        q = _readonly(self.q)
-        p = _readonly(self.p_diag)
-        qm = _readonly(self.q_matrix)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p_diag", p)
-        object.__setattr__(self, "q_matrix", qm)
+        object.__setattr__(self, "q", _readonly(self.q))
+        object.__setattr__(self, "p_diag", _readonly(self.p_diag))
+        object.__setattr__(self, "q_matrix", _readonly(self.q_matrix))
         object.__setattr__(self, "min_eig_q", float(self.min_eig_q))
-        if np.any(q <= 0) or np.any(p <= 0):
-            raise NonPositiveQ("q and p entries must be positive")
-        if np.max(np.abs(qm - qm.T)) > 1e-12:
-            raise ValueError("Q must be symmetric within 1e-12")
-        if not self.min_eig_q > 0:
-            raise NonPositiveQ("Q must be positive definite")
 
 
 def degree_matrix(topology: Topology) -> np.ndarray:
@@ -124,7 +122,6 @@ def has_leader_spanning_tree(topology: Topology) -> bool:
     pinned set {i : leader_weights[i] > 0} along edges taken in that
     direction.  Plain breadth-first search; never raises.
     """
-    n = topology.n_agents
     adj = topology.adjacency
     reached = topology.leader_weights > 0
     if not reached.any():

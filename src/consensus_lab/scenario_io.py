@@ -147,12 +147,13 @@ def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
     topo = _get_dict(doc, "topology", "")
     adjacency = _get_array(topo, "adjacency", "topology")
     leader_weights = _get_array(topo, "leader_weights", "topology", flat=True)
+    if leader_weights.size == 0:
+        raise ScenarioError("topology.leader_weights", "lists no agent")
     nu1 = _get_number(topo, "nu1", "topology", default=1.0, positive=True)
     nu2 = _get_number(topo, "nu2", "topology", default=1.0, positive=True)
     undirected = _get_bool(topo, "undirected", "topology", default=True)
     with _at("topology"):
         topology = gr.Topology(
-            n_agents=leader_weights.shape[0],
             adjacency=adjacency,
             leader_weights=leader_weights,
             nu1=nu1, nu2=nu2, undirected=undirected,
@@ -223,14 +224,14 @@ def _parse_agents(doc: dict, order: int) -> list[dyn.AgentModel]:
             raise ScenarioError(path, "expected an object")
         drift = _parse_drift(entry, path, order, leader=False)
         disturbance = _parse_disturbance(entry.get("disturbance"), f"{path}.disturbance")
-        models.append(dyn.AgentModel(order=order, drift=drift, disturbance=disturbance))
+        models.append(dyn.AgentModel(drift=drift, disturbance=disturbance))
     return models
 
 
 def _parse_leader(doc: dict, order: int) -> dyn.LeaderModel:
     leader_doc = _get_dict(doc, "leader", "")
     drift = _parse_drift(leader_doc, "leader", order, leader=True)
-    return dyn.LeaderModel(order=order, drift=drift)
+    return dyn.LeaderModel(drift=drift)
 
 
 def _parse_gains(doc: dict) -> ctl.ControlGains:

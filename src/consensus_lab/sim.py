@@ -55,9 +55,6 @@ class Scenario:
     duration: float
     dt: float = 1e-3
     record_stride: int = RECORD_STRIDE_DEFAULT
-    # graph certificate found by validate_scenario; never copied by replace()
-    certificate: Optional[gr.GraphLyapunov] = field(default=None, init=False, repr=False,
-                                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "agent_models", tuple(self.agent_models))
@@ -66,20 +63,17 @@ class Scenario:
 def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
     """Raise ValueError on any violated cross-field invariant; return the graph certificate.
 
-    The certificate is kept on the (immutable) scenario, so a scenario is
-    validated once; ``dataclasses.replace`` makes a new, unvalidated one.
+    The certificate is the topology's, solved once per topology: a scenario
+    that ``dataclasses.replace`` gives the same topology shares it.
     """
-    if scenario.certificate is not None:
-        return scenario.certificate
     topo = scenario.topology
-    n = scenario.leader_model.order
+    n = scenario.initial.order
     n_agents = topo.n_agents
+    if n < 2:
+        raise ValueError("chain order must be >= 2")
     if len(scenario.agent_models) != n_agents:
         raise ValueError(f"agents: got {len(scenario.agent_models)} models for "
                          f"{n_agents} topology agents")
-    for i, model in enumerate(scenario.agent_models):
-        if model.order != n:
-            raise ValueError(f"agent {i} has order {model.order}, leader has {n}")
     if scenario.initial.agents.shape != (n_agents, n):
         raise ValueError("initial agent states must be (N, n)")
     if scenario.offsets.per_agent.shape != (n_agents, n):
@@ -116,11 +110,9 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
         raise ValueError("w_basis must be a time basis")
     try:
         with np.errstate(all="ignore"):   # an overflow fails the certificate's checks
-            lyap = gr.graph_lyapunov(topo)
+            return topo.certificate
     except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
         raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
-    object.__setattr__(scenario, "certificate", lyap)
-    return lyap
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ def state_layout(scenario: Scenario) -> StateLayout:
     cfg = scenario.nn_config
     return StateLayout(
         n_agents=scenario.topology.n_agents,
-        order=scenario.leader_model.order,
+        order=scenario.initial.order,
         p_f=cfg.f_basis.count,
         p_w=cfg.w_basis.count,
         p_l=cfg.leader_basis.count,
@@ -849,18 +841,19 @@ def bd_value(omega_l1: float, sigma_min_k: float) -> float:
 
 
 def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
-                     lyap: gr.GraphLyapunov, gains: ctl.ControlGains) -> DiagnosticsReport:
+                     gains: ctl.ControlGains) -> DiagnosticsReport:
     """Assemble K, test its five Sylvester minors, and compute B_d.
 
     Bounds large enough to overflow give infinite or NaN minors, which fail
     their test, so numpy's overflow warnings are silenced here.
     """
     with np.errstate(all="ignore"):
-        return _cuub_diagnostics(bounds, topology, lyap, gains)
+        return _cuub_diagnostics(bounds, topology, gains)
 
 
 def _cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
-                      lyap: gr.GraphLyapunov, gains: ctl.ControlGains) -> DiagnosticsReport:
+                      gains: ctl.ControlGains) -> DiagnosticsReport:
+    lyap = topology.certificate
     pounds = gr.pinned_laplacian(topology)
     adjacency = topology.adjacency
     dvec = adjacency.sum(axis=1)

@@ -49,7 +49,7 @@ def random_undirected_pinned(rng, n):
     for i in range(n):
         if rng.random() < 0.3:
             b[i] = rng.uniform(0.5, 2.0)
-    return gr.Topology(n_agents=n, adjacency=adj, leader_weights=b,
+    return gr.Topology(adjacency=adj, leader_weights=b,
                        nu1=rng.uniform(0.5, 2.0), nu2=rng.uniform(0.5, 2.0))
 
 
@@ -66,7 +66,7 @@ def two_cluster_unpinned(rng):
             adj[child, parent] = adj[parent, child] = w
     b = np.zeros(n)
     b[rng.integers(0, n1)] = rng.uniform(0.5, 2.0)
-    return gr.Topology(n_agents=n, adjacency=adj, leader_weights=b,
+    return gr.Topology(adjacency=adj, leader_weights=b,
                        nu1=1.0, nu2=1.0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 from consensus_lab import cli
 from consensus_lab import estimator as nn
+from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
@@ -297,6 +299,45 @@ def test_invalid_document_names_json_path(tmp_path, capsys, json_path, command):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and json_path in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_empty_leader_weights_names_its_path(tmp_path, capsys, command):
+    doc = close_pair_with("topology.leader_weights", [])
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "topology.leader_weights: lists no agent" in lines[0], lines
+
+
+@pytest.fixture
+def certificate_solves(monkeypatch):
+    """The calls to graph.graph_lyapunov made while the test runs, as a one-item list."""
+    solve, calls = gr.graph_lyapunov, [0]
+
+    def counted(topology):
+        calls[0] += 1
+        return solve(topology)
+    monkeypatch.setattr(gr, "graph_lyapunov", counted)
+    return calls
+
+
+def test_replace_keeps_the_solved_certificate(certificate_solves):
+    scenario, _ = sio.load_scenario("builtin:close_pair")
+    scenario = dataclasses.replace(scenario, duration=0.05)
+    sim.validate_scenario(scenario)
+    assert sim.run(scenario).aborted is None
+    assert certificate_solves == [1]
+
+
+def test_run_override_solves_the_certificate_once(tmp_path, certificate_solves):
+    assert cli.main(["run", "--scenario", "builtin:close_pair", "--duration", "0.05",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert certificate_solves == [1]
 
 
 @pytest.mark.parametrize("command, prefix", [("run", "error: "), ("check", "FAIL load: ")])

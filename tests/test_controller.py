@@ -16,7 +16,7 @@ import oracles as ref
 def topo(adj, b, nu1=1.0, nu2=1.0):
     adj = np.asarray(adj, dtype=float)
     sym = np.array_equal(adj, adj.T)
-    return gr.Topology(n_agents=adj.shape[0], adjacency=adj, leader_weights=b,
+    return gr.Topology(adjacency=adj, leader_weights=b,
                        nu1=nu1, nu2=nu2, undirected=sym)
 
 
@@ -387,7 +387,7 @@ class TestControlInput:
             assert u == pytest.approx(rho_v[i] / pin[i] + r[i], abs=1e-13)
 
     def test_isolated_agent_raises(self):
-        t = gr.Topology(n_agents=2, adjacency=np.zeros((2, 2)),
+        t = gr.Topology(adjacency=np.zeros((2, 2)),
                         leader_weights=[1.0, 0.0], nu1=1.0, nu2=1.0)
         gains = ctl.ControlGains(lambda_bar=np.array([1.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,

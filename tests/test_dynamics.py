@@ -15,20 +15,20 @@ from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
 
-def zero_model(order=3):
-    return dyn.AgentModel(order=order, drift=lambda x, t: 0.0,
+def zero_model():
+    return dyn.AgentModel(drift=lambda x, t: 0.0,
                           disturbance=dyn.constant_disturbance(0.0))
 
 
-def zero_leader(order=3):
-    return dyn.LeaderModel(order=order, drift=lambda x, t: 0.0)
+def zero_leader():
+    return dyn.LeaderModel(drift=lambda x, t: 0.0)
 
 
 def one_agent_field(model, leader, state, leader_state, t):
     """Field rows of a single pinned agent and its leader, plus the evaluated terms."""
-    n = model.order
+    n = len(state)
     scenario = sim.Scenario(
-        topology=gr.Topology(n_agents=1, adjacency=[[0.0]], leader_weights=[1.0],
+        topology=gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
                              nu1=1.0, nu2=1.0),
         agent_models=(model,),
         leader_model=leader,
@@ -52,7 +52,7 @@ def platoon_models():
 
 class TestAgentDerivative:
     def test_pure_chain_structure(self):
-        out, _, _, _ = one_agent_field(zero_model(3), zero_leader(3),
+        out, _, _, _ = one_agent_field(zero_model(), zero_leader(),
                                        np.array([1.0, 2.0, 3.0]), np.zeros(3), 0.0)
         assert np.array_equal(out[:-1], [2.0, 3.0])
 
@@ -61,7 +61,7 @@ class TestAgentDerivative:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             x = rng.normal(size=n)
-            out, _, _, _ = one_agent_field(zero_model(n), zero_leader(n), x,
+            out, _, _, _ = one_agent_field(zero_model(), zero_leader(), x,
                                            rng.normal(size=n), rng.random())
             assert np.array_equal(out[:-1], x[1:])
 
@@ -71,23 +71,23 @@ class TestAgentDerivative:
         assert drift(np.array([0.0, 0.0]), 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_forcing_adds_u_and_w(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.25,
+        model = dyn.AgentModel(drift=lambda x, t: 0.25,
                                disturbance=dyn.constant_disturbance(0.5))
-        out, _, ev, _ = one_agent_field(model, zero_leader(2), np.array([0.3, -0.2]),
+        out, _, ev, _ = one_agent_field(model, zero_leader(), np.array([0.3, -0.2]),
                                         np.zeros(2), 0.0)
         assert ev.u[0, 0] != 0.0
         assert out[1] == pytest.approx(0.25 + ev.u[0, 0] + 0.5)
 
     def test_non_finite_drift_is_recorded(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: math.inf,
+        model = dyn.AgentModel(drift=lambda x, t: math.inf,
                                disturbance=dyn.constant_disturbance(0.0))
-        _, _, _, faults = one_agent_field(model, zero_leader(2), np.zeros(2), np.zeros(2), 0.0)
+        _, _, _, faults = one_agent_field(model, zero_leader(), np.zeros(2), np.zeros(2), 0.0)
         assert faults == {0: "non-finite drift or disturbance at t=0.0"}
 
 
 class TestLeaderDerivative:
     def test_zero_drift_chain(self):
-        _, out, _, _ = one_agent_field(zero_model(2), zero_leader(2), np.zeros(2),
+        _, out, _, _ = one_agent_field(zero_model(), zero_leader(), np.zeros(2),
                                        np.array([3.0, 4.0]), 0.0)
         assert np.array_equal(out, [4.0, 0.0])
 
@@ -133,11 +133,11 @@ class TestBuiltinFleet:
 
 class TestDisturbanceEval:
     def test_zero_descriptor(self):
-        model = zero_model(2)
+        model = zero_model()
         assert model.disturbance(5.0) == 0.0
 
     def test_sinusoid_phase_zero(self):
-        model = dyn.AgentModel(order=2, drift=lambda x, t: 0.0,
+        model = dyn.AgentModel(drift=lambda x, t: 0.0,
                                disturbance=dyn.sinusoid_disturbance(2.0, 1.0))
         assert model.disturbance(0.0) == 0.0
         assert model.disturbance(math.pi / 2) == pytest.approx(2.0)

@@ -10,7 +10,7 @@ import oracles as ref
 
 def topo(adj, b, nu1=1.0, nu2=1.0, undirected=True):
     adj = np.asarray(adj, dtype=float)
-    return gr.Topology(n_agents=adj.shape[0], adjacency=adj, leader_weights=b,
+    return gr.Topology(adjacency=adj, leader_weights=b,
                        nu1=nu1, nu2=nu2, undirected=undirected)
 
 
@@ -138,7 +138,7 @@ class TestPinnedLaplacian:
         rng = np.random.default_rng(2)
         for _ in range(20):
             t = random_pinned_topology(rng, int(rng.integers(2, 9)), directed_fraction=0.0)
-            t0 = gr.Topology(n_agents=t.n_agents, adjacency=t.adjacency,
+            t0 = gr.Topology(adjacency=t.adjacency,
                              leader_weights=np.zeros(t.n_agents), nu1=t.nu1, nu2=t.nu2)
             assert not gr.has_leader_spanning_tree(t0)
             residual = gr.pinned_laplacian(t0) @ np.ones(t0.n_agents)
@@ -191,14 +191,14 @@ class TestGraphLyapunov:
         adj = np.array([[0.0, 3.787, 0.717],
                         [1.0, 0.0, 0.922],
                         [0.0, 1.0, 0.0]])
-        t = gr.Topology(n_agents=3, adjacency=adj, leader_weights=[1.0, 0.0, 0.0],
+        t = gr.Topology(adjacency=adj, leader_weights=[1.0, 0.0, 0.0],
                         nu1=1.0, nu2=1.0, undirected=False)
         assert gr.has_leader_spanning_tree(t)
         with pytest.raises(gr.NonPositiveQ):
             gr.graph_lyapunov(t)
 
     def test_singular_when_unpinned(self):
-        t = gr.Topology(n_agents=2, adjacency=[[0, 1], [1, 0]],
+        t = gr.Topology(adjacency=[[0, 1], [1, 0]],
                         leader_weights=[0.0, 0.0], nu1=1.0, nu2=1.0)
         with pytest.raises(gr.SingularPinnedLaplacian):
             gr.graph_lyapunov(t)

@@ -15,15 +15,15 @@ import oracles as ref
 
 def small_scenario(strict=False, obstacles=(0.6,), duration=0.05):
     """Two-agent chain with active potentials, nonzero offsets, mixed drifts."""
-    topo = gr.Topology(n_agents=2, adjacency=[[0, 1], [1, 0]],
+    topo = gr.Topology(adjacency=[[0, 1], [1, 0]],
                        leader_weights=[1.0, 0.0], nu1=1.2, nu2=0.8)
     models = (
-        dyn.AgentModel(order=2, drift=dyn.compile_state_expression("cos(s) - 0.1*v", 2),
+        dyn.AgentModel(drift=dyn.compile_state_expression("cos(s) - 0.1*v", 2),
                        disturbance=dyn.sinusoid_disturbance(0.5, 2.0)),
-        dyn.AgentModel(order=2, drift=lambda x, t: -0.2 * x[0] ** 2 + 0.05 * math.sin(t),
+        dyn.AgentModel(drift=lambda x, t: -0.2 * x[0] ** 2 + 0.05 * math.sin(t),
                        disturbance=dyn.constant_disturbance(0.3)),
     )
-    leader = dyn.LeaderModel(order=2, drift=lambda x, t: 0.1 * math.cos(0.5 * t))
+    leader = dyn.LeaderModel(drift=lambda x, t: 0.1 * math.cos(0.5 * t))
     gains = ctl.ControlGains(
         lambda_bar=np.array([1.5]), c=np.array([2.0, 1.0]),
         gamma0=0.7, gamma1=0.9, gamma2=0.4, chi=0.6,
@@ -279,7 +279,7 @@ def crowded_scenario():
     adjacency = np.zeros((n, n))
     for i in range(n - 1):
         adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
-    topo = gr.Topology(n_agents=n, adjacency=adjacency,
+    topo = gr.Topology(adjacency=adjacency,
                        leader_weights=[1.0 if i % 6 == 0 else 0.0 for i in range(n)],
                        nu1=1.1, nu2=0.9)
 
@@ -303,9 +303,9 @@ def crowded_scenario():
             return dyn.sinusoid_disturbance(0.2 + 0.01 * i, 0.5 + 0.1 * i)
         return dyn.compile_time_expression(f"{0.1 + 0.001 * i}*cos({1 + i}*t) + 0.05")
 
-    models = tuple(dyn.AgentModel(order=2, drift=drift(i), disturbance=disturbance(i))
+    models = tuple(dyn.AgentModel(drift=drift(i), disturbance=disturbance(i))
                    for i in range(n))
-    leader = dyn.LeaderModel(order=2, drift=dyn.compile_state_expression("-2*v - s", 2))
+    leader = dyn.LeaderModel(drift=dyn.compile_state_expression("-2*v - s", 2))
     gains = ctl.ControlGains(
         lambda_bar=np.array([1.5]), c=np.array([2.0, 1.0]),
         gamma0=0.7, gamma1=0.9, gamma2=0.4, chi=0.6,
@@ -337,7 +337,7 @@ class TestRun:
             assert trace.errors[0, :, k - 1] == pytest.approx(e_k, abs=1e-14)
 
     def test_overflowing_expression_aborts(self):
-        model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("exp(s**2)", 2),
+        model = dyn.AgentModel(drift=dyn.compile_state_expression("exp(s**2)", 2),
                                disturbance=dyn.constant_disturbance(0.0))
         base = small_scenario(duration=3.0)
         scenario = dataclasses.replace(
@@ -380,7 +380,7 @@ class TestRun:
 
     def test_blowup_aborts_with_reason(self):
         # cubic antidamping: finite-time escape; the run must record an abort
-        model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("v**3 + 1", 2),
+        model = dyn.AgentModel(drift=dyn.compile_state_expression("v**3 + 1", 2),
                                disturbance=dyn.constant_disturbance(0.0))
         base = small_scenario(duration=5.0)
         scenario = dataclasses.replace(
@@ -394,11 +394,18 @@ class TestRun:
         assert np.all(np.isfinite(trace.agents))
 
     def test_validation_rejects_isolated_agent(self):
-        topo = gr.Topology(n_agents=2, adjacency=np.zeros((2, 2)),
+        topo = gr.Topology(adjacency=np.zeros((2, 2)),
                            leader_weights=[1.0, 0.0], nu1=1.0, nu2=1.0)
         scenario = dataclasses.replace(small_scenario(), topology=topo)
         with pytest.raises(ValueError, match="spanning tree"):
             sim.run(scenario)
+
+    def test_validation_rejects_order_one_chains(self):
+        # the chain order is the states' width; a library caller may build any
+        scenario = dataclasses.replace(
+            small_scenario(), initial=dyn.FleetState(agents=[[0.0], [1.0]], leader=[0.5]))
+        with pytest.raises(ValueError, match="chain order must be >= 2"):
+            sim.validate_scenario(scenario)
 
 
 def stacked_variants():
@@ -406,11 +413,11 @@ def stacked_variants():
     offset, model or initial state."""
     base = small_scenario(duration=0.2)
     g, cfg = base.gains, base.nn_config
-    directed = gr.Topology(n_agents=2, adjacency=[[0, 2.0], [0.5, 0]], leader_weights=[1.0, 0.3],
+    directed = gr.Topology(adjacency=[[0, 2.0], [0.5, 0]], leader_weights=[1.0, 0.3],
                            nu1=1.0, nu2=1.5, undirected=False)
-    expr_model = dyn.AgentModel(order=2, drift=dyn.compile_state_expression("-0.4*v + 0.2*sin(s)", 2),
+    expr_model = dyn.AgentModel(drift=dyn.compile_state_expression("-0.4*v + 0.2*sin(s)", 2),
                                 disturbance=dyn.sinusoid_disturbance(0.1, 3.0))
-    builtin = dyn.AgentModel(order=2, drift=dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_2"](1500.0),
+    builtin = dyn.AgentModel(drift=dyn.BUILTIN_AGENT_DRIFTS["platoon_agent_2"](1500.0),
                              disturbance=dyn.constant_disturbance(-0.2))
     return [
         base,
@@ -420,7 +427,7 @@ def stacked_variants():
             lambda_bar=np.array([3.0]), c=np.array([0.5, 0.25]))),
         dataclasses.replace(base, nn_config=dataclasses.replace(cfg, kappa=0.7, gain=3.0, kappaw=0.05)),
         dataclasses.replace(base, topology=directed, agent_models=(expr_model, builtin),
-                            leader_model=dyn.LeaderModel(order=2, drift=dyn.compile_state_expression(
+                            leader_model=dyn.LeaderModel(drift=dyn.compile_state_expression(
                                 "0.3*cos(t) - 0.1*s", 2))),
         dataclasses.replace(base, offsets=ctl.Offsets(per_agent=np.array([[0.0, 0.1], [0.2, 0.0]]),
                                                       leader=np.zeros(2)),
@@ -600,14 +607,13 @@ class TestCuubDiagnostics:
         assert sim.bd_value(1.0, 0.0) == math.inf
 
     def test_full_report_single_agent(self):
-        topo = gr.Topology(n_agents=1, adjacency=[[0.0]], leader_weights=[1.0],
+        topo = gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
                            nu1=1.0, nu2=1.0)
-        lyap = gr.graph_lyapunov(topo)
         gains = ctl.ControlGains(lambda_bar=np.array([2.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3, alpha_bar=1.0)
         bounds = sim.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
-        report = sim.cuub_diagnostics(bounds, topo, lyap, gains)
+        report = sim.cuub_diagnostics(bounds, topo, gains)
         # A = 0: all coupling terms except g vanish; g = -sigma_max(P1)/2 = -1/8
         assert report.graph_quantities["sigma_max_A"] == 0.0
         assert report.graph_quantities["g"] == pytest.approx(-0.125)
@@ -619,15 +625,14 @@ class TestCuubDiagnostics:
         assert report.b_d == pytest.approx(0.0)
 
     def test_mu1_violation_fails_fifth_minor(self):
-        topo = gr.Topology(n_agents=2, adjacency=[[0, 1], [1, 0]],
+        topo = gr.Topology(adjacency=[[0, 1], [1, 0]],
                            leader_weights=[1.0, 0.0], nu1=1.0, nu2=1.0)
-        lyap = gr.graph_lyapunov(topo)
         # a huge lambda_bar norm drives h up and mu1 far below its requirement
         gains = ctl.ControlGains(lambda_bar=np.array([50.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3, alpha_bar=1.0)
         bounds = sim.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
-        report = sim.cuub_diagnostics(bounds, topo, lyap, gains)
+        report = sim.cuub_diagnostics(bounds, topo, gains)
         assert not report.positive_definite
         assert report.first_failing_minor == 5
         assert report.mu1 < report.mu1_required
