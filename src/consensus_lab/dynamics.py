@@ -254,25 +254,30 @@ def _lift(node, values: list, names: set) -> tuple[str, int]:
     parenthesised only where Python's grammar needs it, so the source nests
     no deeper than the text it came from.
     """
-    if isinstance(node, ast.BinOp):
-        op, prec, left_least, right_least = _BINARY_OPS[type(node.op)]
-        left, left_prec = _lift(node.left, values, names)
-        right, right_prec = _lift(node.right, values, names)
-        if left_prec < left_least:
-            left = f"({left})"
-        if right_prec < right_least:
-            right = f"({right})"
-        return left + op + right, prec
+    spine = []   # the binary operators down the left operands: a flat sum loops, not recurses
+    while isinstance(node, ast.BinOp):
+        spine.append(node)
+        node = node.left
     if isinstance(node, ast.UnaryOp):
         operand, operand_prec = _lift(node.operand, values, names)
-        return _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
-    if isinstance(node, ast.Call):
-        return f"{node.func.id}({_lift(node.args[0], values, names)[0]})", 5
-    if isinstance(node, ast.Constant):
+        text, prec = _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
+    elif isinstance(node, ast.Call):
+        text, prec = f"{node.func.id}({_lift(node.args[0], values, names)[0]})", 5
+    elif isinstance(node, ast.Constant):
         values.append(node.value)
-        return f"_c{len(values) - 1}", 5
-    names.add(node.id)
-    return node.id, 5
+        text, prec = f"_c{len(values) - 1}", 5
+    else:
+        names.add(node.id)
+        text, prec = node.id, 5
+    for binop in reversed(spine):   # innermost first: the literals keep their order
+        op, op_prec, left_least, right_least = _BINARY_OPS[type(binop.op)]
+        right, right_prec = _lift(binop.right, values, names)
+        if prec < left_least:
+            text = f"({text})"
+        if right_prec < right_least:
+            right = f"({right})"
+        text, prec = text + op + right, op_prec
+    return text, prec
 
 
 # Expressions that differ only in their literals lift to the same source, so

@@ -373,21 +373,19 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
     with _at("initial_states"):
         initial = dyn.FleetState(agents=agents0, leader=leader0, time=0.0)
 
-    scenario = sim.Scenario(
-        topology=topology,
-        agent_models=tuple(agent_models),
-        leader_model=leader_model,
-        gains=gains,
-        offsets=offsets,
-        nn_config=nn_config,
-        initial=initial,
-        duration=duration,
-        dt=dt,
-        record_stride=record_stride,
-    )
-    with _at(""):
-        sim.validate_scenario(scenario)
-    return scenario
+    with _at(""):   # a Scenario checks its cross-field invariants when it is built
+        return sim.Scenario(
+            topology=topology,
+            agent_models=tuple(agent_models),
+            leader_model=leader_model,
+            gains=gains,
+            offsets=offsets,
+            nn_config=nn_config,
+            initial=initial,
+            duration=duration,
+            dt=dt,
+            record_stride=record_stride,
+        )
 
 
 def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim.CuubBounds:

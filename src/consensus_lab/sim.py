@@ -58,13 +58,14 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "agent_models", tuple(self.agent_models))
+        validate_scenario(self)
 
 
-def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
-    """Raise ValueError on any violated cross-field invariant; return the graph certificate.
+def validate_scenario(scenario: Scenario) -> None:
+    """Raise ValueError on any violated cross-field invariant.
 
-    The certificate is the topology's, solved once per topology: a scenario
-    that ``dataclasses.replace`` gives the same topology shares it.
+    A Scenario runs this when it is built, also by ``dataclasses.replace``;
+    the certificate it solves is cached on the topology.
     """
     topo = scenario.topology
     n = scenario.initial.order
@@ -81,17 +82,17 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
     if scenario.gains.order != n:
         raise ValueError(f"gains.c: length {scenario.gains.order} does not match chain order {n}")
     if not scenario.dt > 0:
-        raise ValueError("dt must be positive")
+        raise ValueError("sim.dt must be positive")
     if not scenario.duration >= 0:
-        raise ValueError("duration must be nonnegative")
+        raise ValueError("sim.duration must be nonnegative")
     steps = scenario.duration / scenario.dt
     if steps > MAX_STEPS:
         raise ValueError(f"sim.duration / sim.dt asks for a step count of {steps:.4g}, "
                          f"above the limit of {MAX_STEPS} (sim.MAX_STEPS)")
     if scenario.duration > 0 and scenario.dt > scenario.duration:
-        raise ValueError("dt must not exceed a positive duration")
+        raise ValueError("sim.dt must not exceed a positive sim.duration")
     if scenario.record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+        raise ValueError("sim.record_stride must be >= 1")
     records = record_count(scenario)
     width = trace_width(n_agents, n)
     if records * width > MAX_TRACE_VALUES:
@@ -110,7 +111,7 @@ def validate_scenario(scenario: Scenario) -> gr.GraphLyapunov:
         raise ValueError("w_basis must be a time basis")
     try:
         with np.errstate(all="ignore"):   # an overflow fails the certificate's checks
-            return topo.certificate
+            topo.certificate   # solved here and cached on the topology
     except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
         raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
 
@@ -263,7 +264,6 @@ class _SimContext:
     """
 
     def __init__(self, scenarios):
-        certificates = [validate_scenario(s) for s in scenarios]
         first = scenarios[0]
         key = batch_key(first)
         if any(batch_key(s) != key for s in scenarios[1:]):
@@ -296,7 +296,7 @@ class _SimContext:
         bvec = [np.asarray(topo.leader_weights) for topo in topos]
         self.pounds = stacked([gr.pinned_laplacian(topo) for topo in topos])
         self.pin = stacked([topo.adjacency.sum(axis=1) + b for topo, b in zip(topos, bvec)])
-        self.p_vec = stacked([cert.p_diag for cert in certificates])
+        self.p_vec = stacked([topo.certificate.p_diag for topo in topos])
         self.lam = vectors([g.lambda_bar for g in gains])
         self.cvec = vectors([g.c for g in gains])
         # every chain's offset, in the row order of the chains part of the state
@@ -588,8 +588,6 @@ def rk4_step(field: Callable[[np.ndarray, float], np.ndarray],
     overwrites on every call.  The sum is y + (dt/6)(k1 + 2 k2 + 2 k3 + k4),
     accumulated in that order.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     k = field(full_state, t)
     acc = np.array(k, dtype=float)
     stage = np.empty_like(acc)

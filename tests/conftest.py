@@ -10,6 +10,10 @@ from consensus_lab import sim
 class BundledRuns:
     """Lazily computed, session-cached simulations of the bundled scenarios."""
 
+    # run with and without their potentials as one stacked integration
+    # (sim.run_many), which gives each the trace it gives alone
+    AVOIDANCE_STUDIES = ("close_pair", "obstacle_gate")
+
     def __init__(self):
         self._scenarios = {}
         self._traces = {}
@@ -22,10 +26,15 @@ class BundledRuns:
 
     def trace(self, key: str) -> sim.Trace:
         if key not in self._traces:
-            scenario = self._variant(key)
+            name = key.split(":")[0]
+            keys = [name, f"{name}:no_avoidance"] if name in self.AVOIDANCE_STUDIES else [key]
+            scenarios = [self._variant(k) for k in keys]
             start = time.perf_counter()
-            self._traces[key] = sim.run(scenario)
-            self._elapsed[key] = time.perf_counter() - start
+            traces = sim.run_many(scenarios)   # of one scenario: sim.run, timed alone
+            elapsed = time.perf_counter() - start
+            for k, trace in zip(keys, traces):
+                self._traces[k] = trace
+                self._elapsed[k] = elapsed
         return self._traces[key]
 
     def elapsed(self, key: str) -> float:

@@ -314,16 +314,25 @@ def test_empty_leader_weights_names_its_path(tmp_path, capsys, command):
     assert len(lines) == 1 and "topology.leader_weights: lists no agent" in lines[0], lines
 
 
+def counted_calls(monkeypatch, module, name):
+    """The calls to module.name made while the test runs, as a one-item list."""
+    function, calls = getattr(module, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return function(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def certificate_solves(monkeypatch):
-    """The calls to graph.graph_lyapunov made while the test runs, as a one-item list."""
-    solve, calls = gr.graph_lyapunov, [0]
+    return counted_calls(monkeypatch, gr, "graph_lyapunov")
 
-    def counted(topology):
-        calls[0] += 1
-        return solve(topology)
-    monkeypatch.setattr(gr, "graph_lyapunov", counted)
-    return calls
+
+@pytest.fixture
+def validations(monkeypatch):
+    return counted_calls(monkeypatch, sim, "validate_scenario")
 
 
 def test_replace_keeps_the_solved_certificate(certificate_solves):
@@ -338,6 +347,56 @@ def test_run_override_solves_the_certificate_once(tmp_path, certificate_solves):
     assert cli.main(["run", "--scenario", "builtin:close_pair", "--duration", "0.05",
                      "--out", str(tmp_path / "o")]) == 0
     assert certificate_solves == [1]
+
+
+def short_close_pair_doc():
+    doc = load_builtin_doc("close_pair")
+    doc["sim"]["duration"] = 0.05
+    return doc
+
+
+# a Scenario is checked once, when it is built: by the parse, and again only
+# where a new one is made (a run override, each sweep point)
+def test_run_override_validates_the_loaded_and_the_new_scenario(tmp_path, validations):
+    assert cli.main(["run", "--scenario", "builtin:close_pair", "--duration", "0.05",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert validations == [2]
+
+
+def test_load_then_run_validates_once(validations):
+    assert sim.run(sio.parse_scenario(short_close_pair_doc())).aborted is None
+    assert validations == [1]
+
+
+def test_sweep_validates_each_parse_once(tmp_path, monkeypatch, validations):
+    # one for the loaded document, then two parses per point: one to find
+    # its batch key, one in the batch that runs it
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    assert cli.main(["sweep", "--scenario", write_doc(tmp_path, short_close_pair_doc()),
+                     "--param", "nn.kappa", "--values", "0.5,1,2,4",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert validations == [9]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_dt_above_duration_names_sim_dt(tmp_path, capsys, command):
+    doc = load_builtin_doc("close_pair")
+    doc["sim"].update(dt=1.0, duration=0.5)
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "sim.dt" in lines[0] and "sim.duration" in lines[0], lines
+
+
+def test_negative_dt_override_names_sim_dt(tmp_path, capsys):
+    assert cli.main(["run", "--scenario", "builtin:close_pair", "--dt", "-1",
+                     "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: sim.dt must be positive"], lines
 
 
 @pytest.mark.parametrize("command, prefix", [("run", "error: "), ("check", "FAIL load: ")])

@@ -211,6 +211,24 @@ class TestExpressions:
         f = dyn.compile_state_expression("s" + "+1" * 300, 2)
         assert f(np.array([0.5, 0.0]), 0.0) == 300.5
 
+    @pytest.mark.parametrize("product", [False, True])
+    def test_flat_sum_equals_its_left_to_right_value(self, product):
+        # a sum's syntax tree is as deep as the sum is long: 1 200 terms, each
+        # a literal or a product with its own literal, keep their order
+        s, v = 0.3, -1.7
+        coeffs = [0.5 + 0.001 * k for k in range(1200)]
+        if product:
+            terms = [f"{c!r}*s*v" for c in coeffs]
+            values = [c * s * v for c in coeffs]
+        else:
+            terms = [repr(c) if k % 2 else "s" for k, c in enumerate(coeffs)]
+            values = [c if k % 2 else s for k, c in enumerate(coeffs)]
+        total = values[0]
+        for value in values[1:]:
+            total += value
+        f = dyn.compile_state_expression("+".join(terms), 2)
+        assert f(np.array([s, v]), 0.0) == total
+
     def test_equal_shapes_share_one_code_object(self):
         # expressions that differ only in their literals share one kernel function
         a = dyn.compile_state_expression("-1.5*v + 0.5*sin(0.7*s)", 2)

@@ -396,16 +396,14 @@ class TestRun:
     def test_validation_rejects_isolated_agent(self):
         topo = gr.Topology(adjacency=np.zeros((2, 2)),
                            leader_weights=[1.0, 0.0], nu1=1.0, nu2=1.0)
-        scenario = dataclasses.replace(small_scenario(), topology=topo)
         with pytest.raises(ValueError, match="spanning tree"):
-            sim.run(scenario)
+            dataclasses.replace(small_scenario(), topology=topo)
 
     def test_validation_rejects_order_one_chains(self):
         # the chain order is the states' width; a library caller may build any
-        scenario = dataclasses.replace(
-            small_scenario(), initial=dyn.FleetState(agents=[[0.0], [1.0]], leader=[0.5]))
         with pytest.raises(ValueError, match="chain order must be >= 2"):
-            sim.validate_scenario(scenario)
+            dataclasses.replace(
+                small_scenario(), initial=dyn.FleetState(agents=[[0.0], [1.0]], leader=[0.5]))
 
 
 def stacked_variants():
