@@ -203,9 +203,13 @@ def cmd_diagnose(args) -> int:
     if args.json is not None:
         payload = {name: value.tolist() if isinstance(value, np.ndarray) else value
                    for name, value in dataclasses.asdict(report).items()}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror}", file=sys.stderr)
+            return 1
     if not report.positive_definite:
         print(report.failure, file=sys.stderr)
         return 1

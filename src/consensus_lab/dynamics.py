@@ -211,32 +211,6 @@ def sinusoid_disturbance(amp: float, freq: float) -> BatchDisturbance:
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}
 _ALLOWED_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _KERNEL_GLOBALS = {"__builtins__": {}, "_float64": np.float64, **_ALLOWED_FUNCS, **_ALLOWED_CONSTS}
-_ALLOWED_NODES = (
-    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
-    ast.Pow, ast.USub, ast.UAdd, ast.Constant, ast.Name, ast.Call, ast.Load,
-)
-
-
-def _check_expression(text: str, variables: set[str]) -> ast.Expression:
-    tree = ast.parse(text, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"expression {text!r} uses unsupported syntax: {type(node).__name__}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
-                raise ValueError(f"expression {text!r} calls an unsupported function")
-            if node.keywords:
-                raise ValueError("keyword arguments are not supported in expressions")
-            if len(node.args) != 1:
-                raise ValueError(f"expression {text!r}: {node.func.id}() takes exactly one "
-                                 f"argument, got {len(node.args)}")
-        if isinstance(node, ast.Name):
-            if node.id not in variables and node.id not in _ALLOWED_FUNCS and node.id not in _ALLOWED_CONSTS:
-                raise ValueError(f"expression {text!r} references unknown name {node.id!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise ValueError(f"expression {text!r} contains a non-numeric constant")
-    return tree
-
 
 # symbol, precedence, and the least precedence an operand may have on the
 # left and on the right without parentheses (** groups right to left and
@@ -246,38 +220,58 @@ _BINARY_OPS = {ast.Add: ("+", 1, 1, 2), ast.Sub: ("-", 1, 1, 2), ast.Mult: ("*",
 _UNARY_OPS = {ast.USub: "-", ast.UAdd: "+"}
 
 
-def _lift(node, values: list, names: set) -> tuple[str, int]:
-    """Source of a checked expression node, with the k-th numeric literal
+def _lift(node, text: str, known: set, values: list, names: set) -> tuple[str, int]:
+    """Source of a node of expression `text`, with the k-th numeric literal
     renamed _ck, and the precedence of its outermost operator.
 
-    The literals go to `values` and the names read to `names`.  An operand is
+    This is the grammar: the first node outside it raises ValueError.  A name
+    must be in `known` and a function name called.  The literals go to
+    `values` as floats and the names read to `names`.  An operand is
     parenthesised only where Python's grammar needs it, so the source nests
     no deeper than the text it came from.
     """
     spine = []   # the binary operators down the left operands: a flat sum loops, not recurses
-    while isinstance(node, ast.BinOp):
+    while isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
         spine.append(node)
         node = node.left
-    if isinstance(node, ast.UnaryOp):
-        operand, operand_prec = _lift(node.operand, values, names)
-        text, prec = _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        operand, operand_prec = _lift(node.operand, text, known, values, names)
+        source, prec = _UNARY_OPS[type(node.op)] + (operand if operand_prec >= 3 else f"({operand})"), 3
     elif isinstance(node, ast.Call):
-        text, prec = f"{node.func.id}({_lift(node.args[0], values, names)[0]})", 5
+        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
+            raise ValueError(f"expression {text!r} calls an unsupported function")
+        if node.keywords:
+            raise ValueError("keyword arguments are not supported in expressions")
+        if len(node.args) != 1:
+            raise ValueError(f"expression {text!r}: {node.func.id}() takes exactly one "
+                             f"argument, got {len(node.args)}")
+        source, prec = f"{node.func.id}({_lift(node.args[0], text, known, values, names)[0]})", 5
     elif isinstance(node, ast.Constant):
-        values.append(node.value)
-        text, prec = f"_c{len(values) - 1}", 5
-    else:
+        if not isinstance(node.value, (int, float)):
+            raise ValueError(f"expression {text!r} contains a non-numeric constant")
+        values.append(float(node.value))   # an int beyond the float range overflows here,
+        if math.isinf(values[-1]):         # and a float literal beyond it fails the same way
+            raise OverflowError
+        source, prec = f"_c{len(values) - 1}", 5
+    elif isinstance(node, ast.Name):
+        if node.id in _ALLOWED_FUNCS:
+            raise ValueError(f"expression {text!r} names the function {node.id}() without calling it")
+        if node.id not in known:
+            raise ValueError(f"expression {text!r} references unknown name {node.id!r}")
         names.add(node.id)
-        text, prec = node.id, 5
+        source, prec = node.id, 5
+    else:   # an operator outside the grammar is named, not the node that applies it
+        bad = node.op if isinstance(node, (ast.BinOp, ast.UnaryOp)) else node
+        raise ValueError(f"expression {text!r} uses unsupported syntax: {type(bad).__name__}")
     for binop in reversed(spine):   # innermost first: the literals keep their order
         op, op_prec, left_least, right_least = _BINARY_OPS[type(binop.op)]
-        right, right_prec = _lift(binop.right, values, names)
+        right, right_prec = _lift(binop.right, text, known, values, names)
         if prec < left_least:
-            text = f"({text})"
+            source = f"({source})"
         if right_prec < right_least:
             right = f"({right})"
-        text, prec = text + op + right, op_prec
-    return text, prec
+        source, prec = source + op + right, op_prec
+    return source, prec
 
 
 # Expressions that differ only in their literals lift to the same source, so
@@ -292,9 +286,9 @@ def _kernel(source: str, filename: str):
 
 def _expression(cls, text: str, variables: dict, filename: str):
     """A `cls` model of `text`; `variables` maps each state name to its column."""
-    values, names = [], set()
+    values, names, known = [], set(), {*variables, "t", *_ALLOWED_CONSTS}
     try:
-        body, _ = _lift(_check_expression(text, set(variables) | {"t"}).body, values, names)
+        body, _ = _lift(ast.parse(text, mode="eval").body, text, known, values, names)
         used = sorted(names & set(variables))
         source = "\n".join((
             "def kernel(_consts, _states, t):",
@@ -303,7 +297,6 @@ def _expression(cls, text: str, variables: dict, filename: str):
             "    t = _float64(t)",
             f"    return {body}"))
         kernel = _kernel(source, filename)
-        consts = [float(v) for v in values]
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc.msg}") from None
     except (RecursionError, MemoryError):
@@ -311,7 +304,7 @@ def _expression(cls, text: str, variables: dict, filename: str):
     except OverflowError:
         raise ValueError(f"expression {text!r} has a constant too large for a float") from None
     # equal sources mean equal arithmetic: one group
-    return cls(source, kernel, consts, [variables[name] for name in used])
+    return cls(source, kernel, values, [variables[name] for name in used])
 
 
 # A model holds no state, so every agent and scenario with the same text (a

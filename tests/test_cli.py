@@ -176,6 +176,15 @@ class TestDiagnoseCommand:
         assert len(lines) == 1 and "NotPositiveDefinite" in lines[0], lines
         assert json.loads(jpath.read_text())["mu1_required"] == float("inf")
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_json_report_is_one_line_error(self, tmp_path, capsys, target):
+        # a missing directory, or a directory where the file belongs
+        jpath = tmp_path / target
+        code = cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon", "--json", str(jpath)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {jpath}: "), lines
+
 
 class TestSweepCommand:
     def test_kappa_sweep_rows(self, tmp_path):
@@ -919,6 +928,36 @@ def test_deeply_nested_expression_is_one_line_error(tmp_path, capsys, depth, com
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and "agents[0].drift.expr" in lines[0], lines
     assert "nested too deeply" in lines[0]
+
+
+# A function name must be called: a bare sin would reach the run as a numpy
+# function and end it in a TypeError.  A literal beyond the float range reads
+# as inf, which would abort the run with a non-finite drift.
+UNLOADABLE_EXPRESSIONS = [
+    ("agents[0].drift", "sin", "without calling it"),
+    ("agents[1].drift", "s + cos", "without calling it"),
+    ("leader.drift", "sin", "without calling it"),
+    ("leader.drift", "s + cos", "without calling it"),
+    ("agents[0].disturbance", "exp", "without calling it"),
+    ("agents[1].drift", "1e400*s", "has a constant too large for a float"),
+    ("agents[0].disturbance", "1e400", "has a constant too large for a float"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+@pytest.mark.parametrize("where, expr, message", UNLOADABLE_EXPRESSIONS)
+def test_expression_outside_the_grammar_fails_at_load(tmp_path, capsys, where, expr, message,
+                                                     command):
+    doc = close_pair_with(where.replace("[", ".").replace("]", ""), {"expr": expr})
+    doc["sim"]["duration"] = 0.05
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and f"{where}.expr" in lines[0] and message in lines[0], lines
 
 
 def test_negative_sweep_values_take_the_equals_form(tmp_path, capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
@@ -179,6 +181,14 @@ class TestExpressions:
         with pytest.raises(ValueError, match="unsupported"):
             dyn.compile_state_expression("(1).to_bytes(1, 'big')", 2)
 
+    @pytest.mark.parametrize("text", ["sin", "t + cos", "-tan", "exp(exp)", "2**sin"])
+    def test_function_name_must_be_called(self, text):
+        # a bare name would reach the field as a numpy function, not a number
+        for compile_text, args in ((dyn.compile_state_expression, (text, 2)),
+                                   (dyn.compile_time_expression, (text,))):
+            with pytest.raises(ValueError, match=r"names the function \w+\(\) without calling it"):
+                compile_text(*args)
+
     def test_time_expression(self):
         g = dyn.compile_time_expression("2*sin(t)")
         assert g(math.pi / 2) == pytest.approx(2.0)
@@ -321,3 +331,58 @@ class TestFloatConstants:
     def test_constant_beyond_float_range_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             dyn.compile_state_expression("1" + "0" * 400 + "*s", 2)
+
+    @pytest.mark.parametrize("literal", ["1e400", "1.8e308", "9" * 400 + ".0"],
+                             ids=["1e400", "1.8e308", "400-nines"])
+    def test_float_literal_beyond_float_range_rejected(self, literal):
+        # Python reads each of these as inf, which no drift can use
+        with pytest.raises(ValueError, match="has a constant too large for a float"):
+            dyn.compile_state_expression(f"{literal}*s", 2)
+        with pytest.raises(ValueError, match="has a constant too large for a float"):
+            dyn.compile_time_expression(f"-{literal}")
+
+
+# Texts that mix the grammar with what lies outside it: other operators,
+# function names used as operands, calls of other arity or target, literals
+# beyond the float range or not numbers, and names no model knows.
+_LEAVES = st.one_of(
+    st.sampled_from(["s", "v", "x1", "x2", "t", "pi", "e", "sin", "cos", "exp", "tan",
+                     "q", "x3", "abs", "np", "1e400", "1" + "0" * 400, "1j", "'a'", "None",
+                     "True", "..."]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=0, max_value=10 ** 30).map(str),
+)
+
+
+def _extend(children):
+    binary = st.tuples(children, st.sampled_from(
+        ["+", "-", "*", "/", "**", "%", "//", "@", "<<", "&", "<", " and ", " if s else "]),
+        children).map(lambda p: f"({p[0]}{p[1]}{p[2]})")
+    unary = st.tuples(st.sampled_from(["-", "+", "~", "not "]), children).map(
+        lambda p: f"({p[0]}{p[1]})")
+    call = st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "abs", "np.sin", "q"]),
+                     st.lists(children, max_size=2), st.booleans()).map(
+        lambda p: f"{p[0]}({', '.join(p[1] + (['x=1'] if p[2] else []))})")
+    return st.one_of(binary, unary, call)
+
+
+EXPRESSION_TEXTS = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+@given(EXPRESSION_TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_expression_compiles_to_a_working_kernel_or_value_error(text):
+    columns = [np.array([0.3, -1.7, 2.5]), np.array([1.1, 0.0, -0.4])]
+    for compile_text, args, states in ((dyn.compile_state_expression, (text, 2), columns),
+                                       (dyn.compile_time_expression, (text,), [])):
+        try:
+            model = compile_text(*args)
+        except ValueError:
+            continue
+        consts = [np.full(3, c) for c in model.consts]
+        with np.errstate(all="ignore"):
+            out = np.broadcast_to(model.kernel(consts, [states[k] for k in model.columns], 0.7),
+                                  (3,))
+            one = model(np.array([0.3, 1.1]), 0.7) if states else model(0.7)
+        assert out.dtype == np.float64, text
+        assert type(one) is float, text
