@@ -247,7 +247,7 @@ def _lift(node, text: str, known: set, values: list, names: set) -> tuple[str, i
                              f"argument, got {len(node.args)}")
         source, prec = f"{node.func.id}({_lift(node.args[0], text, known, values, names)[0]})", 5
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ValueError(f"expression {text!r} contains a non-numeric constant")
         values.append(float(node.value))   # an int beyond the float range overflows here,
         if math.isinf(values[-1]):         # and a float literal beyond it fails the same way

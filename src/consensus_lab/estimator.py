@@ -121,7 +121,10 @@ def basis_eval(basis: BasisSpec, value) -> np.ndarray:
 def basis_eval_batch(basis: BasisSpec, states: np.ndarray) -> np.ndarray:
     """Evaluate a state RBF basis for a stack of states, returning (N, p)."""
     x = np.asarray(states, dtype=float)
-    return StateBases([basis], [x.shape[0]])(x)[0]
+    bases = StateBases([basis], [x.shape[0]])
+    if x.shape != bases.shape:
+        raise DimensionMismatch(f"input of shape {x.shape} does not match {bases.shape}")
+    return bases(x)[0]
 
 
 class StateBases:
@@ -132,7 +135,8 @@ class StateBases:
     the object is built, so each step runs once over all of them: repeat
     the rows, subtract the centres, square, sum over the axes in axis order,
     divide by -2 width^2, exp.  A basis's numbers are the ones it gives
-    alone.
+    alone.  The work happens in buffers made once, so each call overwrites
+    the blocks the last one returned.
     """
 
     def __init__(self, bases, rows):
@@ -142,30 +146,32 @@ class StateBases:
             raise DimensionMismatch("the bases differ in dimension")
         d = bases[0].centers.shape[1]
         self.shape = (sum(rows), d)
-        # the entries, basis by basis and row by row: each input row repeated
-        # once per centre of its basis, against the centres tiled per row
-        self.repeats = np.concatenate([np.full(m, b.count) for b, m in zip(bases, rows)])
+        # the entries, basis by basis and row by row: the input row of each
+        # entry, against the centres tiled per row
+        counts = np.concatenate([np.full(m, b.count) for b, m in zip(bases, rows)])
+        self.entry_rows = np.repeat(np.arange(self.shape[0]), counts)
         self.centres = np.concatenate([np.tile(b.centers, (m, 1)) for b, m in zip(bases, rows)])
         self.scale = np.concatenate([np.full(m * b.count, -2.0 * b.width ** 2)
                                      for b, m in zip(bases, rows)])
+        self.off = np.empty(self.centres.shape)
+        self.axes = [self.off[:, k] for k in range(d)]
+        self.phi = np.empty(self.scale.shape)
         ends = np.cumsum([0] + [m * b.count for b, m in zip(bases, rows)]).tolist()
-        self.blocks = [(slice(e0, e1), (m, b.count))
+        self.blocks = [self.phi[e0:e1].reshape(m, b.count)
                        for e0, e1, b, m in zip(ends, ends[1:], bases, rows)]
 
     def __call__(self, states: np.ndarray) -> list:
-        """The (rows[j], p_j) block of each basis."""
-        x = np.asarray(states, dtype=float)
-        if x.shape != self.shape:
-            raise DimensionMismatch(f"input of shape {x.shape} does not match {self.shape}")
-        off = x.repeat(self.repeats, axis=0)
+        """The (rows[j], p_j) block of each basis at an (R, d) float64 array."""
+        off, phi = self.off, self.phi
+        np.take(states, self.entry_rows, axis=0, out=off, mode="clip")
         off -= self.centres
         np.square(off, out=off)
-        d2 = off[:, 0]
-        for k in range(1, off.shape[1]):
-            d2 = d2 + off[:, k]
-        phi = d2 / self.scale   # bitwise -d2 / (2 width^2)
+        d2 = self.axes[0]
+        for axis in self.axes[1:]:
+            d2 = np.add(d2, axis, out=phi)
+        np.divide(d2, self.scale, out=phi)   # bitwise -d2 / (2 width^2)
         np.exp(phi, out=phi)
-        return [phi[entries].reshape(shape) for entries, shape in self.blocks]
+        return self.blocks
 
 
 def basis_bound(basis: BasisSpec) -> float:

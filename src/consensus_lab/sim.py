@@ -228,7 +228,8 @@ class _Evaluation(NamedTuple):
     """Everything downstream of one raw state snapshot (see _SimContext.evaluate).
 
     Every array has a leading variant axis of length K, or stacks the
-    variants' rows.
+    variants' rows.  The arrays are views of the context's workspace: the
+    next evaluation overwrites them, so whoever keeps one copies it.
     """
 
     chains: np.ndarray      # (K*N + K, n): every agent row, then every leader row
@@ -261,6 +262,10 @@ class _SimContext:
     expression a lone scenario would use, and every reduction and matrix
     product runs within one variant, so a variant's numbers do not depend
     on the others.
+
+    The field works in a workspace made once: a copy of the state, the
+    output, and the intermediates whose slices it reads, with every view of
+    them made in advance, so an evaluation neither slices nor reshapes.
     """
 
     def __init__(self, scenarios):
@@ -284,7 +289,7 @@ class _SimContext:
             return arrays[0][None] if shared(arrays) else np.stack(arrays)
 
         def vectors(arrays):
-            """The one (m,) vector if all have the same bits, else a (K, m, 1) stack (see _matvec)."""
+            """The one (m,) vector if all have the same bits, else a (K, m, 1) stack."""
             return arrays[0] if shared(arrays) else np.stack(arrays)[:, :, None]
 
         def column(values, ndim=1):
@@ -344,61 +349,139 @@ class _SimContext:
         self.state_bases = nn.StateBases(
             [first.nn_config.f_basis, first.nn_config.leader_basis], [n_var * na, n_var])
         self.w_basis = first.nn_config.w_basis
-        self.drifts = _batches([m.drift for s in scenarios for m in s.agent_models])
-        self.disturbances = _batches([m.disturbance for s in scenarios for m in s.agent_models])
-        self.leader_drifts = _batches([s.leader_model.drift for s in scenarios])
         # each agent's variant's first flat index; full (K, N) shape, because
         # integer broadcasting costs more than the sort it serves at small N
         self.row_start = np.repeat(np.arange(n_var) * na, na).reshape(n_var, na)
-        self.w_time = self.w_phi = None   # the time basis at the last time seen
+        self.w_time = None   # the time at which phi_w was last evaluated
         # the pair term when no pair interacts: the gain times zero sums
         self.no_push = self.pair_gain * np.zeros((n_var, na))
         # variant -> first abort seen by the field since the caller last cleared
         # it: a message, or the exception a model callable raised
         self.faults = {}
+        # the time of the record whose evaluation the workspace holds for the
+        # next field call (see field), else None
+        self.recorded = None
+        self._workspace(n_var, na, n)
+        self.drifts = self._calls([m.drift for s in scenarios for m in s.agent_models],
+                                  self.flat)
+        self.disturbances = self._calls([m.disturbance for s in scenarios
+                                         for m in s.agent_models], None)
+        self.leader_drifts = self._calls([s.leader_model.drift for s in scenarios], self.leader)
+
+    def _workspace(self, n_var: int, na: int, n: int) -> None:
+        """The buffers the field works in, and their views, made once."""
+        layout = self.layout
+        _, _, i1, i2, i3, size = layout.bounds
+        s_x, _, _, s_w, s_l = layout.shapes
+        rows = n_var * na
+        empty = np.empty
+
+        def product(v):
+            """The out buffer of a (K, N, m) @ v product, and its (K, N) view."""
+            buf = empty((n_var, na) if v.ndim == 1 else (n_var, na, 1))
+            return buf, buf.reshape(n_var, na)
+
+        # the state, copied in once per evaluation
+        self.state = empty(size)
+        self.chains = self.state[:i1].reshape(-1, n)
+        self.flat = self.chains[:rows]
+        self.agents = self.flat.reshape(s_x)
+        self.leader = self.chains[rows:]
+        self.leader_pos = self.leader[:, :1]
+        self.pos = self.agents[:, :, 0]
+        self.theta = self.state[i1:]
+        self.theta_f = self.state[i1:i2].reshape(rows, layout.p_f)
+        self.theta_w = self.state[i2:i3].reshape(s_w)
+        self.theta_l = self.state[i3:].reshape(s_l)
+        # errors: x - psi, then E_i0 and the stacked e^k columns
+        self.rel = empty(self.chains.shape)
+        self.rel_agents = self.rel[:rows].reshape(s_x)
+        self.rel_leader = self.rel[rows:, None, :]
+        self.delta = empty(s_x)
+        self.e_cols = empty(s_x)
+        self.e_lo, self.e_last, self.e_hi = (self.e_cols[:, :, :n - 1], self.e_cols[:, :, n - 1],
+                                             self.e_cols[:, :, 1:])
+        self.r_out, self.r = product(self.lam)
+        self.rho_out, self.rho = product(self.lam)
+        self.ce_out, self.c_e = product(self.cvec)
+        # the estimates and the bases they read
+        phi_f, phi_l = self.state_bases.blocks
+        self.phi_w = empty(layout.p_w)
+        self.phi_l_col, self.phi_l_row = phi_l[:, :, None], phi_l[:, None, :]
+        self.f_hat = empty(rows)
+        self.f_hat_kn = self.f_hat.reshape(n_var, na)
+        self.l_hat_out = empty((n_var, na, 1))
+        self.l_hat = self.l_hat_out[:, :, 0]
+        # the control and its avoidance terms
+        self.u = empty((n_var, na))
+        self.u_flat = self.u.reshape(-1)
+        self.sorted_pos = empty((n_var, na))
+        self.sorted_hi, self.sorted_lo = self.sorted_pos[:, 1:], self.sorted_pos[:, :-1]
+        self.s_fac = empty((n_var, na))
+        self.s_rows, self.s_cols = self.s_fac.reshape(-1, 1), self.s_fac[:, :, None]
+        # the derivative: chains shifted up one order with the forcing in the
+        # last column, then the theta part
+        self.out = empty(size)
+        d_chains = self.out[:i1].reshape(-1, n)
+        self.d_shift, self.chains_hi = d_chains[:, :n - 1], self.chains[:, 1:]
+        self.forcing, self.f0 = d_chains[:rows, n - 1], d_chains[rows:, n - 1]
+        self.f_vals, self.w_vals = empty(rows), empty(rows)
+        self.d_f = self.out[i1:i2].reshape(phi_f.shape)
+        self.d_w = self.out[i2:i3].reshape(rows, layout.p_w)
+        self.d_l = self.out[i3:].reshape(s_l)
+        self.d_theta = self.out[i1:]
+        self.ev = _Evaluation(self.chains, self.agents, self.flat, self.leader, self.delta,
+                              self.e_cols, self.r, phi_f, self.phi_w, phi_l, self.u, self.s_fac)
+
+    @staticmethod
+    def _calls(models, states) -> tuple:
+        """The models of one kind, grouped as _batches returns them, with
+        each loose callable's row of `states` (None for a disturbance, which
+        reads only t)."""
+        batches, loose = _batches(models)
+        return batches, [(i, model, None if states is None else states[i]) for i, model in loose]
 
     # Everything downstream of the raw state snapshot, shared by the field
-    # evaluation and by trace recording so both see identical numbers.
+    # evaluation and by trace recording so both see identical numbers: it
+    # fills the workspace from a copy of y and returns the views of it.
     def evaluate(self, y: np.ndarray, t: float) -> _Evaluation:
-        layout = self.layout
-        n_var, na, n = layout.n_variants, layout.n_agents, layout.order
-        _, _, i1, i2, i3, _ = layout.bounds
-        s_x, _, _, s_w, s_l = layout.shapes
-        chains = y[:i1].reshape(-1, n)
-        flat, x0 = chains[:n_var * na], chains[n_var * na:]
-        X = flat.reshape(s_x)
-        lam, signless = self.lam, self.signless
+        self.recorded = None
+        np.copyto(self.state, y)
+        signless, u = self.signless, self.u
 
-        rel = chains - self.psi   # x_i - psi_i, then x_0 - psi_0
-        delta = rel[:n_var * na].reshape(s_x) - rel[n_var * na:, None, :]
-        e_cols = -(self.pounds @ delta)                      # column k-1 holds e^k
-        r = _matvec(e_cols[:, :, :n - 1], lam) + e_cols[:, :, n - 1]
-        rho_v = _matvec(e_cols[:, :, 1:], lam)
+        np.subtract(self.chains, self.psi, out=self.rel)   # x_i - psi_i, then x_0 - psi_0
+        delta = np.subtract(self.rel_agents, self.rel_leader, out=self.delta)
+        e_cols = np.matmul(self.pounds, delta, out=self.e_cols)
+        np.negative(e_cols, out=e_cols)                     # column k-1 holds e^k
+        np.matmul(self.e_lo, self.lam, out=self.r_out)
+        r = np.add(self.r, self.e_last, out=self.r)
+        np.matmul(self.e_hi, self.lam, out=self.rho_out)
 
-        phi_f, phi_l = self.state_bases(chains)
-        f_hat = np.einsum("ij,ij->i", y[i1:i2].reshape(phi_f.shape), phi_f).reshape(n_var, na)
+        phi_f, _ = self.state_bases(self.chains)
+        np.einsum("ij,ij->i", self.theta_f, phi_f, out=self.f_hat)
         if t != self.w_time:   # the two middle RK4 stages share their time
-            self.w_time, self.w_phi = t, nn.basis_eval(self.w_basis, t)
-        phi_w = self.w_phi
-        w_hat = y[i2:i3].reshape(s_w) @ phi_w
-        l_hat = (y[i3:].reshape(s_l) @ phi_l[:, :, None])[:, :, 0]
+            self.w_time = t
+            self.phi_w[:] = nn.basis_eval(self.w_basis, t)
+        w_hat = self.theta_w @ self.phi_w
+        np.matmul(self.theta_l, self.phi_l_col, out=self.l_hat_out)
 
-        c_e = _matvec(delta, self.cvec)
+        np.matmul(delta, self.cvec, out=self.ce_out)
         if self.ce_mask is not None:
-            c_e = c_e * self.ce_mask
-        u_d = rho_v / self.pin   # less f_hat and w_hat, plus l_hat and r, less c_e
-        u_d -= f_hat
-        u_d -= w_hat
-        u_d += l_hat
-        u_d += r
-        u_d -= c_e
+            np.multiply(self.c_e, self.ce_mask, out=self.c_e)
+        np.divide(self.rho, self.pin, out=u)   # less f_hat and w_hat, plus l_hat and r, less c_e
+        u -= self.f_hat_kn
+        u -= w_hat
+        u += self.l_hat
+        u += r
+        u -= self.c_e
 
-        pos = X[:, :, 0]
+        pos = self.pos
         push = self._pair_push(pos)
-        dl = pos - x0[:, :1]
+        dl = pos - self.leader_pos
         adl = np.abs(dl)
         psi_i0 = self.psi_i0
-        if (adl >= psi_i0).all():   # no agent near the leader (a NaN takes the other branch)
+        # no agent near the leader (a NaN takes the other branch)
+        if np.logical_and.reduce(adl >= psi_i0, axis=None):
             # m_lead is 0, so the leader term subtracts a zero signed like dl
             u_c = push + 0.0 if signless else push - np.copysign(0.0, dl)
         else:
@@ -406,6 +489,7 @@ class _SimContext:
             if not signless:
                 m_lead *= np.sign(dl)
             u_c = push + self.leader_gain * m_lead
+        u -= u_c
 
         if self.obstacles.shape[-1]:
             do = pos[:, :, None] - self.obstacles[..., None, :]
@@ -415,11 +499,10 @@ class _SimContext:
             m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
             if not signless:
                 m_obs *= np.sign(do)
-            u = u_d - u_c - self.obstacle_gain * m_obs.sum(axis=2)
-        else:
-            u = u_d - u_c   # less a zero u_0: the same bits
-        return _Evaluation(chains, X, flat, x0, delta, e_cols, r, phi_f, phi_w, phi_l, u,
-                           r * self.p_vec * self.pin)
+            u -= self.obstacle_gain * m_obs.sum(axis=2)
+        np.multiply(r, self.p_vec, out=self.s_fac)
+        self.s_fac *= self.pin
+        return self.ev
 
     def distances(self, agents: np.ndarray) -> tuple:
         """Each variant's smallest pair distance and smallest obstacle distance
@@ -454,11 +537,12 @@ class _SimContext:
         n_var, na = pos.shape
         if na < 2:
             return self.no_push
-        ps = pos.copy()
+        ps = self.sorted_pos
+        np.copyto(ps, pos)
         ps.sort(axis=1)
-        gap = ps[:, 1:] - ps[:, :-1]
+        gap = self.sorted_hi - self.sorted_lo
         near = gap < self.psi_ij
-        if not near.any():
+        if not np.logical_or.reduce(near, axis=None):
             return self.no_push
         slots = pos.argsort(axis=1, kind="stable") + self.row_start
         acc = np.zeros((n_var, na))
@@ -477,7 +561,7 @@ class _SimContext:
                 break
             gap = ps[:, k:] - ps[:, :-k]
             near = gap < self.psi_ij
-            if not near.any():
+            if not np.logical_or.reduce(near, axis=None):
                 break
         sums = np.empty(n_var * na)
         sums[slots] = acc
@@ -485,50 +569,46 @@ class _SimContext:
 
     def _call_models(self, models, out, states, t: float, per_variant: int) -> None:
         """Write the value of model i into out[i] for the models of one kind,
-        grouped as _batches returns them: each group's kernel over its rows of
-        `states`, then each loose callable on states[i], or on t alone when
-        states is None.  A loose model that raises gives nan and is the fault
-        of variant i // per_variant unless that variant already has one."""
+        as _calls lists them: each group's kernel over its rows of `states`,
+        then each loose callable on its state row, or on t alone.  A loose
+        model that raises gives nan and is the fault of variant
+        i // per_variant unless that variant already has one."""
         batches, loose = models
         for b in batches:
             out[b.index] = b.kernel(b.consts, [states[b.index, k] for k in b.columns], t)
-        for i, model in loose:
+        for i, model, row in loose:
             try:
-                out[i] = model(t) if states is None else model(states[i], t)
+                out[i] = model(t) if row is None else model(row, t)
             except _MODEL_ERRORS as exc:
                 out[i] = math.nan
                 self.faults.setdefault(i // per_variant, exc)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
         """The derivative of the stacked state, a new array; a variant whose
-        models fail is noted in ``faults``."""
-        ev = self.evaluate(y, t)
-        layout = self.layout
-        n_var, na, n = layout.n_variants, layout.n_agents, layout.order
-        _, _, i1, i2, i3, size = layout.bounds
-        flat, x0 = ev.flat_agents, ev.leader
+        models fail is noted in ``faults``.
 
-        # the chains part, row by row as in ev.chains: each chain shifts up
-        # by one order and takes its forcing in the last column
-        out = np.empty(size)
-        chains = out[:i1].reshape(-1, n)
-        chains[:, :n - 1] = ev.chains[:, 1:]
-        forcing = chains[:n_var * na, n - 1]
-        f0 = chains[n_var * na:, n - 1]
+        The first call after a record, at the time the recorder evaluated
+        and with the bits of y it evaluated, reuses that evaluation."""
+        if self.recorded != t or self.state.tobytes() != y.tobytes():
+            self.evaluate(y, t)
+        self.recorded = None
+        na = self.layout.n_agents
 
+        np.copyto(self.d_shift, self.chains_hi)   # each chain shifts up by one order
         # per variant the first fault wins: a raising callable, then a
         # non-finite drift or disturbance, then the leader's
-        f_vals = np.empty(n_var * na)
-        self._call_models(self.drifts, f_vals, flat, t, na)
-        w_vals = np.empty(n_var * na)
+        f_vals, w_vals, forcing = self.f_vals, self.w_vals, self.forcing
+        self._call_models(self.drifts, f_vals, self.flat, t, na)
         self._call_models(self.disturbances, w_vals, None, t, na)
-        np.add(f_vals, ev.u.reshape(-1), out=forcing)
+        np.add(f_vals, self.u_flat, out=forcing)
         forcing += w_vals
-        if not math.isfinite(forcing.sum()):   # a non-finite term, or only a large sum
-            finite = (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(n_var, na).all(axis=1)
+        if not math.isfinite(np.add.reduce(forcing)):   # a non-finite term, or only a large sum
+            finite = np.logical_and.reduce(
+                (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(-1, na), axis=1)
             for k in np.flatnonzero(~finite).tolist():
                 self.faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
-        self._call_models(self.leader_drifts, f0, x0, t, 1)
+        f0 = self.f0
+        self._call_models(self.leader_drifts, f0, self.leader, t, 1)
         f0_list = f0.tolist()
         if not math.isfinite(sum(f0_list)):   # a non-finite term, or only a large sum
             for k, value in enumerate(f0_list):
@@ -536,20 +616,14 @@ class _SimContext:
                     self.faults.setdefault(k, f"non-finite leader drift at t={t}")
 
         # the theta part: g * (phi * s + kappa * theta) for all three laws
-        s_rows = ev.s_fac.reshape(-1, 1)
-        np.multiply(ev.phi_f, s_rows, out=out[i1:i2].reshape(ev.phi_f.shape))
-        np.multiply(ev.phi_w, s_rows, out=out[i2:i3].reshape(n_var * na, -1))
-        np.multiply(ev.phi_l[:, None, :], ev.s_fac[:, :, None],
-                    out=out[i3:].reshape(layout.shapes[-1]))
-        d_theta = out[i1:]
-        d_theta += self.theta_kappa * y[i1:]
+        ev, s_rows = self.ev, self.s_rows
+        np.multiply(ev.phi_f, s_rows, out=self.d_f)
+        np.multiply(self.phi_w, s_rows, out=self.d_w)
+        np.multiply(self.phi_l_row, self.s_cols, out=self.d_l)
+        d_theta = self.d_theta
+        d_theta += self.theta_kappa * self.theta
         d_theta *= self.theta_gain
-        return out
-
-
-def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(K, N, m) matrices times one (m,) vector or a (K, m, 1) stack of them: (K, N)."""
-    return a @ v if v.ndim == 1 else (a @ v)[..., 0]
+        return self.out.copy()
 
 
 class _Batch(NamedTuple):
@@ -637,16 +711,19 @@ class _Recorder:
 
     def record(self, ctx: _SimContext, y: np.ndarray, t: float, live) -> np.ndarray:
         """Append a row for every variant and count it for the live ones;
-        returns each variant's largest weight norm."""
+        returns each variant's largest weight norm.  The evaluation stays in
+        the context's workspace for the field's next call at (y, t)."""
         ev = ctx.evaluate(y, t)
+        ctx.recorded = t
         _, _, th_f, th_w, th_l = ctx.layout.split(y)
         norms = np.stack([np.linalg.norm(th, axis=2) for th in (th_f, th_w, th_l)], axis=2)
-        agents, leader = ev.agents.copy(), ev.leader.copy()
+        agents = ev.agents.copy()
         min_pair, min_obst = ctx.distances(agents)
         n_var = ctx.layout.n_variants
-        # one entry per Trace field, in their order
-        self.rows.append((np.full(n_var, t), agents, leader, ev.u, ev.errors, ev.r,
-                          ev.rel_errors, norms, min_pair, min_obst))
+        # one entry per Trace field, in their order; the workspace's arrays as copies
+        self.rows.append((np.full(n_var, t), agents, ev.leader.copy(), ev.u.copy(),
+                          ev.errors.copy(), ev.r.copy(), ev.rel_errors.copy(), norms,
+                          min_pair, min_obst))
         for k in live:
             self.counts[k] += 1
         return norms.reshape(n_var, -1).max(axis=1) if norms.size else np.zeros(n_var)
@@ -706,7 +783,7 @@ def run_many(scenarios) -> list:
                          else f"model evaluation failed at t={t:g}: {fault}")
             step += 1
             t = t0 + step * dt
-            if not np.isfinite(y).all():
+            if not np.logical_and.reduce(np.isfinite(y)):
                 finite = np.logical_and.reduce([np.isfinite(b).reshape(len(scenarios), -1).all(axis=1)
                                                 for b in ctx.layout.split(y)])
                 for k in [k for k in live if not finite[k]]:

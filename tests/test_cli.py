@@ -932,7 +932,8 @@ def test_deeply_nested_expression_is_one_line_error(tmp_path, capsys, depth, com
 
 # A function name must be called: a bare sin would reach the run as a numpy
 # function and end it in a TypeError.  A literal beyond the float range reads
-# as inf, which would abort the run with a non-finite drift.
+# as inf, which would abort the run with a non-finite drift.  True and False
+# are not numbers, although Python would read them as 1 and 0.
 UNLOADABLE_EXPRESSIONS = [
     ("agents[0].drift", "sin", "without calling it"),
     ("agents[1].drift", "s + cos", "without calling it"),
@@ -941,6 +942,9 @@ UNLOADABLE_EXPRESSIONS = [
     ("agents[0].disturbance", "exp", "without calling it"),
     ("agents[1].drift", "1e400*s", "has a constant too large for a float"),
     ("agents[0].disturbance", "1e400", "has a constant too large for a float"),
+    ("agents[0].drift", "True*s", "contains a non-numeric constant"),
+    ("leader.drift", "s - False", "contains a non-numeric constant"),
+    ("agents[1].disturbance", "True", "contains a non-numeric constant"),
 ]
 
 

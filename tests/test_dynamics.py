@@ -189,6 +189,14 @@ class TestExpressions:
             with pytest.raises(ValueError, match=r"names the function \w+\(\) without calling it"):
                 compile_text(*args)
 
+    @pytest.mark.parametrize("text", ["True*t", "t + False", "-True", "sin(False)", "True"])
+    def test_rejects_bool_literals(self, text):
+        # a bool is an int to Python, but the grammar's literals are numbers
+        for compile_text, args in ((dyn.compile_state_expression, (text.replace("t", "s"), 2)),
+                                   (dyn.compile_time_expression, (text,))):
+            with pytest.raises(ValueError, match="contains a non-numeric constant"):
+                compile_text(*args)
+
     def test_time_expression(self):
         g = dyn.compile_time_expression("2*sin(t)")
         assert g(math.pi / 2) == pytest.approx(2.0)

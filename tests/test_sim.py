@@ -8,6 +8,7 @@ from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
 from consensus_lab import estimator as nn
 from consensus_lab import graph as gr
+from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
 import oracles as ref
@@ -443,6 +444,60 @@ def crowded_variants():
             base,
             dataclasses.replace(base, gains=dataclasses.replace(
                 g, psi_ij=12.0, chi=0.2, obstacles=np.array([1.0, 9.0, 33.0])))]
+
+
+class TestWorkspace:
+    def test_recorded_arrays_outlive_later_evaluations(self):
+        scenario = small_scenario()
+        ctx = sim._SimContext([scenario])
+        y = sim.initial_state(scenario)
+        y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
+        recorder = sim._Recorder(1)
+        recorder.record(ctx, y, 0.37, [0])
+        # agents, leader, u, errors, r and rel_errors, as the record keeps them
+        kept = recorder.rows[0][1:7]
+        before = [a.tobytes() for a in kept]
+        other = y * 1.5 - 0.2
+        ctx.evaluate(other, 0.5)
+        ctx.field(other, 0.5)
+        assert [a.tobytes() for a in kept] == before
+        ev = sim._SimContext([scenario]).evaluate(y, 0.37)
+        fresh = (ev.agents, ev.leader, ev.u, ev.errors, ev.r, ev.rel_errors)
+        assert [a.tobytes() for a in fresh] == before
+
+    def test_the_field_after_a_record_equals_a_fresh_field(self):
+        scenario = small_scenario()
+        ctx = sim._SimContext([scenario])
+        y = sim.initial_state(scenario)
+        y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
+        expected = sim._SimContext([scenario]).field(y, 0.37)
+        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        assert ctx.field(y, 0.37).tobytes() == expected.tobytes()
+        # the evaluation serves one call, at the recorded state and time only
+        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        moved = y.copy()
+        moved[0] += 0.25
+        assert ctx.field(moved, 0.37).tobytes() == \
+            sim._SimContext([scenario]).field(moved, 0.37).tobytes()
+        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        assert ctx.field(y, 0.38).tobytes() == \
+            sim._SimContext([scenario]).field(y, 0.38).tobytes()
+
+    def test_each_step_computes_four_evaluations(self, monkeypatch):
+        # the step after a record takes its first stage from the record's
+        # evaluation: 50 steps and 6 records compute 4 * 50 + 1, not 4 * 50 + 6
+        computed = []
+        init = sim._SimContext.__init__
+
+        def counting_init(ctx, scenarios):
+            init(ctx, scenarios)
+            bases = ctx.state_bases
+            ctx.state_bases = lambda chains: computed.append(1) or bases(chains)
+        monkeypatch.setattr(sim._SimContext, "__init__", counting_init)
+        scenario, _ = sio.load_scenario("builtin:close_pair")
+        trace = sim.run(dataclasses.replace(scenario, duration=0.05, record_stride=10))
+        assert trace.times.size == 6 and trace.aborted is None
+        assert len(computed) == 201
 
 
 class TestRunMany:
