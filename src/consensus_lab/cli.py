@@ -217,42 +217,43 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _set_doc_field(doc: dict, dotted: str, value: float) -> bool:
-    parts = dotted.split(".")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _set_doc_field(doc: dict, dotted: str, value: float) -> None:
+    """Set the number at a dotted path; ScenarioError if the path is missing
+    or holds anything but a number."""
+    *parents, leaf = dotted.split(".")
     node = doc
-    for part in parts[:-1]:
+    for part in parents + [leaf]:
         if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        return False
-    old = node[parts[-1]]
-    if not isinstance(old, (int, float)) or isinstance(old, bool):
-        return False
+            raise sio.ScenarioError(dotted, "unknown scenario field")
+        holder, node = node, node[part]
+    if not _is_number(node):
+        raise sio.ScenarioError(dotted, "not a number, so a sweep cannot set it")
     # an integral value stays a JSON integer where the document holds one,
     # because an integer field (sim.record_stride) rejects a float; -0.0
     # stays a float, whose sign a float field keeps
-    if isinstance(old, int) and value.is_integer() and (value or math.copysign(1.0, value) > 0):
+    if isinstance(node, int) and value.is_integer() and (value or math.copysign(1.0, value) > 0):
         value = int(value)
-    node[parts[-1]] = value
-    return True
+    holder[leaf] = value
 
 
 def _resolve_param(doc: dict, name: str) -> str:
     """Resolve a bare parameter name to a dotted path in known sections."""
     if "." in name:
         return name
-    hits = []
+    hits, others = [], []
     for section in ("gains", "nn", "sim", "topology"):
         sub = doc.get(section)
-        if isinstance(sub, dict) and name in sub and isinstance(sub[name], (int, float)) \
-                and not isinstance(sub[name], bool):
-            hits.append(f"{section}.{name}")
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
+        if isinstance(sub, dict) and name in sub:
+            (hits if _is_number(sub[name]) else others).append(f"{section}.{name}")
+    if len(hits) > 1:
+        raise sio.ScenarioError(name, f"ambiguous field; use one of {', '.join(hits)}")
+    if not hits + others:
         raise sio.ScenarioError(name, "unknown scenario field")
-    raise sio.ScenarioError(name, f"ambiguous field; use one of {', '.join(hits)}")
+    return (hits + others)[0]   # a field that is not a number fails when it is set
 
 
 def _sweep_row(value: float, trace: sim.Trace) -> tuple:
@@ -321,8 +322,7 @@ def cmd_sweep(args) -> int:
         text = json.dumps(doc)
         for value in values:
             job = json.loads(text)   # a copy; deepcopy fails on nesting that json accepts
-            if not _set_doc_field(job, dotted, value):
-                raise sio.ScenarioError(dotted, "unknown scenario field")
+            _set_doc_field(job, dotted, value)
             scenario = sio.parse_scenario(job)
             key = sim.batch_key(scenario)
             groups.setdefault(key, []).append(len(jobs))

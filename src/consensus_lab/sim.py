@@ -224,28 +224,6 @@ def batch_key(scenario: Scenario) -> tuple:
             _basis_key(cfg.w_basis))
 
 
-class _Evaluation(NamedTuple):
-    """Everything downstream of one raw state snapshot (see _SimContext.evaluate).
-
-    Every array has a leading variant axis of length K, or stacks the
-    variants' rows.  The arrays are views of the context's workspace: the
-    next evaluation overwrites them, so whoever keeps one copies it.
-    """
-
-    chains: np.ndarray      # (K*N + K, n): every agent row, then every leader row
-    agents: np.ndarray      # (K, N, n)
-    flat_agents: np.ndarray  # (K*N, n): the agents of every variant, one row each
-    leader: np.ndarray      # (K, n)
-    rel_errors: np.ndarray  # (K, N, n): E_i0 per order
-    errors: np.ndarray      # (K, N, n): column k-1 holds e^k
-    r: np.ndarray           # (K, N)
-    phi_f: np.ndarray       # (K*N, p_f)
-    phi_w: np.ndarray       # (p_w,), shared: every variant is at the same t
-    phi_l: np.ndarray       # (K, p_l)
-    u: np.ndarray           # (K, N) composite control
-    s_fac: np.ndarray       # (K, N) r_i * p_i * (d_i + b_i0), shared by the tuning laws
-
-
 # Errors a drift or disturbance callable (the builtins, library callers) can
 # raise on a bad state: overflow, division by zero, leaving math's domain,
 # or a complex value under a fractional power.
@@ -253,7 +231,7 @@ _MODEL_ERRORS = (OverflowError, ZeroDivisionError, TypeError, ValueError)
 
 
 class _SimContext:
-    """Precomputed arrays shared by the derivative field and the recorder.
+    """Precomputed arrays shared by the derivative field and the trace records.
 
     The context serves K scenarios with one batch_key, whose states stack
     as StateLayout describes.  A per-scenario constant is one value when
@@ -266,6 +244,8 @@ class _SimContext:
     The field works in a workspace made once: a copy of the state, the
     output, and the intermediates whose slices it reads, with every view of
     them made in advance, so an evaluation neither slices nor reshapes.
+    The context alone writes the workspace; a record copies its row out of
+    it, and an array that becomes a Trace field carries that field's name.
     """
 
     def __init__(self, scenarios):
@@ -353,6 +333,7 @@ class _SimContext:
         # integer broadcasting costs more than the sort it serves at small N
         self.row_start = np.repeat(np.arange(n_var) * na, na).reshape(n_var, na)
         self.w_time = None   # the time at which phi_w was last evaluated
+        self.obstacle_distances = None   # the last evaluation's |x_i - obstacle|, (K, N, M)
         # the pair term when no pair interacts: the gain times zero sums
         self.no_push = self.pair_gain * np.zeros((n_var, na))
         # variant -> first abort seen by the field since the caller last cleared
@@ -397,15 +378,15 @@ class _SimContext:
         self.rel = empty(self.chains.shape)
         self.rel_agents = self.rel[:rows].reshape(s_x)
         self.rel_leader = self.rel[rows:, None, :]
-        self.delta = empty(s_x)
-        self.e_cols = empty(s_x)
-        self.e_lo, self.e_last, self.e_hi = (self.e_cols[:, :, :n - 1], self.e_cols[:, :, n - 1],
-                                             self.e_cols[:, :, 1:])
+        self.rel_errors = empty(s_x)
+        self.errors = empty(s_x)
+        self.e_lo, self.e_last, self.e_hi = (self.errors[:, :, :n - 1], self.errors[:, :, n - 1],
+                                             self.errors[:, :, 1:])
         self.r_out, self.r = product(self.lam)
         self.rho_out, self.rho = product(self.lam)
         self.ce_out, self.c_e = product(self.cvec)
         # the estimates and the bases they read
-        phi_f, phi_l = self.state_bases.blocks
+        self.phi_f, phi_l = self.state_bases.blocks
         self.phi_w = empty(layout.p_w)
         self.phi_l_col, self.phi_l_row = phi_l[:, :, None], phi_l[:, None, :]
         self.f_hat = empty(rows)
@@ -426,12 +407,10 @@ class _SimContext:
         self.d_shift, self.chains_hi = d_chains[:, :n - 1], self.chains[:, 1:]
         self.forcing, self.f0 = d_chains[:rows, n - 1], d_chains[rows:, n - 1]
         self.f_vals, self.w_vals = empty(rows), empty(rows)
-        self.d_f = self.out[i1:i2].reshape(phi_f.shape)
+        self.d_f = self.out[i1:i2].reshape(self.phi_f.shape)
         self.d_w = self.out[i2:i3].reshape(rows, layout.p_w)
         self.d_l = self.out[i3:].reshape(s_l)
         self.d_theta = self.out[i1:]
-        self.ev = _Evaluation(self.chains, self.agents, self.flat, self.leader, self.delta,
-                              self.e_cols, self.r, phi_f, self.phi_w, phi_l, self.u, self.s_fac)
 
     @staticmethod
     def _calls(models, states) -> tuple:
@@ -443,15 +422,15 @@ class _SimContext:
 
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers: it
-    # fills the workspace from a copy of y and returns the views of it.
-    def evaluate(self, y: np.ndarray, t: float) -> _Evaluation:
+    # fills the workspace from a copy of y.
+    def evaluate(self, y: np.ndarray, t: float) -> None:
         self.recorded = None
         np.copyto(self.state, y)
         signless, u = self.signless, self.u
 
         np.subtract(self.chains, self.psi, out=self.rel)   # x_i - psi_i, then x_0 - psi_0
-        delta = np.subtract(self.rel_agents, self.rel_leader, out=self.delta)
-        e_cols = np.matmul(self.pounds, delta, out=self.e_cols)
+        delta = np.subtract(self.rel_agents, self.rel_leader, out=self.rel_errors)
+        e_cols = np.matmul(self.pounds, delta, out=self.errors)
         np.negative(e_cols, out=e_cols)                     # column k-1 holds e^k
         np.matmul(self.e_lo, self.lam, out=self.r_out)
         r = np.add(self.r, self.e_last, out=self.r)
@@ -493,7 +472,7 @@ class _SimContext:
 
         if self.obstacles.shape[-1]:
             do = pos[:, :, None] - self.obstacles[..., None, :]
-            ado = np.abs(do)
+            ado = self.obstacle_distances = np.abs(do)
             deff = np.maximum(ado, self.core_floor)
             ratio = (self.detect_sq - deff ** 2) / (deff ** 2 - self.core_sq)
             m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
@@ -502,24 +481,25 @@ class _SimContext:
             u -= self.obstacle_gain * m_obs.sum(axis=2)
         np.multiply(r, self.p_vec, out=self.s_fac)
         self.s_fac *= self.pin
-        return self.ev
 
-    def distances(self, agents: np.ndarray) -> tuple:
-        """Each variant's smallest pair distance and smallest obstacle distance
-        (inf when there is no pair or no obstacle)."""
-        n_var, na = agents.shape[:2]
-        pos = agents[:, :, 0]
-        if na < 2:
-            min_pair = np.full(n_var, math.inf)
-        else:
-            ps = np.sort(pos, axis=1, kind="stable")
-            min_pair = (ps[:, 1:] - ps[:, :-1]).min(axis=1)
-        if self.obstacles.shape[-1]:
-            ado = np.abs(pos[:, :, None] - self.obstacles[..., None, :])
-            min_obst = ado.reshape(n_var, -1).min(axis=1)
-        else:
-            min_obst = np.full(n_var, math.inf)
-        return min_pair, min_obst
+    def record(self, y: np.ndarray, t: float) -> tuple:
+        """Evaluate at (y, t) and return the K-stacked trace row: one entry
+        per Trace field, in their order, copied out of the workspace.  The
+        evaluation stays there for the field's next call at (y, t)."""
+        self.evaluate(y, t)
+        self.recorded = t
+        n_var, na = self.u.shape
+        _, _, th_f, th_w, th_l = self.layout.split(self.state)
+        norms = np.stack([np.linalg.norm(th, axis=2) for th in (th_f, th_w, th_l)], axis=2)
+        # the smallest gap between the positions the pair term sorted; + 0.0
+        # writes a zero gap as 0, whichever order the sort gave a -0.0/0.0 tie
+        min_pair = (np.subtract(self.sorted_hi, self.sorted_lo).min(axis=1) + 0.0 if na > 1
+                    else np.full(n_var, math.inf))
+        min_obst = (self.obstacle_distances.reshape(n_var, -1).min(axis=1)
+                    if self.obstacles.shape[-1] else np.full(n_var, math.inf))
+        return (np.full(n_var, t), self.agents.copy(), self.leader.copy(), self.u.copy(),
+                self.errors.copy(), self.r.copy(), self.rel_errors.copy(), norms,
+                min_pair, min_obst)
 
     def _pair_push(self, pos: np.ndarray) -> np.ndarray:
         """Per agent the pair term of u_c: pair_gain times the sum of the
@@ -587,7 +567,7 @@ class _SimContext:
         """The derivative of the stacked state, a new array; a variant whose
         models fail is noted in ``faults``.
 
-        The first call after a record, at the time the recorder evaluated
+        The first call after a record, at the time the record evaluated
         and with the bits of y it evaluated, reuses that evaluation."""
         if self.recorded != t or self.state.tobytes() != y.tobytes():
             self.evaluate(y, t)
@@ -616,8 +596,8 @@ class _SimContext:
                     self.faults.setdefault(k, f"non-finite leader drift at t={t}")
 
         # the theta part: g * (phi * s + kappa * theta) for all three laws
-        ev, s_rows = self.ev, self.s_rows
-        np.multiply(ev.phi_f, s_rows, out=self.d_f)
+        s_rows = self.s_rows
+        np.multiply(self.phi_f, s_rows, out=self.d_f)
         np.multiply(self.phi_w, s_rows, out=self.d_w)
         np.multiply(self.phi_l_row, self.s_cols, out=self.d_l)
         d_theta = self.d_theta
@@ -700,41 +680,6 @@ class Trace:
         return self.agents.shape[2]
 
 
-class _Recorder:
-    """The traces of K variants: one K-stacked row per record, and per
-    variant the number of rows recorded while it was live.  A stopped
-    variant never records again, so its trace is its first rows."""
-
-    def __init__(self, n_variants: int):
-        self.rows = []
-        self.counts = [0] * n_variants
-
-    def record(self, ctx: _SimContext, y: np.ndarray, t: float, live) -> np.ndarray:
-        """Append a row for every variant and count it for the live ones;
-        returns each variant's largest weight norm.  The evaluation stays in
-        the context's workspace for the field's next call at (y, t)."""
-        ev = ctx.evaluate(y, t)
-        ctx.recorded = t
-        _, _, th_f, th_w, th_l = ctx.layout.split(y)
-        norms = np.stack([np.linalg.norm(th, axis=2) for th in (th_f, th_w, th_l)], axis=2)
-        agents = ev.agents.copy()
-        min_pair, min_obst = ctx.distances(agents)
-        n_var = ctx.layout.n_variants
-        # one entry per Trace field, in their order; the workspace's arrays as copies
-        self.rows.append((np.full(n_var, t), agents, ev.leader.copy(), ev.u.copy(),
-                          ev.errors.copy(), ev.r.copy(), ev.rel_errors.copy(), norms,
-                          min_pair, min_obst))
-        for k in live:
-            self.counts[k] += 1
-        return norms.reshape(n_var, -1).max(axis=1) if norms.size else np.zeros(n_var)
-
-    def traces(self, aborted: list) -> list:
-        """Each variant's trace: its first counts[k] rows, with its abort reason."""
-        columns = [np.stack(column) for column in zip(*self.rows)]
-        return [Trace(*[c[:n, k] for c in columns], aborted=reason)
-                for k, (n, reason) in enumerate(zip(self.counts, aborted))]
-
-
 def run_many(scenarios) -> list:
     """Integrate scenarios that share one batch_key as one stacked state.
 
@@ -749,7 +694,10 @@ def run_many(scenarios) -> list:
         return []
     ctx = _SimContext(scenarios)
     first = scenarios[0]
-    recorder = _Recorder(len(scenarios))
+    # one K-stacked row per record, and per variant the rows recorded while
+    # it was live: a stopped variant never records again, so its trace is
+    # its first rows
+    rows, counts = [], [0] * len(scenarios)
     y = initial_state(*scenarios)
     t0, dt, stride = first.initial.time, first.dt, first.record_stride
     n_steps = _step_count(first)
@@ -766,7 +714,11 @@ def run_many(scenarios) -> list:
             block[k] = True
 
     def record(t: float) -> None:
-        max_norms = recorder.record(ctx, y, t, live)
+        row = ctx.record(y, t)
+        rows.append(row)
+        for k in live:
+            counts[k] += 1
+        max_norms = row[7].reshape(len(scenarios), -1).max(axis=1)   # the weight norms
         for k in [k for k in live if max_norms[k] > ctx.breaker[k]]:
             stop(k, f"weight norm {max_norms[k]:.3e} exceeds circuit breaker at t={t:g}")
 
@@ -792,7 +744,9 @@ def run_many(scenarios) -> list:
                 np.copyto(y, y0, where=stopped)
             if live and (step % stride == 0 or step == n_steps):
                 record(t)
-    return recorder.traces(aborted)
+    columns = [np.stack(column) for column in zip(*rows)]
+    return [Trace(*[c[:n, k] for c in columns], aborted=reason)
+            for k, (n, reason) in enumerate(zip(counts, aborted))]
 
 
 def run(scenario: Scenario) -> Trace:
@@ -821,25 +775,26 @@ def metrics(trace: Trace) -> dict:
 
     tol = 1.1 * ultimate[0]
     ok = norms[:, 0] <= tol * (1.0 + 1e-12)
-    settled_from = trace.times[-1]
-    # last index from which ok holds for every later instant
-    holds = True
-    for idx in range(times.size - 1, -1, -1):
-        holds = holds and bool(ok[idx])
-        if not holds:
-            break
-        settled_from = times[idx]
 
     return {
         "peak_abs_rel_error": abs_rel.max(axis=0).tolist(),      # (N, n)
         "final_abs_rel_error": abs_rel[-1].tolist(),             # (N, n)
         "ultimate_bound": ultimate.tolist(),                     # per order
-        "settling_time": float(settled_from),
+        "settling_time": settling_time(times, ok),
         "min_pair_distance": float(trace.min_pair_distance.min()),
         "min_obstacle_distance": float(trace.min_obstacle_distance.min()),
         "duration": float(times[-1] - times[0]),
         "records": int(times.size),
     }
+
+
+def settling_time(times: np.ndarray, ok: np.ndarray) -> float:
+    """The first recorded instant from which ok holds at every later record:
+    the start of the longest all-true suffix of ok, or the last instant when
+    the last record is not ok."""
+    failed = np.flatnonzero(~ok)
+    start = failed[-1] + 1 if failed.size else 0
+    return float(times[min(start, times.size - 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,19 @@ def control_input(
     return float(u)
 
 
+def settling_time(times: np.ndarray, ok: np.ndarray) -> float:
+    """The settling instant as a backward scan over the records: the earliest
+    record from which ok holds at every later one, else the last record's time."""
+    settled_from = times[-1]
+    holds = True
+    for idx in range(times.size - 1, -1, -1):
+        holds = holds and bool(ok[idx])
+        if not holds:
+            break
+        settled_from = times[idx]
+    return float(settled_from)
+
+
 # ---------------------------------------------------------------------------
 # LAPACK reference solves of the two certificates, through scipy.
 

@@ -229,6 +229,18 @@ class TestSweepCommand:
         assert code == 1
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param, path", [
+        ("gains.lambda_xi", "gains.lambda_xi"), ("topology.undirected", "topology.undirected"),
+        ("nn.f_basis", "nn.f_basis"), ("lambda_xi", "gains.lambda_xi")])
+    def test_field_that_is_not_a_number(self, tmp_path, capsys, param, path):
+        # the field exists, so the message says it is not a number, not unknown
+        code = cli.main(["sweep", "--scenario", "builtin:close_pair",
+                         "--param", param, "--values", "1,2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: {path}: not a number, so a sweep cannot set it"]
+        assert not (tmp_path / "o").exists()
+
     def test_ambiguous_bare_name(self, tmp_path, capsys):
         # both sim and topology could own a field named "seed"? use a real clash:
         doc = load_builtin_doc("close_pair")
@@ -691,7 +703,7 @@ def short_pair_doc(duration=0.3):
 def solo_row(doc, dotted, value):
     """The sweep.csv row of one point, from its own sim.run."""
     point = json.loads(json.dumps(doc))
-    assert cli._set_doc_field(point, dotted, value)
+    cli._set_doc_field(point, dotted, value)
     trace = sim.run(sio.parse_scenario(point))
     if trace.aborted is None:
         summary = sim.metrics(trace)
@@ -880,10 +892,14 @@ def test_integer_field_sweeps_as_an_integer(tmp_path, monkeypatch, capsys):
 
 def test_sweep_value_keeps_the_type_the_document_holds():
     doc = {"a": {"n": 1, "x": 1.5, "z": 0}}
-    assert cli._set_doc_field(doc, "a.n", 4.0) and type(doc["a"]["n"]) is int
-    assert cli._set_doc_field(doc, "a.x", 4.0) and type(doc["a"]["x"]) is float
-    assert cli._set_doc_field(doc, "a.n", 2.5) and doc["a"]["n"] == 2.5
-    assert cli._set_doc_field(doc, "a.z", -0.0) and math.copysign(1.0, doc["a"]["z"]) == -1.0
+    cli._set_doc_field(doc, "a.n", 4.0)
+    assert type(doc["a"]["n"]) is int
+    cli._set_doc_field(doc, "a.x", 4.0)
+    assert type(doc["a"]["x"]) is float
+    cli._set_doc_field(doc, "a.n", 2.5)
+    assert doc["a"]["n"] == 2.5
+    cli._set_doc_field(doc, "a.z", -0.0)
+    assert math.copysign(1.0, doc["a"]["z"]) == -1.0
     assert doc == {"a": {"n": 2.5, "x": 4.0, "z": 0.0}}
 
 

@@ -27,7 +27,8 @@ def zero_leader():
 
 
 def one_agent_field(model, leader, state, leader_state, t):
-    """Field rows of a single pinned agent and its leader, plus the evaluated terms."""
+    """Field rows of a single pinned agent and its leader, plus the context,
+    whose workspace holds the evaluated terms."""
     n = len(state)
     scenario = sim.Scenario(
         topology=gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
@@ -44,7 +45,8 @@ def one_agent_field(model, leader, state, leader_state, t):
     ctx = sim._SimContext([scenario])
     y = sim.initial_state(scenario)
     dx, dx0, _, _, _ = ctx.layout.split(ctx.field(y, t))
-    return dx[0, 0], dx0[0], ctx.evaluate(y, t), ctx.faults
+    ctx.evaluate(y, t)
+    return dx[0, 0], dx0[0], ctx, ctx.faults
 
 
 def platoon_models():
@@ -75,10 +77,10 @@ class TestAgentDerivative:
     def test_forcing_adds_u_and_w(self):
         model = dyn.AgentModel(drift=lambda x, t: 0.25,
                                disturbance=dyn.constant_disturbance(0.5))
-        out, _, ev, _ = one_agent_field(model, zero_leader(), np.array([0.3, -0.2]),
-                                        np.zeros(2), 0.0)
-        assert ev.u[0, 0] != 0.0
-        assert out[1] == pytest.approx(0.25 + ev.u[0, 0] + 0.5)
+        out, _, ctx, _ = one_agent_field(model, zero_leader(), np.array([0.3, -0.2]),
+                                         np.zeros(2), 0.0)
+        assert ctx.u[0, 0] != 0.0
+        assert out[1] == pytest.approx(0.25 + ctx.u[0, 0] + 0.5)
 
     def test_non_finite_drift_is_recorded(self):
         model = dyn.AgentModel(drift=lambda x, t: math.inf,

@@ -153,8 +153,10 @@ class TestDerivativeField:
         wide = dataclasses.replace(scenario, gains=dataclasses.replace(scenario.gains, psi_i0=4.0))
         y = sim.initial_state(scenario)
         y[6:] = np.linspace(-0.4, 0.4, y.size - 6)   # the weights
-        u_skip = sim._SimContext([scenario]).evaluate(y, 0.3).u
-        u_full = sim._SimContext([wide]).evaluate(y, 0.3).u
+        skip, full = sim._SimContext([scenario]), sim._SimContext([wide])
+        skip.evaluate(y, 0.3)
+        full.evaluate(y, 0.3)
+        u_skip, u_full = skip.u, full.u
         assert u_skip[0, 1].tobytes() == u_full[0, 1].tobytes()
         assert u_skip[0, 0] != u_full[0, 0]
 
@@ -167,7 +169,8 @@ class TestDerivativeField:
         for bad in (math.nan, math.inf):
             y[0] = bad
             with np.errstate(all="ignore"):
-                assert not math.isfinite(ctx.evaluate(y, 0.2).u[0, 0])
+                ctx.evaluate(y, 0.2)
+            assert not math.isfinite(ctx.u[0, 0])
 
     def test_crowded_fleet_matches_oracles(self):
         """Sorted-gap pair scan and grouped models against the per-agent oracles."""
@@ -205,7 +208,7 @@ class TestDerivativeField:
                 agents[:, 0] = trial[rng.permutation(n)]
             pos = agents[:, 0]
             dense = np.abs(pos[:, None] - pos[None, :])[~np.eye(pos.size, dtype=bool)].min()
-            assert ctx.distances(ctx.evaluate(y, 0.0).agents)[0][0] == dense
+            assert ctx.record(y, 0.0)[8][0] == dense   # min_pair_distance
 
 
 def assert_field_matches_oracles(scenario, seed, t_now):
@@ -452,17 +455,17 @@ class TestWorkspace:
         ctx = sim._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
-        recorder = sim._Recorder(1)
-        recorder.record(ctx, y, 0.37, [0])
         # agents, leader, u, errors, r and rel_errors, as the record keeps them
-        kept = recorder.rows[0][1:7]
+        kept = ctx.record(y, 0.37)[1:7]
         before = [a.tobytes() for a in kept]
         other = y * 1.5 - 0.2
         ctx.evaluate(other, 0.5)
         ctx.field(other, 0.5)
         assert [a.tobytes() for a in kept] == before
-        ev = sim._SimContext([scenario]).evaluate(y, 0.37)
-        fresh = (ev.agents, ev.leader, ev.u, ev.errors, ev.r, ev.rel_errors)
+        fresh_ctx = sim._SimContext([scenario])
+        fresh_ctx.evaluate(y, 0.37)
+        fresh = (fresh_ctx.agents, fresh_ctx.leader, fresh_ctx.u, fresh_ctx.errors,
+                 fresh_ctx.r, fresh_ctx.rel_errors)
         assert [a.tobytes() for a in fresh] == before
 
     def test_the_field_after_a_record_equals_a_fresh_field(self):
@@ -471,17 +474,27 @@ class TestWorkspace:
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
         expected = sim._SimContext([scenario]).field(y, 0.37)
-        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        ctx.record(y, 0.37)
         assert ctx.field(y, 0.37).tobytes() == expected.tobytes()
         # the evaluation serves one call, at the recorded state and time only
-        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        ctx.record(y, 0.37)
         moved = y.copy()
         moved[0] += 0.25
         assert ctx.field(moved, 0.37).tobytes() == \
             sim._SimContext([scenario]).field(moved, 0.37).tobytes()
-        sim._Recorder(1).record(ctx, y, 0.37, [0])
+        ctx.record(y, 0.37)
         assert ctx.field(y, 0.38).tobytes() == \
             sim._SimContext([scenario]).field(y, 0.38).tobytes()
+
+    def test_a_zero_pair_distance_is_written_as_a_positive_zero(self):
+        # agent 0 at +0.0 and agent 1 at -0.0: a stable sort keeps that order,
+        # whose gap is -0.0; the record writes every zero gap as 0.0
+        scenario = small_scenario(duration=0.0)
+        scenario = dataclasses.replace(scenario, initial=dyn.FleetState(
+            agents=np.array([[0.0, 0.1], [-0.0, -0.2]]), leader=scenario.initial.leader))
+        trace = sim.run(scenario)
+        assert trace.min_pair_distance.tolist() == [0.0]
+        assert math.copysign(1.0, trace.min_pair_distance[0]) == 1.0
 
     def test_each_step_computes_four_evaluations(self, monkeypatch):
         # the step after a record takes its first stage from the record's
@@ -596,6 +609,29 @@ class TestMetrics:
         # analytic crossing of 1.1 * b_hat
         t_star = 8.0 - math.log(1.1) / rate
         assert abs(out["settling_time"] - t_star) <= 0.01 + 1e-9
+
+    def test_settling_time_equals_the_backward_scan(self):
+        rng = np.random.default_rng(17)
+        times = np.cumsum(rng.uniform(0.01, 0.1, size=15))
+        patterns = [rng.random(15) < p for p in (0.2, 0.5, 0.8, 0.95) for _ in range(25)]
+        patterns += [np.ones(15, dtype=bool), np.zeros(15, dtype=bool),
+                     np.arange(15) < 14,                  # only the last record fails
+                     np.ones(1, dtype=bool), np.zeros(1, dtype=bool)]
+        for ok in patterns:
+            t = times[:ok.size]
+            assert sim.settling_time(t, ok).hex() == ref.settling_time(t, ok).hex(), ok
+
+    def test_settling_time_with_nan_norms(self):
+        # a NaN norm is never within the bound; one in the window makes the
+        # bound NaN, so no record is
+        times = np.linspace(0.0, 1.0, 11)
+        for nan_at, ok in ((3, np.arange(11) != 3), (10, np.zeros(11, dtype=bool))):
+            delta1 = np.zeros(11)
+            delta1[nan_at] = math.nan
+            got = sim.metrics(synthetic_trace(times, delta1))["settling_time"]
+            assert got.hex() == ref.settling_time(times, ok).hex()
+        assert sim.metrics(synthetic_trace(times, np.where(times < 0.35, math.nan, 0.0))
+                           )["settling_time"] == times[4]
 
     def test_empty_trace_raises(self):
         trace = synthetic_trace(np.zeros(0), np.zeros(0))
