@@ -32,73 +32,47 @@ SWEEP_BATCH_AGENTS = 128
 
 FIG_FILES = ("fig_positions.csv", "fig_velocities.csv", "fig_pos_error.csv",
              "fig_vel_error.csv", "fig_controls.csv")
+# per figure file its trace.csv columns after t: the leader's, then one series per agent
+_FIG_COLUMNS = ((["x1_0"], "x1"), ([], "x2"), ([], "E1"), ([], "E2"), ([], "u"))
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def trace_columns(n_agents: int, order: int) -> list[str]:
-    """The documented trace.csv header, in order."""
-    cols = ["t"]
-    for i in range(1, n_agents + 1):
-        cols += [f"x{k}_{i}" for k in range(1, order + 1)]
-    cols += [f"x{k}_0" for k in range(1, order + 1)]
-    cols += [f"u_{i}" for i in range(1, n_agents + 1)]
-    for i in range(1, n_agents + 1):
-        cols += [f"e{k}_{i}" for k in range(1, order + 1)]
-    cols += [f"r_{i}" for i in range(1, n_agents + 1)]
-    for i in range(1, n_agents + 1):
-        cols += [f"E{k}_{i}" for k in range(1, order + 1)]
-    for i in range(1, n_agents + 1):
-        cols += [f"thf_norm_{i}", f"thw_norm_{i}", f"thl_norm_{i}"]
-    cols += ["min_pair_distance", "min_obstacle_distance"]
-    return cols
+def write_trace_csv(stack, path: Path, n_agents: int, order: int):
+    """Open trace.csv at path on the ExitStack and write its header; return
+    the function that writes a one-variant sim.Record as a line, its values
+    in sim.trace_columns order and with the bytes of _fmt, and returns it."""
+    header = sim.trace_columns(n_agents, order)
+    fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+    fh.write(",".join(header) + "\n")
+    template = ",".join(["%.17g"] * len(header)) + "\n"   # one call per record
+
+    def write(record: sim.Record) -> str:
+        line = template % tuple(np.concatenate([a.reshape(-1) for a in record]).tolist())
+        fh.write(line)
+        return line
+    return write
 
 
-def _series(times: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """The (T, C) block of the times followed by each (T, ...) block flattened per row."""
-    return np.concatenate([times[:, None]] + [b.reshape(times.size, -1) for b in blocks], axis=1)
-
-
-def write_trace_csv(trace: sim.Trace, path: Path) -> None:
-    """trace.csv: the header, then one line per record, each value as _fmt writes it."""
-    block = _series(trace.times, trace.agents, trace.leader, trace.controls, trace.errors,
-                    trace.r, trace.rel_errors, trace.weight_norms,
-                    trace.min_pair_distance, trace.min_obstacle_distance)
-    header = trace_columns(trace.n_agents, trace.order)
-    line = ",".join(["%.17g"] * len(header)) + "\n"   # the bytes of _fmt, one call per row
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_figure_data(stack, out_dir: Path, n_agents: int, order: int):
+    """Open the per-figure plot data files in out_dir on the ExitStack and
+    write their headers; return the function that writes a line of each,
+    picking its cells from one trace.csv line, so no value is formatted twice."""
+    column = {name: j for j, name in enumerate(sim.trace_columns(n_agents, order))}
+    figures = []
+    for name, (lead, series) in zip(FIG_FILES, _FIG_COLUMNS):
+        header = ["t"] + lead + [f"{series}_{i}" for i in range(1, n_agents + 1)]
+        fh = stack.enter_context(open(out_dir / name, "w", encoding="utf-8", newline="\n"))
         fh.write(",".join(header) + "\n")
-        for row in block:
-            fh.write(line % tuple(row.tolist()))
+        figures.append((fh, operator.itemgetter(*[column[c] for c in header])))
 
-
-def write_figure_data(trace: sim.Trace, out_dir: Path) -> None:
-    """Per-figure plot data: positions, velocities, errors, controls.
-
-    Every figure column is a trace.csv column, so each figure line picks its
-    cells from the matching line of the out_dir/trace.csv that
-    write_trace_csv wrote for this trace; no value is formatted twice.
-    """
-    ids = range(1, trace.n_agents + 1)
-    headers = zip(FIG_FILES, (["t", "x1_0"] + [f"x1_{i}" for i in ids],
-                              ["t"] + [f"x2_{i}" for i in ids],
-                              ["t"] + [f"E1_{i}" for i in ids],
-                              ["t"] + [f"E2_{i}" for i in ids],
-                              ["t"] + [f"u_{i}" for i in ids]))
-    with contextlib.ExitStack() as stack:
-        source = stack.enter_context(open(out_dir / "trace.csv", encoding="utf-8", newline="\n"))
-        column = {name: j for j, name in enumerate(source.readline().rstrip("\n").split(","))}
-        figures = []
-        for name, header in headers:
-            fh = stack.enter_context(open(out_dir / name, "w", encoding="utf-8", newline="\n"))
-            fh.write(",".join(header) + "\n")
-            figures.append((fh, operator.itemgetter(*[column[c] for c in header])))
-        for line in source:
-            cells = line.rstrip("\n").split(",")
-            for fh, pick in figures:
-                fh.write(",".join(pick(cells)) + "\n")
+    def write(line: str) -> None:
+        cells = line[:-1].split(",")
+        for fh, pick in figures:
+            fh.write(",".join(pick(cells)) + "\n")
+    return write
 
 
 def cmd_run(args) -> int:
@@ -112,27 +86,31 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    trace = sim.run(scenario)
+    summary = sim.Summary()
+    out_dir = Path(args.out)
+    n_agents, order = scenario.topology.n_agents, scenario.initial.order
     try:
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(trace, out_dir / "trace.csv")
-        write_figure_data(trace, out_dir)
-        if trace.aborted is None:
-            summary = sim.metrics(trace)
-            summary["aborted"] = None
-        else:
-            summary = {"aborted": trace.aborted, "records": int(trace.times.size)}
-        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with contextlib.ExitStack() as stack:   # every output is open before the first step
+            write_trace = write_trace_csv(stack, out_dir / "trace.csv", n_agents, order)
+            write_figures = write_figure_data(stack, out_dir, n_agents, order)
+            summary_fh = stack.enter_context(open(out_dir / "summary.json", "w", encoding="utf-8"))
+
+            def sink(record, _live):   # one variant, live at each of its records
+                write_figures(write_trace(record))
+                summary.add(record, 0)
+            aborted = sim.run(scenario, sink)
+            result = (dict(summary.result(), aborted=None) if aborted is None
+                      else {"aborted": aborted, "records": len(summary.times)})
+            json.dump(result, summary_fh, indent=2, sort_keys=True)
+            summary_fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    if trace.aborted is not None:
-        print(f"simulation aborted: {trace.aborted}", file=sys.stderr)
+    if aborted is not None:
+        print(f"simulation aborted: {aborted}", file=sys.stderr)
         return 2
-    print(f"wrote {out_dir / 'trace.csv'} ({trace.times.size} records)")
+    print(f"wrote {out_dir / 'trace.csv'} ({len(summary.times)} records)")
     return 0
 
 
@@ -199,7 +177,8 @@ def cmd_diagnose(args) -> int:
     print(f"omega = {np.array2string(report.omega, precision=6)}")
     print(f"omega_l1 = {report.omega_l1:.12g}")
     print(f"sigma_min(K) = {report.sigma_min_k:.12g}")
-    print(f"B_d = {report.b_d:.12g}")
+    print(f"B_d = {report.b_d:.12g}" if report.positive_definite
+          else "B_d = undefined (K is not positive definite)")
     if args.json is not None:
         payload = {name: value.tolist() if isinstance(value, np.ndarray) else value
                    for name, value in dataclasses.asdict(report).items()}
@@ -256,21 +235,25 @@ def _resolve_param(doc: dict, name: str) -> str:
     return (hits + others)[0]   # a field that is not a number fails when it is set
 
 
-def _sweep_row(value: float, trace: sim.Trace) -> tuple:
-    if trace.aborted is None:
-        summary = sim.metrics(trace)
-        return (value, summary["settling_time"], summary["ultimate_bound"][0],
-                summary["min_pair_distance"])
-    min_pair = float(trace.min_pair_distance.min()) if trace.times.size else float("nan")
-    return (value, float("nan"), float("nan"), min_pair)
-
-
 def _sweep_group(task: tuple) -> list:
     """The sweep.csv rows of a batch of points that share one sim.batch_key,
-    integrated together; a task is (values, scenario documents as JSON text)."""
+    integrated together, each summarised as its records are made; a task
+    is (values, scenario documents as JSON text)."""
     values, docs = task
-    traces = sim.run_many([sio.parse_scenario(json.loads(doc)) for doc in docs])
-    return [_sweep_row(value, trace) for value, trace in zip(values, traces)]
+    summaries = [sim.Summary() for _ in values]
+
+    def sink(record, live):
+        for k in live:
+            summaries[k].add(record, k)
+    aborted = sim.run_many([sio.parse_scenario(json.loads(doc)) for doc in docs], sink)
+    return [_sweep_row(*point) for point in zip(values, summaries, aborted)]
+
+
+def _sweep_row(value: float, summary: sim.Summary, aborted) -> tuple:
+    if aborted is not None:   # no settling time or bound; the distance up to the abort
+        return value, math.nan, math.nan, float(np.min(summary.min_pair))
+    result = summary.result()
+    return value, result["settling_time"], result["ultimate_bound"][0], result["min_pair_distance"]
 
 
 def _sweep_batches(members: list, n_agents: int, cap: int) -> list:
@@ -339,28 +322,25 @@ def cmd_sweep(args) -> int:
             batches.append(batch)
             tasks.append(([values[i] for i in batch], [jobs[i] for i in batch]))
     workers = min(cap, len(tasks))
-    if workers > 1:
-        import concurrent.futures   # only here: it costs every command ~6 ms to import
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_group, tasks))
-    else:
-        results = [_sweep_group(task) for task in tasks]
-    rows = [None] * len(values)
-    for batch, batch_rows in zip(batches, results):
-        for index, row in zip(batch, batch_rows):
-            rows[index] = row
-
+    out_dir = Path(args.out)
     try:
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # open before the first step, written after the pool (no bytes for a fork to inherit)
         with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+            if workers > 1:
+                import concurrent.futures   # only here: it costs every command ~6 ms to import
+                with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(_sweep_group, tasks))
+            else:
+                results = [_sweep_group(task) for task in tasks]
+            rows = dict(zip(sum(batches, []), sum(results, [])))   # point index -> row
             fh.write("value,settling_time,ultimate_bound,min_pair_distance\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for i in range(len(values)):
+                fh.write(",".join(_fmt(v) for v in rows[i]) + "\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} rows)")
+    print(f"wrote {out_dir / 'sweep.csv'} ({len(values)} rows)")
     return 0
 
 

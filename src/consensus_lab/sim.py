@@ -10,8 +10,8 @@ Scenarios that share a structure (``batch_key``) integrate as one stacked
 state: the field evaluates every variant at once, and each variant's trace
 is bitwise the one it gives alone (``run`` is ``run_many`` of one).
 
-Aborts (non-finite values, weight-norm circuit breaker) are recorded on the
-trace rather than raised, so partial traces stay inspectable.
+Each record goes to a sink as it is made.  Aborts (non-finite values,
+weight-norm circuit breaker) end a scenario's records rather than raise.
 """
 
 import dataclasses
@@ -28,17 +28,17 @@ from . import estimator as nn
 from . import graph as gr
 
 RECORD_STRIDE_DEFAULT = 10
-# The most work a scenario may ask for, checked when it is validated: RK4
-# steps, and values in its trace (records times trace_width).  At the step
-# limit a run of the five-vehicle platoon takes about an hour; the trace
-# limit is 160 MB of float64 (about 0.4 GB as trace.csv).  The bundled
-# platoon asks for 40 000 steps and 240 060 trace values.
+# The most work a run may ask for: RK4 steps, checked when a scenario is
+# validated, and values in a trace that run/run_many collect whole (records
+# times the trace_columns).  At the step limit a run of the five-vehicle
+# platoon takes about an hour; the trace limit is 160 MB of float64.  The
+# bundled platoon asks for 40 000 steps and 240 060 trace values.
 MAX_STEPS = 10_000_000
 MAX_TRACE_VALUES = 20_000_000
 
 
 class EmptyTrace(ValueError):
-    """metrics() was asked to summarize a trace with no records."""
+    """A Summary of no records was asked for its result."""
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ValueError("sim.dt must not exceed a positive sim.duration")
     if scenario.record_stride < 1:
         raise ValueError("sim.record_stride must be >= 1")
-    records = record_count(scenario)
-    width = trace_width(n_agents, n)
-    if records * width > MAX_TRACE_VALUES:
-        raise ValueError(f"sim.record_stride: {records} records of {width} trace values "
-                         f"exceed the limit of {MAX_TRACE_VALUES} values "
-                         f"(sim.MAX_TRACE_VALUES); record less often")
     if not gr.has_leader_spanning_tree(topo):
         raise ValueError("topology has no leader spanning tree: some agent cannot hear the leader")
     for name in ("f_basis", "leader_basis"):
@@ -196,13 +190,6 @@ def record_count(scenario: Scenario) -> int:
     record_stride-th step and the last step."""
     steps = _step_count(scenario)
     return 1 + steps // scenario.record_stride + (steps % scenario.record_stride > 0)
-
-
-def trace_width(n_agents: int, order: int) -> int:
-    """Values per trace record, the columns of trace.csv: t, the agent and
-    leader states, u, e, r and E, three weight norms per agent, and the two
-    smallest distances."""
-    return 3 + order + n_agents * (3 * order + 5)
 
 
 def _basis_key(basis: nn.BasisSpec) -> tuple:
@@ -482,10 +469,10 @@ class _SimContext:
         np.multiply(r, self.p_vec, out=self.s_fac)
         self.s_fac *= self.pin
 
-    def record(self, y: np.ndarray, t: float) -> tuple:
-        """Evaluate at (y, t) and return the K-stacked trace row: one entry
-        per Trace field, in their order, copied out of the workspace.  The
-        evaluation stays there for the field's next call at (y, t)."""
+    def record(self, y: np.ndarray, t: float) -> "Record":
+        """Evaluate at (y, t) and return the Record of the K variants,
+        copied out of the workspace.  The evaluation stays there for the
+        field's next call at (y, t)."""
         self.evaluate(y, t)
         self.recorded = t
         n_var, na = self.u.shape
@@ -497,9 +484,9 @@ class _SimContext:
                     else np.full(n_var, math.inf))
         min_obst = (self.obstacle_distances.reshape(n_var, -1).min(axis=1)
                     if self.obstacles.shape[-1] else np.full(n_var, math.inf))
-        return (np.full(n_var, t), self.agents.copy(), self.leader.copy(), self.u.copy(),
-                self.errors.copy(), self.r.copy(), self.rel_errors.copy(), norms,
-                min_pair, min_obst)
+        return Record(np.full(n_var, t), self.agents.copy(), self.leader.copy(), self.u.copy(),
+                      self.errors.copy(), self.r.copy(), self.rel_errors.copy(), norms,
+                      min_pair, min_obst)
 
     def _pair_push(self, pos: np.ndarray) -> np.ndarray:
         """Per agent the pair term of u_c: pair_gain times the sum of the
@@ -671,33 +658,48 @@ class Trace:
     min_obstacle_distance: np.ndarray  # (T,), inf when no obstacles
     aborted: Optional[str] = None
 
-    @property
-    def n_agents(self) -> int:
-        return self.agents.shape[1]
 
-    @property
-    def order(self) -> int:
-        return self.agents.shape[2]
+# One instant of K stacked runs: per Trace field, its rows with a leading variant axis.
+Record = NamedTuple("Record", [(f.name, np.ndarray) for f in dataclasses.fields(Trace)][:-1])
 
 
-def run_many(scenarios) -> list:
+def trace_columns(n_agents: int, order: int) -> list[str]:
+    """The names of a record's values, in Record order: the trace.csv header."""
+    ids, ks = range(1, n_agents + 1), range(1, order + 1)
+    chains = {x: [f"{x}{k}_{i}" for i in ids for k in ks] for x in "xeE"}   # per agent, per order
+    return (["t"] + chains["x"] + [f"x{k}_0" for k in ks] + [f"u_{i}" for i in ids] + chains["e"]
+            + [f"r_{i}" for i in ids] + chains["E"] + [f"th{w}_norm_{i}" for i in ids for w in "fwl"]
+            + ["min_pair_distance", "min_obstacle_distance"])
+
+
+def run_many(scenarios, sink=None) -> list:
     """Integrate scenarios that share one batch_key as one stacked state.
 
     One RK4 loop, with one field evaluation per stage, advances every
-    scenario; each returned trace is bitwise the one the scenario gives
-    alone.  Abort reasons (non-finite values, weight norms beyond the
-    circuit breaker) are stored on the trace instead of being raised; an
-    aborted scenario stops recording and the others run on.
+    scenario and hands each Record to ``sink(record, live)``, with the
+    indices of the variants live at it.  An abort (non-finite values, weight
+    norms beyond the circuit breaker) ends that scenario's records; the abort
+    reasons are returned, None where none.  Without a sink each scenario's
+    Trace is returned, bitwise the one it gives alone, unless its values
+    would exceed MAX_TRACE_VALUES.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    ctx = _SimContext(scenarios)
     first = scenarios[0]
-    # one K-stacked row per record, and per variant the rows recorded while
-    # it was live: a stopped variant never records again, so its trace is
-    # its first rows
-    rows, counts = [], [0] * len(scenarios)
+    collecting = sink is None
+    if collecting:
+        records = record_count(first)
+        width = len(trace_columns(first.topology.n_agents, first.initial.order))
+        if records * width > MAX_TRACE_VALUES:
+            raise ValueError(f"sim.record_stride: {records} records of {width} trace values exceed "
+                             f"sim.MAX_TRACE_VALUES = {MAX_TRACE_VALUES}; record less often")
+        rows = [[] for _ in scenarios]   # per variant its records' rows
+
+        def sink(record, live):
+            for k in live:
+                rows[k].append([a[k] for a in record])
+    ctx = _SimContext(scenarios)
     y = initial_state(*scenarios)
     t0, dt, stride = first.initial.time, first.dt, first.record_stride
     n_steps = _step_count(first)
@@ -715,10 +717,8 @@ def run_many(scenarios) -> list:
 
     def record(t: float) -> None:
         row = ctx.record(y, t)
-        rows.append(row)
-        for k in live:
-            counts[k] += 1
-        max_norms = row[7].reshape(len(scenarios), -1).max(axis=1)   # the weight norms
+        sink(row, live)
+        max_norms = row.weight_norms.reshape(len(scenarios), -1).max(axis=1)
         for k in [k for k in live if max_norms[k] > ctx.breaker[k]]:
             stop(k, f"weight norm {max_norms[k]:.3e} exceeds circuit breaker at t={t:g}")
 
@@ -744,48 +744,68 @@ def run_many(scenarios) -> list:
                 np.copyto(y, y0, where=stopped)
             if live and (step % stride == 0 or step == n_steps):
                 record(t)
-    columns = [np.stack(column) for column in zip(*rows)]
-    return [Trace(*[c[:n, k] for c in columns], aborted=reason)
-            for k, (n, reason) in enumerate(zip(counts, aborted))]
+    if not collecting:
+        return aborted
+    return [Trace(*map(np.stack, zip(*rows_k)), aborted=reason)
+            for rows_k, reason in zip(rows, aborted)]
 
 
-def run(scenario: Scenario) -> Trace:
-    """Integrate one scenario and record every record_stride steps (run_many of one)."""
-    return run_many([scenario])[0]
+def run(scenario: Scenario, sink=None):
+    """run_many of one scenario: its Trace, or with a sink its abort reason."""
+    return run_many([scenario], sink)[0]
 
 
-def metrics(trace: Trace) -> dict:
-    """Summary statistics: peaks, empirical ultimate bounds, settling time.
+class Summary:
+    """Summary statistics of a run, folded over its records in order: peaks,
+    empirical ultimate bounds, settling time; n + 3 floats kept per record.
 
     The empirical ultimate bound of order k is the maximum of ||delta^k||
     over the last 20% of the horizon; the settling time is the first
     recorded instant after which ||delta^1|| stays within 1.1x that bound.
     """
-    if trace.times.size == 0:
-        raise EmptyTrace("trace has no records")
+
+    def __init__(self):
+        self.times, self.norms, self.min_pair, self.min_obstacle = [], [], [], []
+        self.peak = self.last = None
+
+    def add(self, row, k: int) -> None:
+        """Fold in entry k of `row`, which has Trace's field names: variant
+        k of a Record, or record k of a Trace."""
+        rel = row.rel_errors[k]                           # (N, n)
+        self.last = np.abs(rel)
+        self.peak = self.last if self.peak is None else np.maximum(self.peak, self.last)
+        self.norms.append(np.linalg.norm(rel, axis=0))   # ||delta^k|| over agents
+        self.times.append(row.times[k])
+        self.min_pair.append(row.min_pair_distance[k])
+        self.min_obstacle.append(row.min_obstacle_distance[k])
+
+    def result(self) -> dict:
+        if not self.times:
+            raise EmptyTrace("trace has no records")
+        times, norms = np.array(self.times), np.array(self.norms)   # (T,), (T, n)
+        t_cut = times[0] + 0.8 * (times[-1] - times[0])
+        ultimate = norms[times >= t_cut].max(axis=0)
+        tol = 1.1 * ultimate[0]
+        return {
+            "peak_abs_rel_error": self.peak.tolist(),     # (N, n)
+            "final_abs_rel_error": self.last.tolist(),    # (N, n)
+            "ultimate_bound": ultimate.tolist(),          # per order
+            "settling_time": settling_time(times, norms[:, 0] <= tol * (1.0 + 1e-12)),
+            "min_pair_distance": float(np.min(self.min_pair)),
+            "min_obstacle_distance": float(np.min(self.min_obstacle)),
+            "duration": float(times[-1] - times[0]),
+            "records": int(times.size),
+        }
+
+
+def metrics(trace: Trace) -> dict:
+    """The Summary of a whole trace that did not abort."""
     if trace.aborted is not None:
         raise ValueError(f"cannot summarize an aborted trace: {trace.aborted}")
-    times = trace.times
-    rel = trace.rel_errors                      # (T, N, n)
-    abs_rel = np.abs(rel)
-    t_cut = times[0] + 0.8 * (times[-1] - times[0])
-    window = times >= t_cut
-    norms = np.linalg.norm(rel, axis=1)         # (T, n): ||delta^k|| over agents
-    ultimate = norms[window].max(axis=0)
-
-    tol = 1.1 * ultimate[0]
-    ok = norms[:, 0] <= tol * (1.0 + 1e-12)
-
-    return {
-        "peak_abs_rel_error": abs_rel.max(axis=0).tolist(),      # (N, n)
-        "final_abs_rel_error": abs_rel[-1].tolist(),             # (N, n)
-        "ultimate_bound": ultimate.tolist(),                     # per order
-        "settling_time": settling_time(times, ok),
-        "min_pair_distance": float(trace.min_pair_distance.min()),
-        "min_obstacle_distance": float(trace.min_obstacle_distance.min()),
-        "duration": float(times[-1] - times[0]),
-        "records": int(times.size),
-    }
+    summary = Summary()
+    for i in range(trace.times.size):
+        summary.add(trace, i)
+    return summary.result()
 
 
 def settling_time(times: np.ndarray, ok: np.ndarray) -> float:

@@ -262,6 +262,36 @@ def settling_time(times: np.ndarray, ok: np.ndarray) -> float:
     return float(settled_from)
 
 
+def metrics(trace) -> dict:
+    """The run summary computed over the whole trace at once, as whole-array
+    numpy expressions: the reference for sim.Summary's fold over records."""
+    if trace.times.size == 0:
+        raise ValueError("trace has no records")
+    if trace.aborted is not None:
+        raise ValueError(f"cannot summarize an aborted trace: {trace.aborted}")
+    times = trace.times
+    rel = trace.rel_errors                      # (T, N, n)
+    abs_rel = np.abs(rel)
+    t_cut = times[0] + 0.8 * (times[-1] - times[0])
+    window = times >= t_cut
+    norms = np.linalg.norm(rel, axis=1)         # (T, n): ||delta^k|| over agents
+    ultimate = norms[window].max(axis=0)
+
+    tol = 1.1 * ultimate[0]
+    ok = norms[:, 0] <= tol * (1.0 + 1e-12)
+
+    return {
+        "peak_abs_rel_error": abs_rel.max(axis=0).tolist(),      # (N, n)
+        "final_abs_rel_error": abs_rel[-1].tolist(),             # (N, n)
+        "ultimate_bound": ultimate.tolist(),                     # per order
+        "settling_time": settling_time(times, ok),
+        "min_pair_distance": float(trace.min_pair_distance.min()),
+        "min_obstacle_distance": float(trace.min_obstacle_distance.min()),
+        "duration": float(times[-1] - times[0]),
+        "records": int(times.size),
+    }
+
+
 # ---------------------------------------------------------------------------
 # LAPACK reference solves of the two certificates, through scipy.
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -39,7 +40,7 @@ class TestRunCommand:
         for name in ALL_OUTPUTS:
             assert (out / name).exists(), name
         header = (out / "trace.csv").read_text().splitlines()[0]
-        assert header.split(",") == cli.trace_columns(2, 2)
+        assert header.split(",") == sim.trace_columns(2, 2)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aborted"] is None
         assert summary["records"] == 51  # 500 steps at stride 10, plus t=0
@@ -86,7 +87,11 @@ class TestRunCommand:
         assert "aborted" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())
         assert summary["aborted"] is not None
-        assert (out / "trace.csv").exists()  # partial trace stays inspectable
+        # the partial trace stays inspectable: every record up to the abort
+        lines = len((out / "trace.csv").read_text().splitlines())
+        assert lines == summary["records"] + 1
+        for name in cli.FIG_FILES:
+            assert len((out / name).read_text().splitlines()) == lines, name
 
     def test_usage_error_exit_code_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -142,6 +147,9 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert "minor 5" in captured.out
         assert "NotPositiveDefinite" in captured.err
+        # K is indefinite, so there is no ball for B_d to be the radius of
+        b_d = [line for line in captured.out.splitlines() if line.startswith("B_d =")]
+        assert b_d == ["B_d = undefined (K is not positive definite)"]
 
     def test_zero_bounds_reduce_omega_to_lambda(self, tmp_path, capsys):
         bounds = {"beta": 1.0, "kappa": 1.0, "kappaw": 1.0, "kappa0": 1.0,
@@ -469,6 +477,22 @@ def test_oversized_basis_names_json_path(tmp_path, capsys, basis, command):
     assert len(lines) == 1 and f"nn.{basis}.per_axis" in lines[0], lines
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "builtin:close_pair"],
+    ["sweep", "--scenario", "builtin:close_pair", "--param", "nn.kappa", "--values", "0.5,2"],
+])
+def test_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch, argv):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated before the outputs were opened")
+    monkeypatch.setattr(sim, "run_many", integrate)
+    monkeypatch.setenv(cli.THREADS_ENV, "1")
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory", encoding="utf-8")
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "cannot write outputs" in lines[0], lines
+
+
 @pytest.mark.parametrize("override, message", [
     (["--dt", "1e-320"], "step count"),
     (["--duration", "inf"], "step count"),
@@ -481,13 +505,15 @@ def test_step_count_override_must_be_finite(tmp_path, capsys, override, message)
     assert len(lines) == 1 and message in lines[0], lines
 
 
-# documents that ask for more than the step budget (sim.MAX_STEPS,
-# sim.MAX_TRACE_VALUES), keyed by the field the message names
+# documents that ask for more than the step budget (sim.MAX_STEPS), keyed
+# by the field the message names
 OVER_BUDGET_SIM = {
     "sim.dt": {"dt": 1e-300, "duration": 0.01},             # 1e298 steps
     "sim.duration": {"duration": 1e5},                       # 1e8 steps of 1 ms
-    "sim.record_stride": {"duration": 800.0, "record_stride": 1},   # 800 001 x 27 values
 }
+# a trace beyond sim.MAX_TRACE_VALUES: 800 001 records of 27 values, which
+# the commands stream and only a collected trace refuses
+LONG_TRACE_SIM = {"duration": 800.0, "record_stride": 1}
 
 
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
@@ -517,9 +543,28 @@ def test_overrides_and_sweep_points_keep_the_step_budget(tmp_path, capsys, argv)
     assert not (tmp_path / "o").exists()
 
 
+def test_a_trace_beyond_the_trace_cap_is_checked(tmp_path, capsys):
+    doc = load_builtin_doc("close_pair")
+    doc["sim"].update(LONG_TRACE_SIM)
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_streams_a_trace_beyond_the_trace_cap(tmp_path, monkeypatch):
+    argv = ["run", "--scenario", "builtin:vehicle_platoon", "--duration", "0.3"]
+    assert cli.main(argv + ["--out", str(tmp_path / "under")]) == 0
+    monkeypatch.setattr(sim, "MAX_TRACE_VALUES", 100)   # 31 records of 60 values are over it
+    assert cli.main(argv + ["--out", str(tmp_path / "over")]) == 0
+    for name in ALL_OUTPUTS:
+        assert (tmp_path / "over" / name).read_bytes() == \
+            (tmp_path / "under" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("n_agents, order", [(1, 2), (5, 2), (3, 4)])
 def test_trace_width_counts_the_trace_columns(n_agents, order):
-    assert sim.trace_width(n_agents, order) == len(cli.trace_columns(n_agents, order))
+    # t, the agent and leader states, u, e, r and E, three weight norms per
+    # agent, and the two smallest distances
+    assert len(sim.trace_columns(n_agents, order)) == 3 + order + n_agents * (3 * order + 5)
 
 
 def huge_weights_doc(weight, where):
@@ -764,8 +809,8 @@ def test_batches_split_at_the_agent_bound(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "1")             # batches run in this process
     calls = []
     run_many = sim.run_many
-    monkeypatch.setattr(sim, "run_many", lambda scenarios: calls.append(len(scenarios))
-                        or run_many(scenarios))
+    monkeypatch.setattr(sim, "run_many", lambda scenarios, sink=None: calls.append(
+        len(scenarios)) or run_many(scenarios, sink))
     doc = short_pair_doc(0.1)
     values = [0.5, 0.9, 1.3, 1.7, 2.1]
     assert sweep_rows(tmp_path, doc, "nn.kappa", values) == \
@@ -799,7 +844,7 @@ def cell_trace(n_agents, order, records=4):
     rng = np.random.default_rng(order)
     pool = np.concatenate([SPECIAL_VALUES,
                            rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)])
-    width = len(cli.trace_columns(n_agents, order))
+    width = len(sim.trace_columns(n_agents, order))
     matrix = np.resize(pool, (records, width))
     shapes = {"times": (), "agents": (n_agents, order), "leader": (order,),
               "controls": (n_agents,), "errors": (n_agents, order), "r": (n_agents,),
@@ -819,10 +864,14 @@ def test_writers_format_each_cell_as_fmt(tmp_path, order):
     trace, matrix = cell_trace(3, order)
     assert {cli._fmt(v) for v in SPECIAL_VALUES} >= {
         "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "1e+308", "-3", "9007199254740992"}
-    cli.write_trace_csv(trace, tmp_path / "trace.csv")
-    cli.write_figure_data(trace, tmp_path)
+    with contextlib.ExitStack() as stack:   # each record as run writes it
+        write_trace = cli.write_trace_csv(stack, tmp_path / "trace.csv", 3, order)
+        write_figures = cli.write_figure_data(stack, tmp_path, 3, order)
+        for i in range(len(matrix)):
+            write_figures(write_trace(sim.Record(*[getattr(trace, name)[i:i + 1]
+                                                   for name in sim.Record._fields])))
     lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ",".join(cli.trace_columns(3, order))
+    assert lines[0] == ",".join(sim.trace_columns(3, order))
     assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in matrix]
     columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
     for name in cli.FIG_FILES:

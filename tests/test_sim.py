@@ -649,6 +649,92 @@ class TestMetrics:
         assert out["min_pair_distance"] > 0.0
 
 
+def bits(value):
+    """A summary with every float as its hex form: equal only when bitwise equal."""
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def random_trace(rng, n_agents, order, records):
+    """A Trace of random fields: E_i0 over many magnitudes, increasing times."""
+    def field(*shape):
+        return rng.standard_normal((records,) + shape) * 10.0 ** rng.integers(-8, 8, (records,) + shape)
+    return sim.Trace(
+        times=np.cumsum(rng.uniform(0.001, 0.1, records)), agents=field(n_agents, order),
+        leader=field(order), controls=field(n_agents), errors=field(n_agents, order),
+        r=field(n_agents), rel_errors=field(n_agents, order),
+        weight_norms=np.abs(field(n_agents, 3)), min_pair_distance=np.abs(field()),
+        min_obstacle_distance=np.abs(field()))
+
+
+class TestSummaryFold:
+    """The fold over records against the whole-trace oracle, bit for bit."""
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("n_agents", [1, 2, 5, 8, 9, 200])
+    @pytest.mark.parametrize("records", [1, 2, 37])
+    def test_random_traces(self, n_agents, order, records):
+        rng = np.random.default_rng(1000 * n_agents + 10 * order + records)
+        trace = random_trace(rng, n_agents, order, records)
+        assert bits(sim.metrics(trace)) == bits(ref.metrics(trace))
+
+    @pytest.mark.parametrize("n_agents", [1, 9])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_traces_with_non_finite_values(self, n_agents, value):
+        rng = np.random.default_rng(7)
+        for i, j, k in [(0, 0, 0), (20, n_agents - 1, 1), (36, 0, 1)]:
+            trace = random_trace(rng, n_agents, 2, 37)
+            trace.rel_errors[i, j, k] = value
+            trace.min_pair_distance[i] = abs(value)
+            trace.min_obstacle_distance[36 - i] = abs(value)
+            assert bits(sim.metrics(trace)) == bits(ref.metrics(trace)), (i, j, k)
+
+    @pytest.mark.parametrize("name", ["vehicle_platoon", "close_pair", "obstacle_gate",
+                                      "close_pair:no_avoidance"])
+    def test_bundled_runs(self, bundled, name):
+        trace = bundled.trace(name)
+        assert bits(sim.metrics(trace)) == bits(ref.metrics(trace))
+
+    def test_a_sink_folds_each_variant_as_its_trace_gives(self):
+        variants = stacked_variants()
+        summaries = [sim.Summary() for _ in variants]
+
+        def sink(record, live):
+            for k in live:
+                summaries[k].add(record, k)
+        aborted = sim.run_many(variants, sink)
+        traces = sim.run_many(variants)
+        assert aborted == [trace.aborted for trace in traces]
+        for summary, trace in zip(summaries, traces):
+            if trace.aborted is None:
+                assert bits(summary.result()) == bits(ref.metrics(trace))
+            assert summary.times == trace.times.tolist()
+
+
+class TestTraceCap:
+    def test_a_collected_trace_beyond_the_cap_is_refused(self):
+        # 800 001 records of 27 values, refused before the first step
+        scenario = dataclasses.replace(small_scenario(), duration=800.0, record_stride=1)
+        for collect in (sim.run, lambda s: sim.run_many([s, s])):
+            with pytest.raises(ValueError, match="sim.record_stride"):
+                collect(scenario)
+
+    def test_a_sink_streams_a_trace_beyond_the_cap(self, monkeypatch):
+        scenario = small_scenario(duration=0.1)
+        trace = sim.run(scenario)
+        monkeypatch.setattr(sim, "MAX_TRACE_VALUES", 100)
+        with pytest.raises(ValueError, match="sim.record_stride"):
+            sim.run(scenario)
+        records = []
+        assert sim.run(scenario, lambda record, live: records.append(record)) is None
+        for name in sim.Record._fields:
+            assert np.array_equal(np.concatenate([getattr(r, name) for r in records]),
+                                  getattr(trace, name)), name
+
+
 class TestBoundedness:
     def test_fleet_states_stay_within_ten_times_initial_envelope(self, bundled):
         trace = bundled.trace("vehicle_platoon")
