@@ -69,10 +69,6 @@ class FleetState:
         object.__setattr__(self, "time", float(self.time))
 
     @property
-    def n_agents(self) -> int:
-        return self.agents.shape[0]
-
-    @property
     def order(self) -> int:
         return self.agents.shape[1]
 

@@ -10,6 +10,7 @@ augmented graph contains a spanning tree rooted at the leader.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,37 +183,41 @@ def graph_lyapunov(topology: Topology) -> GraphLyapunov:
     topologies that pass the spanning-tree check the certificate always
     succeeds (Q is a symmetric strictly diagonally dominant Z-matrix there);
     for directed reducible topologies Q can be indefinite even with a
-    spanning tree, and this reports it.
+    spanning tree, and this reports it.  No verdict depends on the weight
+    scale: each is taken on £ times 2^-e, in [0.5, 1) in magnitude, which
+    scales q by 2^e, P by 2^-e and Q by 2^-2e exactly; the certificate is
+    scaled back, with inf for a Q beyond the float range.
     """
     pounds = pinned_laplacian(topology)
-    n = topology.n_agents
     scale = np.max(np.abs(pounds))
     if scale == 0.0:
         raise SingularPinnedLaplacian("pinned Laplacian is identically zero")
     if not np.isfinite(scale):
         raise SingularPinnedLaplacian("pinned Laplacian overflows the float range")
-    pivots = _lu_pivots(pounds)
-    if not np.min(pivots) >= PIVOT_RTOL * scale:
+    e = math.frexp(scale)[1]
+    unit, unit_scale = np.ldexp(pounds, -e, out=pounds), math.ldexp(scale, -e)
+    pivots = _lu_pivots(unit)
+    if not np.min(pivots) >= PIVOT_RTOL * unit_scale:
         raise SingularPinnedLaplacian(
             f"pinned Laplacian is numerically singular (pivot ratio "
-            f"{np.min(pivots) / scale:.3e} < {PIVOT_RTOL:g})"
+            f"{np.min(pivots) / unit_scale:.3e} < {PIVOT_RTOL:g})"
         )
     try:
-        q = np.linalg.solve(pounds, np.ones(n))
+        q = np.linalg.solve(unit, np.ones(len(unit)))
     except np.linalg.LinAlgError as exc:
         raise SingularPinnedLaplacian(f"pinned Laplacian solve failed: {exc}") from None
     if np.any(q <= 0):
         raise NonPositiveQ(f"solve produced non-positive q entries: {q}")
     p = 1.0 / q
-    m = p[:, None] * pounds
+    m = p[:, None] * unit
     q_matrix = m + m.T
-    if not np.isfinite(q_matrix).all():
-        raise SingularPinnedLaplacian("pinned Laplacian too large: the certificate Q "
-                                      "overflows the float range")
-    min_eig = float(np.linalg.eigvalsh(q_matrix)[0])
+    min_eig = np.linalg.eigvalsh(q_matrix)[0]
     if min_eig <= Q_EIG_TOL:
-        raise NonPositiveQ(f"Q has minimum eigenvalue {min_eig:.3e} <= {Q_EIG_TOL:g}")
-    return GraphLyapunov(q=q, p_diag=p, q_matrix=q_matrix, min_eig_q=min_eig)
+        raise NonPositiveQ(f"Q has minimum eigenvalue {min_eig:.3e} <= {Q_EIG_TOL:g} "
+                           f"for the pinned Laplacian scaled by 2^{-e}")
+    with np.errstate(over="ignore"):
+        return GraphLyapunov(np.ldexp(q, -e), np.ldexp(p, e),
+                             np.ldexp(q_matrix, 2 * e, out=q_matrix), np.ldexp(min_eig, 2 * e))
 
 
 def proximity_augment(topology: Topology, first_states: np.ndarray, psi_threshold: float) -> Topology:

@@ -104,7 +104,7 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
         raise ValueError("w_basis must be a time basis")
     try:
-        with np.errstate(all="ignore"):   # an overflow fails the certificate's checks
+        with np.errstate(all="ignore"):   # a degree sum beyond the float range fails the checks
             topo.certificate   # solved here and cached on the topology
     except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
         raise ValueError(f"topology: no graph Lyapunov certificate: {exc}") from None
@@ -330,11 +330,12 @@ class _SimContext:
         # next field call (see field), else None
         self.recorded = None
         self._workspace(n_var, na, n)
-        self.drifts = self._calls([m.drift for s in scenarios for m in s.agent_models],
-                                  self.flat)
+        # per row of the chains part (every agent, then every leader) its variant and drift
+        self.row_variant = [i // na for i in range(n_var * na)] + list(range(n_var))
+        self.drifts = self._calls([m.drift for s in scenarios for m in s.agent_models]
+                                  + [s.leader_model.drift for s in scenarios], self.chains)
         self.disturbances = self._calls([m.disturbance for s in scenarios
                                          for m in s.agent_models], None)
-        self.leader_drifts = self._calls([s.leader_model.drift for s in scenarios], self.leader)
 
     def _workspace(self, n_var: int, na: int, n: int) -> None:
         """The buffers the field works in, and their views, made once."""
@@ -352,8 +353,7 @@ class _SimContext:
         # the state, copied in once per evaluation
         self.state = empty(size)
         self.chains = self.state[:i1].reshape(-1, n)
-        self.flat = self.chains[:rows]
-        self.agents = self.flat.reshape(s_x)
+        self.agents = self.chains[:rows].reshape(s_x)
         self.leader = self.chains[rows:]
         self.leader_pos = self.leader[:, :1]
         self.pos = self.agents[:, :, 0]
@@ -392,20 +392,21 @@ class _SimContext:
         self.out = empty(size)
         d_chains = self.out[:i1].reshape(-1, n)
         self.d_shift, self.chains_hi = d_chains[:, :n - 1], self.chains[:, 1:]
-        self.forcing, self.f0 = d_chains[:rows, n - 1], d_chains[rows:, n - 1]
-        self.f_vals, self.w_vals = empty(rows), empty(rows)
+        self.drift_vals = d_chains[:, n - 1]
+        self.forcing, self.f0 = self.drift_vals[:rows], self.drift_vals[rows:]
+        self.w_vals = empty(rows)
         self.d_f = self.out[i1:i2].reshape(self.phi_f.shape)
         self.d_w = self.out[i2:i3].reshape(rows, layout.p_w)
         self.d_l = self.out[i3:].reshape(s_l)
         self.d_theta = self.out[i1:]
 
-    @staticmethod
-    def _calls(models, states) -> tuple:
+    def _calls(self, models, states) -> tuple:
         """The models of one kind, grouped as _batches returns them, with
         each loose callable's row of `states` (None for a disturbance, which
-        reads only t)."""
+        reads only t) and that row's variant."""
         batches, loose = _batches(models)
-        return batches, [(i, model, None if states is None else states[i]) for i, model in loose]
+        return batches, [(i, model, None if states is None else states[i], self.row_variant[i])
+                         for i, model in loose]
 
     # Everything downstream of the raw state snapshot, shared by the field
     # evaluation and by trace recording so both see identical numbers: it
@@ -534,21 +535,21 @@ class _SimContext:
         sums[slots] = acc
         return self.pair_gain * sums.reshape(n_var, na)
 
-    def _call_models(self, models, out, states, t: float, per_variant: int) -> None:
+    def _call_models(self, models, out, states, t: float) -> None:
         """Write the value of model i into out[i] for the models of one kind,
         as _calls lists them: each group's kernel over its rows of `states`,
         then each loose callable on its state row, or on t alone.  A loose
-        model that raises gives nan and is the fault of variant
-        i // per_variant unless that variant already has one."""
+        model that raises gives nan and is the fault of its row's variant
+        unless that variant already has one."""
         batches, loose = models
         for b in batches:
             out[b.index] = b.kernel(b.consts, [states[b.index, k] for k in b.columns], t)
-        for i, model, row in loose:
+        for i, model, row, variant in loose:
             try:
                 out[i] = model(t) if row is None else model(row, t)
             except _MODEL_ERRORS as exc:
                 out[i] = math.nan
-                self.faults.setdefault(i // per_variant, exc)
+                self.faults.setdefault(variant, exc)
 
     def field(self, y: np.ndarray, t: float) -> np.ndarray:
         """The derivative of the stacked state, a new array; a variant whose
@@ -559,28 +560,23 @@ class _SimContext:
         if self.recorded != t or self.state.tobytes() != y.tobytes():
             self.evaluate(y, t)
         self.recorded = None
-        na = self.layout.n_agents
 
         np.copyto(self.d_shift, self.chains_hi)   # each chain shifts up by one order
+        # every chain's drift goes straight into its forcing column, where the
+        # agents' rows then add u and w: (f + u) + w
+        forcing, w_vals = self.forcing, self.w_vals
+        self._call_models(self.drifts, self.drift_vals, self.chains, t)
+        self._call_models(self.disturbances, w_vals, None, t)
         # per variant the first fault wins: a raising callable, then a
         # non-finite drift or disturbance, then the leader's
-        f_vals, w_vals, forcing = self.f_vals, self.w_vals, self.forcing
-        self._call_models(self.drifts, f_vals, self.flat, t, na)
-        self._call_models(self.disturbances, w_vals, None, t, na)
-        np.add(f_vals, self.u_flat, out=forcing)
-        forcing += w_vals
-        if not math.isfinite(np.add.reduce(forcing)):   # a non-finite term, or only a large sum
-            finite = np.logical_and.reduce(
-                (np.isfinite(f_vals) & np.isfinite(w_vals)).reshape(-1, na), axis=1)
+        if not math.isfinite(np.add.reduce(self.drift_vals) + np.add.reduce(w_vals)):
+            finite = (np.isfinite(forcing) & np.isfinite(w_vals)).reshape(self.u.shape).all(axis=1)
             for k in np.flatnonzero(~finite).tolist():
                 self.faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
-        f0 = self.f0
-        self._call_models(self.leader_drifts, f0, self.leader, t, 1)
-        f0_list = f0.tolist()
-        if not math.isfinite(sum(f0_list)):   # a non-finite term, or only a large sum
-            for k, value in enumerate(f0_list):
-                if not math.isfinite(value):
-                    self.faults.setdefault(k, f"non-finite leader drift at t={t}")
+            for k in np.flatnonzero(~np.isfinite(self.f0)).tolist():
+                self.faults.setdefault(k, f"non-finite leader drift at t={t}")
+        forcing += self.u_flat
+        forcing += w_vals
 
         # the theta part: g * (phi * s + kappa * theta) for all three laws
         s_rows = self.s_rows
@@ -890,6 +886,7 @@ def bd_value(omega_l1: float, sigma_min_k: float) -> float:
     return omega_l1 / sigma_min_k
 
 
+@np.errstate(all="ignore")
 def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
                      gains: ctl.ControlGains) -> DiagnosticsReport:
     """Assemble K, test its five Sylvester minors, and compute B_d.
@@ -897,12 +894,9 @@ def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
     Bounds large enough to overflow give infinite or NaN minors, which fail
     their test, so numpy's overflow warnings are silenced here.
     """
-    with np.errstate(all="ignore"):
-        return _cuub_diagnostics(bounds, topology, gains)
+    def sigma_min(matrix) -> float:   # nan for a matrix that is not finite, where the SVD fails
+        return float(np.linalg.norm(matrix, -2)) if np.isfinite(matrix).all() else math.nan
 
-
-def _cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
-                      gains: ctl.ControlGains) -> DiagnosticsReport:
     lyap = topology.certificate
     pounds = gr.pinned_laplacian(topology)
     adjacency = topology.adjacency
@@ -912,7 +906,7 @@ def _cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
     sig_a = float(np.linalg.norm(adjacency, 2)) if adjacency.size else 0.0
     sig_db_min = float(np.min(pin))
     sig_p = float(np.max(lyap.p_diag))
-    sig_q_min = float(np.linalg.svd(lyap.q_matrix, compute_uv=False)[-1])
+    sig_q_min = sigma_min(lyap.q_matrix)
     sig_pounds = float(np.linalg.norm(pounds, 2))
     alpha_bar = gains.alpha_bar if bounds.alpha_bar is None else bounds.alpha_bar
     p1 = ctl.lyapunov_P1(gains.lambda_bar, alpha_bar)
@@ -948,7 +942,7 @@ def _cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
     except (OverflowError, ZeroDivisionError):   # a square beyond the float range, or denom 0
         mu1_required = math.inf
 
-    sigma_min_k = float(np.linalg.svd(k, compute_uv=False)[-1])
+    sigma_min_k = sigma_min(k)
     omega = np.array([0.0, bounds.kappa * bounds.theta_f, bounds.kappaw * bounds.theta_w,
                       bounds.kappa0 * bounds.theta_leader, lam_cap])
     omega_l1 = (bounds.kappa * bounds.theta_f + bounds.kappaw * bounds.theta_w

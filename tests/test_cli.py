@@ -576,19 +576,10 @@ def huge_weights_doc(weight, where):
     return doc
 
 
-def uniform_weights_doc(weight):
-    doc = load_builtin_doc("vehicle_platoon")
-    topo = doc["topology"]
-    topo["adjacency"] = [[weight if w else 0 for w in row] for row in topo["adjacency"]]
-    topo["leader_weights"] = [weight if w else 0 for w in topo["leader_weights"]]
-    return doc
-
-
 # inputs whose numbers overflow in numpy while the scenario is loaded or
 # diagnosed; each must end in one line, with no RuntimeWarning on the way
 OVERFLOWING = {
     "degree sum": lambda: huge_weights_doc(1e308, [(0, 1), (1, 2)]),
-    "certificate": lambda: uniform_weights_doc(1e200),
 }
 
 
@@ -604,6 +595,70 @@ def test_overflowing_topology_warns_nothing(tmp_path, capsys, case, command):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and "topology" in lines[0], lines
+
+
+def scaled_weights_doc(scale):
+    """vehicle_platoon with its adjacency and leader weights times scale."""
+    doc = load_builtin_doc("vehicle_platoon")
+    topo = doc["topology"]
+    topo["adjacency"] = [[w * scale for w in row] for row in topo["adjacency"]]
+    topo["leader_weights"] = [w * scale for w in topo["leader_weights"]]
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e150, 1e160])
+def test_check_does_not_depend_on_the_weight_scale(tmp_path, capsys, scale):
+    # below 1e-4 the least eigenvalue of Q is under 1e-10; above about 1e154 Q overflows
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, scaled_weights_doc(scale))]) == 0
+    assert "graph Lyapunov certificate: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, code", [("check", 0), ("run", 2), ("sweep", 0),
+                                           ("diagnose", 1)])
+def test_weights_whose_certificate_q_overflows(tmp_path, capsys, command, code):
+    # the certificate holds, but Q (~ the weights squared) and the field's
+    # terms are beyond the float range: the run aborts, diagnose fails K
+    argv = [command, "--scenario", write_doc(tmp_path, scaled_weights_doc(1e160))]
+    if command == "sweep":
+        argv += ["--param", "nn.kappa", "--values", "0.5"]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == (code != 0), lines
+    if command == "run":
+        assert lines[0].startswith("simulation aborted: non-finite")
+    if command == "diagnose":
+        assert lines[0].startswith("NotPositiveDefinite")
+
+
+def order4_doc(lambda_xi):
+    """close_pair lifted to order-4 chains."""
+    doc = load_builtin_doc("close_pair")
+    doc["initial_states"] = {"agents": [[0.15, 0, 0, 0], [-0.15, 0, 0, 0]], "leader": [0] * 4}
+    doc["offsets"] = {"agents": [[0] * 4, [0] * 4], "leader": [0] * 4}
+    doc["gains"].update(lambda_xi=lambda_xi, c=[10.0, 6.0, 3.0, 1.0])
+    for basis in ("f_basis", "leader_basis"):
+        doc["nn"][basis]["box"] = [[-2, 2]] * 4
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lambda_xi", [[10.0, 20.0, 30.0], [1000.0, 1000.0, 1000.0]])
+def test_companion_lyapunov_residual_is_relative(tmp_path, capsys, lambda_xi):
+    # lambda_bar = [1e9, 3e6, 3e3] leaves an absolute residual of about 1e-8
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, order4_doc(lambda_xi))]) == 0
+    assert "companion Lyapunov solve: PASS (residual = " in capsys.readouterr().out
+
+
+def test_a_failed_check_is_one_line_and_exit_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "P1_RESIDUAL_TOL", -1.0)   # no residual passes
+    assert cli.main(["check", "--scenario", "builtin:close_pair"]) == 1
+    captured = capsys.readouterr()
+    assert "companion Lyapunov solve: FAIL (residual = " in captured.out
+    assert captured.err.splitlines() == ["FAILED: companion Lyapunov solve"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

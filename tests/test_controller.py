@@ -49,6 +49,11 @@ class TestHurwitz:
     def test_check_quadratic_roots(self):
         assert ctl.check_hurwitz([2.0, 3.0])  # roots -1, -2
 
+    @pytest.mark.parametrize("lam", [[], [[2.0]], [math.nan], [2.0, math.inf], [-math.inf]])
+    def test_check_rejects_empty_and_non_finite(self, lam):
+        # no companion matrix is built: eigvals would raise on these
+        assert not ctl.check_hurwitz(lam)
+
     @given(st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_synthesis_always_hurwitz(self, xi):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -26,11 +27,10 @@ def zero_leader():
     return dyn.LeaderModel(drift=lambda x, t: 0.0)
 
 
-def one_agent_field(model, leader, state, leader_state, t):
-    """Field rows of a single pinned agent and its leader, plus the context,
-    whose workspace holds the evaluated terms."""
+def one_agent_scenario(model, leader, state, leader_state):
+    """A single pinned agent and its leader."""
     n = len(state)
-    scenario = sim.Scenario(
+    return sim.Scenario(
         topology=gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
                              nu1=1.0, nu2=1.0),
         agent_models=(model,),
@@ -42,6 +42,12 @@ def one_agent_field(model, leader, state, leader_state, t):
                               w_basis=nn.fourier_basis((1.0,))),
         initial=dyn.FleetState(agents=[state], leader=leader_state),
         duration=0.0)
+
+
+def one_agent_field(model, leader, state, leader_state, t):
+    """Field rows of a single pinned agent and its leader, plus the context,
+    whose workspace holds the evaluated terms."""
+    scenario = one_agent_scenario(model, leader, state, leader_state)
     ctx = sim._SimContext([scenario])
     y = sim.initial_state(scenario)
     dx, dx0, _, _, _ = ctx.layout.split(ctx.field(y, t))
@@ -94,6 +100,75 @@ class TestLeaderDerivative:
         _, out, _, _ = one_agent_field(zero_model(), zero_leader(), np.zeros(2),
                                        np.array([3.0, 4.0]), 0.0)
         assert np.array_equal(out, [4.0, 0.0])
+
+    def test_non_finite_leader_drift_is_recorded(self):
+        leader = dyn.LeaderModel(drift=lambda x, t: -math.inf)
+        _, out, _, faults = one_agent_field(zero_model(), leader, np.zeros(2), np.zeros(2), 0.0)
+        assert faults == {0: "non-finite leader drift at t=0.0"}
+        assert out[-1] == -math.inf
+
+
+def raises(tag):
+    """A drift or disturbance callable that raises ValueError(tag)."""
+    def model(*args):
+        raise ValueError(tag)
+    return model
+
+
+def non_finite(*args):
+    return math.nan
+
+
+AGENT, DISTURBANCE, LEADER = raises("agent"), raises("disturbance"), raises("leader")
+
+
+class TestFaultOrder:
+    """Per variant the first fault wins: a drift or disturbance callable that
+    raises (the drifts of every chain are called first, agents before
+    leaders), then a non-finite agent drift or disturbance, then a non-finite
+    leader drift."""
+
+    @pytest.mark.parametrize("agent_drift, disturbance, leader_drift, first", [
+        (non_finite, None, LEADER, "leader"),
+        (AGENT, None, non_finite, "agent"),
+        (AGENT, None, LEADER, "agent"),
+        (None, DISTURBANCE, LEADER, "leader"),
+        (None, DISTURBANCE, non_finite, "disturbance"),
+        (non_finite, None, non_finite, "non-finite drift or disturbance at t=0.0"),
+        (None, non_finite, non_finite, "non-finite drift or disturbance at t=0.0"),
+        (None, None, non_finite, "non-finite leader drift at t=0.0"),
+    ], ids=["leader-raises-over-agent-nan", "agent-raises-over-leader-nan", "agent-raises-first",
+            "leader-drift-raises-before-disturbance", "disturbance-raises-over-leader-nan",
+            "agent-drift-nan-over-leader-nan", "disturbance-nan-over-leader-nan", "leader-nan"])
+    def test_first_fault_wins(self, agent_drift, disturbance, leader_drift, first):
+        model = dyn.AgentModel(drift=agent_drift or (lambda x, t: 0.0),
+                               disturbance=disturbance or dyn.constant_disturbance(0.0))
+        _, _, _, faults = one_agent_field(model, dyn.LeaderModel(drift=leader_drift),
+                                          np.zeros(2), np.zeros(2), 0.0)
+        fault = faults[0]
+        assert (str(fault) if isinstance(fault, ValueError) else fault) == first
+
+    def test_each_variant_is_charged_with_its_own_fault(self):
+        base = one_agent_scenario(zero_model(), zero_leader(), np.zeros(2), np.zeros(2))
+        bad_leader = dataclasses.replace(base, leader_model=dyn.LeaderModel(drift=LEADER))
+        bad_agent = dataclasses.replace(base, agent_models=(
+            dyn.AgentModel(drift=non_finite, disturbance=dyn.constant_disturbance(0.0)),))
+        bad_both = dataclasses.replace(bad_agent, leader_model=dyn.LeaderModel(drift=non_finite))
+        variants = [base, bad_leader, base, bad_agent, bad_both]
+        ctx = sim._SimContext(variants)
+        ctx.field(sim.initial_state(*variants), 0.5)
+        assert set(ctx.faults) == {1, 3, 4}
+        assert isinstance(ctx.faults[1], ValueError)
+        assert ctx.faults[3] == ctx.faults[4] == "non-finite drift or disturbance at t=0.5"
+
+    def test_the_field_calls_the_models_twice(self, monkeypatch):
+        # the drifts of every chain in one call, the disturbances in another
+        calls = []
+        call_models = sim._SimContext._call_models
+        monkeypatch.setattr(sim._SimContext, "_call_models",
+                            lambda ctx, *args: calls.append(1) or call_models(ctx, *args))
+        one_agent_field(zero_model(), zero_leader(), np.zeros(2), np.zeros(2), 0.0)
+        assert len(calls) == 2
 
     def test_fleet_leader_at_origin(self):
         # -3*0 + 1 - g*sin(alpha(0)) - 0 + (0 + 6)/2000 - (-1)^2(-1)/(3*2000)

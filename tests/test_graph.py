@@ -243,6 +243,72 @@ class TestGraphLyapunovAgainstLapack:
             gr.graph_lyapunov(t)
 
 
+PLATOON_ADJACENCY = [[0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1],
+                     [0, 0, 0, 1, 0]]
+
+
+class TestScaleFreeVerdict:
+    """The verdict is taken on the pinned Laplacian scaled by a power of two
+    into [0.5, 1) in magnitude; the certificate itself is that of £."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1.0, 1e150, 1e160, 1e300])
+    def test_the_platoon_passes_at_any_weight_scale(self, scale):
+        # below 1e-4 its Q has a least eigenvalue below Q_EIG_TOL; from about
+        # 1e154 up Q itself is beyond the float range
+        t = topo(np.array(PLATOON_ADJACENCY) * scale, np.array([1.0, 0, 0, 0, 0]) * scale)
+        lyap = gr.graph_lyapunov(t)
+        assert np.all(lyap.q > 0) and np.all(np.isfinite(lyap.p_diag))
+        assert (lyap.min_eig_q <= gr.Q_EIG_TOL) == (scale < 1e-4)
+        assert (lyap.min_eig_q == np.inf) == (scale > 1e154)
+
+    @pytest.mark.parametrize("k", [-60, -3, 1, 7, 500, 1000])
+    def test_a_power_of_two_scales_the_certificate_exactly(self, k):
+        rng = np.random.default_rng(abs(k))
+        for _ in range(20):
+            t = random_pinned_topology(rng, int(rng.integers(2, 12)), directed_fraction=0.0)
+            scaled = topo(np.ldexp(t.adjacency, k), np.ldexp(t.leader_weights, k), t.nu1, t.nu2)
+            a, b = gr.graph_lyapunov(t), gr.graph_lyapunov(scaled)
+            with np.errstate(over="ignore"):
+                assert np.array_equal(b.q, np.ldexp(a.q, -k))
+                assert np.array_equal(b.p_diag, np.ldexp(a.p_diag, k))
+                assert np.array_equal(b.q_matrix, np.ldexp(a.q_matrix, 2 * k))
+                assert b.min_eig_q == np.ldexp(a.min_eig_q, 2 * k)
+
+    def test_a_certificate_keeps_the_bits_of_the_unscaled_solve(self):
+        # q, P, Q and min_eig_q as solved on £ itself
+        rng = np.random.default_rng(29)
+        certified = 0
+        for _ in range(200):
+            t = random_pinned_topology(rng, int(rng.integers(2, 30)))
+            s = 10.0 ** rng.uniform(-3, 3)
+            t = topo(t.adjacency * s, t.leader_weights * s, t.nu1, t.nu2, t.undirected)
+            try:
+                lyap = gr.graph_lyapunov(t)
+            except gr.NonPositiveQ:
+                continue
+            certified += 1
+            pounds = gr.pinned_laplacian(t)
+            q = np.linalg.solve(pounds, np.ones(t.n_agents))
+            m = (1.0 / q)[:, None] * pounds
+            assert np.array_equal(lyap.q, q)
+            assert np.array_equal(lyap.p_diag, 1.0 / q)
+            assert np.array_equal(lyap.q_matrix, m + m.T)
+            assert lyap.min_eig_q == np.linalg.eigvalsh(m + m.T)[0]
+        assert certified >= 150
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e100])
+    def test_a_singular_or_indefinite_topology_fails_at_any_scale(self, scale):
+        t = topo(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) * scale,
+                 np.array([1e-20, 0, 0]) * scale)
+        with pytest.raises(gr.SingularPinnedLaplacian, match="pivot ratio"):
+            gr.graph_lyapunov(t)
+        adj = np.array([[0.0, 3.787, 0.717], [1.0, 0.0, 0.922], [0.0, 1.0, 0.0]])
+        t = topo(adj * scale, np.array([1.0, 0.0, 0.0]) * scale, undirected=False)
+        with pytest.raises(gr.NonPositiveQ):
+            gr.graph_lyapunov(t)
+
+
 def chain_topology(n, leader_weights):
     adj = np.zeros((n, n))
     i = np.arange(n - 1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
@@ -134,6 +135,17 @@ class TestBounds:
         scenario = sio.parse_scenario(minimal_doc())
         with pytest.raises(sio.ScenarioError, match="t_m"):
             sio.parse_bounds({"t_m": -1.0}, scenario)
+
+    def test_explicit_alpha_bar(self):
+        scenario = sio.parse_scenario(minimal_doc())
+        assert sio.parse_bounds({}, scenario).alpha_bar is None
+        bounds = sio.parse_bounds({"alpha_bar": 2.5}, scenario)
+        assert bounds.alpha_bar == 2.5
+        report = sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
+        p1 = ctl.lyapunov_P1(scenario.gains.lambda_bar, 2.5)
+        assert report.graph_quantities["sigma_max_P1"] == float(np.linalg.norm(p1, 2))
+        with pytest.raises(sio.ScenarioError, match="alpha_bar"):
+            sio.parse_bounds({"alpha_bar": 0.0}, scenario)
 
 
 class TestBuiltinCatalog:

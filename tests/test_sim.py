@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -132,6 +133,34 @@ class TestDerivativeField:
     def test_matches_per_agent_law_and_tuning(self, strict):
         """The vectorized field must reproduce control_input and the tuning laws."""
         assert_field_matches_oracles(small_scenario(strict=strict), seed=8, t_now=0.83)
+
+    def test_time_rbf_disturbance_basis_matches_oracles(self):
+        # a document's w_basis given as time RBF {centers, width}
+        doc = json.loads(sio.builtin_scenario_text("close_pair"))
+        doc["nn"]["w_basis"] = {"centers": [0.0, 0.5, 1.5], "width": 0.4}
+        scenario = sio.parse_scenario(doc)
+        assert scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_TIME
+        for seed, t in ((1, 0.0), (2, 0.37), (3, 1.9)):
+            assert_field_matches_oracles(scenario, seed, t)
+            ctx = sim._SimContext([scenario])
+            ctx.evaluate(sim.initial_state(scenario), t)
+            assert ctx.phi_w.tolist() == pytest.approx(
+                [math.exp(-(c - t) ** 2 / (2 * 0.4 ** 2)) for c in (0.0, 0.5, 1.5)], rel=1e-15)
+
+    def test_a_leader_drift_shares_its_kernel_with_agent_drifts(self):
+        # the leader's expression differs from agent 1's only in a literal,
+        # so one kernel call serves both chains' rows
+        base = small_scenario()
+        leader = dyn.LeaderModel(drift=dyn.compile_state_expression("cos(s) - 0.3*v", 2))
+        scenario = dataclasses.replace(base, leader_model=leader)
+        ctx = sim._SimContext([scenario])
+        batches, loose = ctx.drifts
+        assert [b.index.tolist() for b in batches] == [[0, 2]]
+        assert [i for i, *_ in loose] == [1]
+        y = sim.initial_state(scenario)
+        _, dx0, _, _, _ = ctx.layout.split(ctx.field(y, 0.3))
+        assert dx0[0, -1] == leader.drift(scenario.initial.leader, 0.3)
+        assert ctx.faults == {}
 
     @pytest.mark.parametrize("signless", [False, True])
     def test_fleet_far_from_the_leader_matches_oracles(self, signless):
