@@ -116,6 +116,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a, taken of a times the power of two that brings its
+    largest magnitude into [0.5, 1), so that no square overflows or underflows;
+    bitwise np.linalg.norm(a) where that is exact, inf or nan if a holds one."""
+    peak = float(np.max(np.abs(a)))
+    if not 0 < peak < math.inf:
+        return peak
+    exp = math.frexp(peak)[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -exp)), exp))
+
+
 def cmd_check(args) -> int:
     try:
         scenario, _doc = sio.load_scenario(args.scenario)
@@ -127,12 +138,13 @@ def cmd_check(args) -> int:
     # the Hurwitz lambda_bar; those lines report what it found
     gains = scenario.gains
     lyap = scenario.topology.certificate
-    cond = float(np.linalg.cond(gr.pinned_laplacian(scenario.topology)))
-    p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
-    delta = ctl.companion(gains.lambda_bar)
-    residual = float(np.linalg.norm(
-        delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]), "fro"))
-    terms = 2.0 * np.linalg.norm(delta) * np.linalg.norm(p1) + gains.alpha_bar * math.sqrt(len(p1))
+    # lambda_bar's products may leave the float range; a residual that does fails its line
+    with np.errstate(all="ignore"):
+        cond = float(np.linalg.cond(gr.pinned_laplacian(scenario.topology)))
+        p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
+        delta = ctl.companion(gains.lambda_bar)
+        residual = _norm(delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]))
+        terms = 2.0 * _norm(delta) * _norm(p1) + gains.alpha_bar * math.sqrt(len(p1))
     checks = [
         ("leader spanning tree", True, ""),
         ("pinned laplacian conditioning", bool(np.isfinite(cond)), f"cond = {cond:.6g}"),
@@ -141,7 +153,8 @@ def cmd_check(args) -> int:
          f"P in [{lyap.p_diag.min():.6g}, {lyap.p_diag.max():.6g}], "
          f"min eig Q = {lyap.min_eig_q:.6g}"),
         ("Hurwitz lambda_bar", True, f"lambda_bar = {np.array2string(gains.lambda_bar)}"),
-        ("companion Lyapunov solve", residual <= P1_RESIDUAL_TOL * terms,
+        ("companion Lyapunov solve",
+         math.isfinite(residual) and residual <= P1_RESIDUAL_TOL * terms,
          f"residual = {residual:.3e}"),
     ]
 
@@ -157,6 +170,18 @@ def cmd_check(args) -> int:
         print(f"FAILED: {failed}", file=sys.stderr)
         return 1
     return 0
+
+
+def _strict_json(value):
+    """value with arrays as lists and each float that is not finite as the
+    string "nan", "inf" or "-inf", which strict JSON has no number for."""
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
 
 
 def cmd_diagnose(args) -> int:
@@ -184,11 +209,10 @@ def cmd_diagnose(args) -> int:
     print(f"B_d = {report.b_d:.12g}" if report.positive_definite
           else "B_d = undefined (K is not positive definite)")
     if args.json is not None:
-        payload = {name: value.tolist() if isinstance(value, np.ndarray) else value
-                   for name, value in dataclasses.asdict(report).items()}
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump(_strict_json(dataclasses.asdict(report)), fh, indent=2, sort_keys=True,
+                          allow_nan=False)
                 fh.write("\n")
         except OSError as exc:
             print(f"error: cannot write {args.json}: {exc.strerror}", file=sys.stderr)

@@ -45,11 +45,10 @@ class LeaderModel:
 
 @dataclass(frozen=True)
 class FleetState:
-    """Stacked follower states (N, n), leader state (n,), and the clock."""
+    """Stacked follower states (N, n) and leader state (n,) at t = 0."""
 
     agents: np.ndarray
     leader: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         agents = np.array(self.agents, dtype=float)
@@ -60,13 +59,10 @@ class FleetState:
             raise ValueError("leader state length must match the chain order")
         if not (np.all(np.isfinite(agents)) and np.all(np.isfinite(leader))):
             raise ValueError("states must be finite")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
         agents.setflags(write=False)
         leader.setflags(write=False)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "leader", leader)
-        object.__setattr__(self, "time", float(self.time))
 
     @property
     def order(self) -> int:

@@ -26,6 +26,8 @@ DEFAULT_GRID_PER_AXIS = 5
 # scenarios use 35 and 24 centres.
 MAX_GRID_CENTERS = 4096
 DEFAULT_FOURIER_FREQS = (2.0, 1.0)
+# The circuit breaker: a run aborts once a weight norm exceeds this.
+WEIGHT_BREAKER = 1e6
 
 
 class DimensionMismatch(ValueError):
@@ -186,7 +188,7 @@ class NNConfig:
     One scalar tuning gain F (times identity) is shared by all families, as
     exposed in the scenario file; per-family damping constants kappa,
     kappa0, kappaw.  Weights start at zero, the unforced equilibrium of the
-    damped laws.  weight_breaker is the norm at which a run aborts.
+    damped laws.
     """
 
     f_basis: BasisSpec
@@ -196,7 +198,6 @@ class NNConfig:
     kappa: float = 0.05
     kappa0: float = 0.05
     kappaw: float = 0.05
-    weight_breaker: float = 1e6
 
     def __post_init__(self):
         if not self.gain > 0:

@@ -51,8 +51,8 @@ class Topology:
 
     adjacency: np.ndarray
     leader_weights: np.ndarray
-    nu1: float
-    nu2: float
+    nu1: float = 1.0
+    nu2: float = 1.0
     undirected: bool = True
 
     def __post_init__(self):

@@ -23,8 +23,6 @@ from . import sim
 SCHEMA_VERSION = 1
 BUILTIN_PREFIX = "builtin:"
 
-_MISSING = object()
-
 
 class ScenarioError(ValueError):
     """Scenario file problem, carrying the JSON path of the offending field."""
@@ -80,9 +78,7 @@ def _finite(value, here: str) -> float:
     return value
 
 
-def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
-    if key not in doc and default is not _MISSING:
-        return default
+def _get_number(doc, key, path, minimum=None, positive=False):
     value = _require(doc, key, path, "number")
     here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -95,9 +91,7 @@ def _get_number(doc, key, path, default=_MISSING, minimum=None, positive=False):
     return value
 
 
-def _get_int(doc, key, path, default=_MISSING, minimum=None):
-    if key not in doc and default is not _MISSING:
-        return default
+def _get_int(doc, key, path, minimum=None):
     value = _require(doc, key, path, "integer")
     here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -107,16 +101,14 @@ def _get_int(doc, key, path, default=_MISSING, minimum=None):
     return value
 
 
-def _get_bool(doc, key, path, default=False):
-    value = doc.get(key, default)
+def _get_bool(doc, key, path):
+    value = doc[key]
     if not isinstance(value, bool):
         raise ScenarioError(_here(path, key), "expected true or false")
     return value
 
 
-def _get_array(doc, key, path, default=_MISSING, flat=False):
-    if key not in doc and default is not _MISSING:
-        return default
+def _get_array(doc, key, path, flat=False):
     value = _require(doc, key, path, "array")
     here = _here(path, key)
     if not isinstance(value, list):
@@ -134,13 +126,19 @@ def _get_array(doc, key, path, default=_MISSING, flat=False):
     return arr
 
 
-def _get_dict(doc, key, path, default=_MISSING):
-    if key not in doc and default is not _MISSING:
-        return default
+def _get_dict(doc, key, path):
     value = _require(doc, key, path, "object")
     if not isinstance(value, dict):
         raise ScenarioError(_here(path, key), f"expected an object, got {type(value).__name__}")
     return value
+
+
+def _given(get, doc, path, keys, names=None, **check) -> dict:
+    """get(doc, key, path, **check) of each of keys that doc holds, in keys
+    order, by its dataclass field name (names maps a key to a different
+    one).  A key doc lacks is left out, so its dataclass default applies."""
+    names = names or {}
+    return {names.get(key, key): get(doc, key, path, **check) for key in keys if key in doc}
 
 
 def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
@@ -149,15 +147,10 @@ def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
     leader_weights = _get_array(topo, "leader_weights", "topology", flat=True)
     if leader_weights.size == 0:
         raise ScenarioError("topology.leader_weights", "lists no agent")
-    nu1 = _get_number(topo, "nu1", "topology", default=1.0, positive=True)
-    nu2 = _get_number(topo, "nu2", "topology", default=1.0, positive=True)
-    undirected = _get_bool(topo, "undirected", "topology", default=True)
+    kwargs = _given(_get_number, topo, "topology", ("nu1", "nu2"), positive=True)
+    kwargs.update(_given(_get_bool, topo, "topology", ("undirected",)))
     with _at("topology"):
-        topology = gr.Topology(
-            adjacency=adjacency,
-            leader_weights=leader_weights,
-            nu1=nu1, nu2=nu2, undirected=undirected,
-        )
+        topology = gr.Topology(adjacency=adjacency, leader_weights=leader_weights, **kwargs)
     if topology.n_agents != initial_positions.shape[0]:
         raise ScenarioError("initial_states.agents",
                             f"got {initial_positions.shape[0]} states for {topology.n_agents} agents")
@@ -177,7 +170,7 @@ def _compile_expression(path: str, text, compile_text, *args):
 
 def _parse_drift(obj: dict, path: str, order: int, leader: bool):
     """The drift of the agent or leader object at `path`; a builtin is built for its mass."""
-    mass = _get_number(obj, "mass", path, default=1.0, positive=True)
+    mass = _get_number(obj, "mass", path, positive=True) if "mass" in obj else 1.0
     spec = _require(obj, "drift", path)
     path = f"{path}.drift"
     registry = dyn.BUILTIN_LEADER_DRIFTS if leader else dyn.BUILTIN_AGENT_DRIFTS
@@ -242,26 +235,16 @@ def _parse_gains(doc: dict) -> ctl.ControlGains:
         xi = _get_array(gd, "lambda_xi", "gains")
         with _at("gains.lambda_xi"):
             lambda_bar = ctl.hurwitz_lambda(xi)
-    c = _get_array(gd, "c", "gains")
-    obstacles = _get_array(doc, "obstacles", "", default=np.zeros(0), flat=True)
-    kwargs = dict(
-        lambda_bar=lambda_bar,
-        c=c,
-        gamma0=_get_number(gd, "gamma0", "gains", default=0.0, minimum=0.0),
-        gamma1=_get_number(gd, "gamma1", "gains", default=0.0, minimum=0.0),
-        gamma2=_get_number(gd, "gamma2", "gains", default=0.0, minimum=0.0),
-        chi=_get_number(gd, "chi", "gains", default=1.0, positive=True),
-        psi_ij=_get_number(gd, "psi_ij", "gains", default=1.0, positive=True),
-        psi_i0=_get_number(gd, "psi_i0", "gains", default=1.0, positive=True),
-        detect_radius=_get_number(gd, "R", "gains", default=2.0, positive=True),
-        obstacle_radius=_get_number(gd, "core_radius", "gains", default=0.5, positive=True),
-        alpha_bar=_get_number(gd, "alpha_bar", "gains", default=1.0, positive=True),
-        obstacles=obstacles,
-        strict_decentralized=_get_bool(doc, "strict_decentralized", ""),
-        signless_avoidance=_get_bool(doc, "signless_avoidance", ""),
-    )
-    for key, name in (("R", "detect_radius"), ("core_radius", "obstacle_radius")):
-        if math.isinf(kwargs[name] * kwargs[name]):   # the field uses the squared radii
+    kwargs = dict(lambda_bar=lambda_bar, c=_get_array(gd, "c", "gains"))
+    kwargs.update(_given(_get_array, doc, "", ("obstacles",), flat=True))
+    kwargs.update(_given(_get_number, gd, "gains", ("gamma0", "gamma1", "gamma2"), minimum=0.0))
+    radii = {"R": "detect_radius", "core_radius": "obstacle_radius"}
+    kwargs.update(_given(_get_number, gd, "gains", ("chi", "psi_ij", "psi_i0", *radii, "alpha_bar"),
+                         radii, positive=True))
+    kwargs.update(_given(_get_bool, doc, "", ("strict_decentralized", "signless_avoidance")))
+    for key, name in radii.items():
+        radius = kwargs.get(name, 0.0)
+        if math.isinf(radius * radius):   # the field uses the squared radii
             raise ScenarioError(f"gains.{key}", "too large: its square overflows a float")
     with _at("gains"):
         return ctl.ControlGains(**kwargs)
@@ -308,16 +291,14 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
 
 
 def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
-    nd = _get_dict(doc, "nn", "", default={})
+    nd = _get_dict(doc, "nn", "") if "nn" in doc else {}
     with _at("nn"):
         return nn.NNConfig(
             f_basis=_parse_state_basis(nd, "f_basis", "nn", order),
             leader_basis=_parse_state_basis(nd, "leader_basis", "nn", order),
             w_basis=_parse_w_basis(nd, "nn"),
-            gain=_get_number(nd, "F", "nn", default=10.0, positive=True),
-            kappa=_get_number(nd, "kappa", "nn", default=0.05, positive=True),
-            kappa0=_get_number(nd, "kappa0", "nn", default=0.05, positive=True),
-            kappaw=_get_number(nd, "kappaw", "nn", default=0.05, positive=True),
+            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), {"F": "gain"},
+                     positive=True),
         )
 
 
@@ -335,7 +316,7 @@ def parse_scenario(doc: dict) -> sim.Scenario:
 def _parse_scenario(doc: dict) -> sim.Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario document must be a JSON object")
-    schema = _get_int(doc, "schema", "", default=SCHEMA_VERSION)
+    schema = _get_int(doc, "schema", "") if "schema" in doc else SCHEMA_VERSION
     if schema != SCHEMA_VERSION:
         raise ScenarioError("schema", f"unsupported schema version {schema}")
 
@@ -357,21 +338,20 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
     gains = _parse_gains(doc)
     nn_config = _parse_nn(doc, order)
 
-    off_doc = _get_dict(doc, "offsets", "", default={})
-    per_agent = _get_array(off_doc, "agents", "offsets",
-                           default=np.zeros((topology.n_agents, order)))
-    leader_off = _get_array(off_doc, "leader", "offsets", default=np.zeros(order))
+    off_doc = _get_dict(doc, "offsets", "") if "offsets" in doc else {}
+    per_agent = (_get_array(off_doc, "agents", "offsets") if "agents" in off_doc
+                 else np.zeros((topology.n_agents, order)))
+    leader_off = _get_array(off_doc, "leader", "offsets") if "leader" in off_doc else np.zeros(order)
     with _at("offsets"):
         offsets = ctl.Offsets(per_agent=per_agent, leader=leader_off)
 
     sim_doc = _get_dict(doc, "sim", "")
     duration = _get_number(sim_doc, "duration", "sim", minimum=0.0)
-    dt = _get_number(sim_doc, "dt", "sim", default=1e-3, positive=True)
-    record_stride = _get_int(sim_doc, "record_stride", "sim",
-                             default=sim.RECORD_STRIDE_DEFAULT, minimum=1)
+    steps = _given(_get_number, sim_doc, "sim", ("dt",), positive=True)
+    steps.update(_given(_get_int, sim_doc, "sim", ("record_stride",), minimum=1))
 
     with _at("initial_states"):
-        initial = dyn.FleetState(agents=agents0, leader=leader0, time=0.0)
+        initial = dyn.FleetState(agents=agents0, leader=leader0)
 
     with _at(""):   # a Scenario checks its cross-field invariants when it is built
         return sim.Scenario(
@@ -383,17 +363,21 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
             nn_config=nn_config,
             initial=initial,
             duration=duration,
-            dt=dt,
-            record_stride=record_stride,
+            **steps,
         )
 
 
 def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim.CuubBounds:
-    """CuubBounds from a JSON object; basis bounds and kappas default from the scenario."""
+    """CuubBounds from a JSON object whose keys are its field names; basis
+    bounds and kappas default from the scenario, the rest from CuubBounds."""
     if not isinstance(doc, dict):
         raise ScenarioError(path, "bounds document must be a JSON object")
+    names = [f.name for f in dataclasses.fields(sim.CuubBounds)]
+    for key in doc:
+        if key not in names:
+            raise ScenarioError(_here(path, key), "unknown field")
     cfg = scenario.nn_config
-    defaults = {
+    kwargs = {
         "phi_f": nn.basis_bound(cfg.f_basis),
         "phi_w": nn.basis_bound(cfg.w_basis),
         "phi_leader": nn.basis_bound(cfg.leader_basis),
@@ -401,13 +385,9 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim
         "kappaw": cfg.kappaw,
         "kappa0": cfg.kappa0,
     }
-    kwargs = {}
-    for f in dataclasses.fields(sim.CuubBounds):
-        if f.name != "alpha_bar":
-            default = defaults.get(f.name, f.default)
-            kwargs[f.name] = _get_number(doc, f.name, path, default=default, minimum=0.0)
-    if "alpha_bar" in doc:
-        kwargs["alpha_bar"] = _get_number(doc, "alpha_bar", path, positive=True)
+    kwargs.update(_given(_get_number, doc, path, [n for n in names if n != "alpha_bar"],
+                         minimum=0.0))
+    kwargs.update(_given(_get_number, doc, path, ("alpha_bar",), positive=True))
     with _at(path):
         return sim.CuubBounds(**kwargs)
 

@@ -206,9 +206,8 @@ def batch_key(scenario: Scenario) -> tuple:
     g = scenario.gains
     cfg = scenario.nn_config
     return (state_layout(scenario), scenario.dt, _step_count(scenario), scenario.record_stride,
-            scenario.initial.time, g.obstacles.size, g.signless_avoidance,
-            g.strict_decentralized, _basis_key(cfg.f_basis), _basis_key(cfg.leader_basis),
-            _basis_key(cfg.w_basis))
+            g.obstacles.size, g.signless_avoidance, g.strict_decentralized,
+            _basis_key(cfg.f_basis), _basis_key(cfg.leader_basis), _basis_key(cfg.w_basis))
 
 
 # Errors a drift or disturbance callable (the builtins, library callers) can
@@ -310,7 +309,6 @@ class _SimContext:
             per_weight([cfg.kappa for cfg in cfgs], layout.p_f),
             per_weight([cfg.kappaw for cfg in cfgs], layout.p_w),
             per_weight([-cfg.kappa0 for cfg in cfgs], layout.p_l)])
-        self.breaker = [cfg.weight_breaker for cfg in cfgs]
         # the agents' drift basis and the leaders' basis, on the chains part
         # of the state: every agent row, then every leader row
         self.state_bases = nn.StateBases(
@@ -697,7 +695,7 @@ def run_many(scenarios, sink=None) -> list:
                 rows[k].append([a[k] for a in record])
     ctx = _SimContext(scenarios)
     y = initial_state(*scenarios)
-    t0, dt, stride = first.initial.time, first.dt, first.record_stride
+    dt, stride, breaker = first.dt, first.record_stride, nn.WEIGHT_BREAKER
     n_steps = _step_count(first)
     live = list(range(len(scenarios)))
     aborted = [None] * len(scenarios)
@@ -715,14 +713,14 @@ def run_many(scenarios, sink=None) -> list:
         row = ctx.record(y, t)
         sink(row, live)
         max_norms = row.weight_norms.reshape(len(scenarios), -1).max(axis=1)
-        for k in [k for k in live if max_norms[k] > ctx.breaker[k]]:
+        for k in [k for k in live if max_norms[k] > breaker]:
             stop(k, f"weight norm {max_norms[k]:.3e} exceeds circuit breaker at t={t:g}")
 
     with np.errstate(all="ignore"):
-        record(t0)
+        record(0.0)
         step = 0
         while live and step < n_steps:
-            t = t0 + step * dt
+            t = step * dt
             ctx.faults.clear()
             y = rk4_step(ctx.field, y, t, dt)
             for k, fault in ctx.faults.items():
@@ -730,7 +728,7 @@ def run_many(scenarios, sink=None) -> list:
                     stop(k, fault if isinstance(fault, str)
                          else f"model evaluation failed at t={t:g}: {fault}")
             step += 1
-            t = t0 + step * dt
+            t = step * dt
             if not np.logical_and.reduce(np.isfinite(y)):
                 finite = np.logical_and.reduce([np.isfinite(b).reshape(len(scenarios), -1).all(axis=1)
                                                 for b in ctx.layout.split(y)])
@@ -828,9 +826,6 @@ class CuubBounds:
     phi_f: float = 0.0          # Phi_n
     phi_w: float = 0.0          # Phi_nw
     phi_leader: float = 0.0     # Phi_n0
-    eps_f: float = 0.0
-    eps_w: float = 0.0
-    eps_leader: float = 0.0
     t_m: float = 0.0            # bound on obstacle-avoidance magnitude
     t_n: float = 0.0            # bound on collision-avoidance magnitude
     beta: float = 1.0

@@ -14,6 +14,7 @@ import pytest
 from consensus_lab import cli
 from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
+from consensus_lab import estimator as nn
 from consensus_lab import graph as gr
 from consensus_lab import sim
 
@@ -175,8 +176,7 @@ def test_fleet_reproduction(bundled):
         last20 = pos_err[window].max(axis=0)
         assert np.all(last20 <= 0.1 * peak), f"last-20% vs peak: {last20 / peak}"
         assert np.all(last20 <= 0.1 * initial), f"last-20% vs initial: {last20 / initial}"
-        breaker = bundled.scenario("vehicle_platoon").nn_config.weight_breaker
-        assert trace.weight_norms.max() < breaker
+        assert trace.weight_norms.max() < nn.WEIGHT_BREAKER
 
 
 def test_avoidance_causality(bundled):

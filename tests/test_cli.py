@@ -167,6 +167,22 @@ class TestDiagnoseCommand:
         assert report["omega_l1"] == report["graph_quantities"]["Lambda"]
         assert report["b_d"] == report["omega_l1"] / report["sigma_min_k"]
 
+    @pytest.mark.parametrize("key", ["kapa", "eps_f"])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_unknown_bounds_key_is_one_line_error(self, tmp_path, capsys, key, embedded):
+        # a misspelled key would otherwise leave its bound at the default
+        bounds = {"kappa": 0.5, key: 0.5}
+        if embedded:
+            doc = load_builtin_doc("close_pair")
+            doc["bounds"] = bounds
+            argv = ["--scenario", write_doc(tmp_path, doc)]
+        else:
+            bpath = tmp_path / "bounds.json"
+            bpath.write_text(json.dumps(bounds), encoding="utf-8")
+            argv = ["--scenario", "builtin:close_pair", "--bounds", str(bpath)]
+        assert cli.main(["diagnose", *argv]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: bounds.{key}: unknown field"]
+
     def test_no_bounds_anywhere(self, capsys):
         code = cli.main(["diagnose", "--scenario", "builtin:close_pair"])
         assert code == 1
@@ -182,7 +198,7 @@ class TestDiagnoseCommand:
         assert code == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and "NotPositiveDefinite" in lines[0], lines
-        assert json.loads(jpath.read_text())["mu1_required"] == float("inf")
+        assert json.loads(jpath.read_text())["mu1_required"] == "inf"
 
     @pytest.mark.parametrize("target", ["missing/x.json", "."])
     def test_unwritable_json_report_is_one_line_error(self, tmp_path, capsys, target):
@@ -653,6 +669,24 @@ def test_companion_lyapunov_residual_is_relative(tmp_path, capsys, lambda_xi):
     assert "companion Lyapunov solve: PASS (residual = " in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_companion_solve_with_a_huge_lambda_passes(tmp_path, capsys):
+    # P1 = 1 / (2e200) solves exactly, though ||Delta||^2 overflows and ||P1||^2 underflows
+    doc = load_builtin_doc("close_pair")
+    doc["gains"]["lambda_xi"] = [1e200]
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 0
+    assert "companion Lyapunov solve: PASS (residual = 0.000e+00)" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_companion_residual_beyond_the_float_range_is_one_line(tmp_path, capsys):
+    # lambda_bar = [1e300, 3e200, 3e100]: the residual's products are not finite
+    code = cli.main(["check", "--scenario", write_doc(tmp_path, order4_doc([1e100] * 3))])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err.splitlines() == ([] if code == 0 else ["FAILED: companion Lyapunov solve"])
+
+
 def test_a_failed_check_is_one_line_and_exit_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "P1_RESIDUAL_TOL", -1.0)   # no residual passes
     assert cli.main(["check", "--scenario", "builtin:close_pair"]) == 1
@@ -680,6 +714,43 @@ def test_overflowing_bounds_warn_nothing(tmp_path, capsys):
                      "--bounds", str(bpath)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and "NotPositiveDefinite" in lines[0], lines
+
+
+def assert_written(written, value):
+    """written is value as a strict JSON report holds it: each float that is
+    not finite as its string, every other number with its bits."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        assert written.keys() == value.keys()
+        for key in value:
+            assert_written(written[key], value[key])
+    elif isinstance(value, (list, tuple)):
+        assert len(written) == len(value)
+        for w, v in zip(written, value):
+            assert_written(w, v)
+    elif isinstance(value, float) and not math.isfinite(value):
+        assert written == str(float(value))
+    else:
+        assert written == value
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_json_report_is_strict_json(tmp_path):
+    # weights times 1e160 overflow the graph quantities to nan and +-inf
+    path = write_doc(tmp_path, scaled_weights_doc(1e160))
+    jpath = tmp_path / "report.json"
+    assert cli.main(["diagnose", "--scenario", path, "--json", str(jpath)]) == 1
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    written = json.loads(jpath.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert (written["b_d"], written["mu1_required"], written["graph_quantities"]["g"]) == \
+        ("nan", "inf", "-inf")
+    scenario, doc = sio.load_scenario(path)
+    report = sim.cuub_diagnostics(sio.parse_bounds(doc["bounds"], scenario),
+                                  scenario.topology, scenario.gains)
+    assert_written(written, dataclasses.asdict(report))
 
 
 @pytest.mark.parametrize("command", ["run", "check", "diagnose", "sweep", "diagnose --bounds"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,36 @@ class TestParsing:
         assert scenario.duration == 1.0
         assert scenario.dt == 1e-3
         assert scenario.record_stride == sim.RECORD_STRIDE_DEFAULT
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        # the minimal document holds no optional key of topology, gains, nn or sim
+        scenario = sio.parse_scenario(minimal_doc())
+        checked = []
+        for obj in (scenario.topology, scenario.gains, scenario.nn_config, scenario):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert np.array_equal(getattr(obj, f.name), f.default), f.name
+                    checked.append(f.name)
+        assert len(checked) == 3 + 12 + 4 + 2
+
+    def test_given_keys_reach_their_fields(self):
+        doc = minimal_doc()
+        doc["topology"].update(nu1=2.0, nu2=3.0, undirected=False)
+        doc["gains"].update(gamma0=0.1, gamma1=0.2, gamma2=0.3, chi=0.4, psi_ij=0.5,
+                            psi_i0=0.6, R=3.0, core_radius=0.7, alpha_bar=0.8)
+        doc.update(obstacles=[4.0], strict_decentralized=True, signless_avoidance=True)
+        doc["nn"] = {"F": 2.0, "kappa": 0.1, "kappa0": 0.2, "kappaw": 0.3}
+        doc["sim"].update(dt=0.01, record_stride=3)
+        scenario = sio.parse_scenario(doc)
+        topo, gains, cfg = scenario.topology, scenario.gains, scenario.nn_config
+        assert (topo.nu1, topo.nu2, topo.undirected) == (2.0, 3.0, False)
+        assert (gains.gamma0, gains.gamma1, gains.gamma2, gains.chi, gains.psi_ij, gains.psi_i0,
+                gains.detect_radius, gains.obstacle_radius, gains.alpha_bar) == \
+            (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 3.0, 0.7, 0.8)
+        assert gains.obstacles.tolist() == [4.0]
+        assert gains.strict_decentralized and gains.signless_avoidance
+        assert (cfg.gain, cfg.kappa, cfg.kappa0, cfg.kappaw) == (2.0, 0.1, 0.2, 0.3)
+        assert (scenario.dt, scenario.record_stride) == (0.01, 3)
 
     def test_builtin_names_with_and_without_prefix(self):
         doc = minimal_doc()
@@ -135,6 +166,13 @@ class TestBounds:
         scenario = sio.parse_scenario(minimal_doc())
         with pytest.raises(sio.ScenarioError, match="t_m"):
             sio.parse_bounds({"t_m": -1.0}, scenario)
+
+    @pytest.mark.parametrize("key", ["kapa", "eps_f", "eps_w", "eps_leader"])
+    def test_unknown_key_is_refused(self, key):
+        scenario = sio.parse_scenario(minimal_doc())
+        with pytest.raises(sio.ScenarioError) as info:
+            sio.parse_bounds({"kappa": 0.5, key: 0.5}, scenario)
+        assert str(info.value) == f"bounds.{key}: unknown field"
 
     def test_explicit_alpha_bar(self):
         scenario = sio.parse_scenario(minimal_doc())

@@ -255,7 +255,7 @@ def assert_variant_matches_oracles(scenario, blocks, d_blocks, k, t_now):
     layout = sim.state_layout(scenario)
     x, x0, th_f, th_w, th_l = (b[k] for b in blocks)
     dx, _, dth_f, dth_w, dth_l = (b[k] for b in d_blocks)
-    fleet = dyn.FleetState(agents=x, leader=x0, time=t_now)
+    fleet = dyn.FleetState(agents=x, leader=x0)
     topo = scenario.topology
     lyap = gr.graph_lyapunov(topo)
     cfg = scenario.nn_config
@@ -403,11 +403,9 @@ class TestRun:
         assert trace.times[-1] == pytest.approx(0.102)
         assert trace.times.size == 22  # t=0, 20 strides, final partial step
 
-    def test_weight_breaker_aborts(self):
-        scenario = small_scenario(duration=1.0)
-        cfg = dataclasses.replace(scenario.nn_config, weight_breaker=1e-6)
-        scenario = dataclasses.replace(scenario, nn_config=cfg)
-        trace = sim.run(scenario)
+    def test_weight_breaker_aborts(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_BREAKER", 1e-6)
+        trace = sim.run(small_scenario(duration=1.0))
         assert trace.aborted is not None and "circuit breaker" in trace.aborted
         assert trace.times.size >= 1
 
@@ -827,6 +825,31 @@ class TestCuubDiagnostics:
         # omega reduces to (0, kappa*0, ..., Lambda) with Lambda = 0 here
         assert report.omega_l1 == pytest.approx(0.0)
         assert report.b_d == pytest.approx(0.0)
+
+    def test_every_bound_moves_the_report(self):
+        # a bound that no value of the report reads is a setting that does nothing
+        def numbers(value):
+            if isinstance(value, dict):
+                return [x for v in value.values() for x in numbers(v)]
+            if value is None or isinstance(value, str):
+                return []
+            return np.ravel(np.asarray(value, dtype=float)).tolist()
+
+        scenario, doc = sio.load_scenario("builtin:vehicle_platoon")
+        base = sio.parse_bounds(doc["bounds"], scenario)
+
+        def report(bounds):
+            return numbers(dataclasses.asdict(
+                sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)))
+        before = report(base)
+        unmoved = []
+        for f in dataclasses.fields(sim.CuubBounds):
+            value = getattr(base, f.name)
+            value = 2.0 * (scenario.gains.alpha_bar if value is None else value) + 1.0
+            if np.array_equal(report(dataclasses.replace(base, **{f.name: value})), before,
+                              equal_nan=True):
+                unmoved.append(f.name)
+        assert unmoved == []
 
     def test_mu1_violation_fails_fifth_minor(self):
         topo = gr.Topology(adjacency=[[0, 1], [1, 0]],
