@@ -38,14 +38,10 @@ FIG_FILES = ("fig_positions.csv", "fig_velocities.csv", "fig_pos_error.csv",
 _FIG_COLUMNS = ((["x1_0"], "x1"), ([], "x2"), ([], "E1"), ([], "E2"), ([], "u"))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_trace_csv(stack, path: Path, n_agents: int, order: int):
     """Open trace.csv at path on the ExitStack and write its header; return
     the function that writes a one-variant sim.Record as a line, its values
-    in sim.trace_columns order and with the bytes of _fmt, and returns it."""
+    in sim.trace_columns order, and returns it."""
     header = sim.trace_columns(n_agents, order)
     fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
     fh.write(",".join(header) + "\n")
@@ -364,7 +360,7 @@ def cmd_sweep(args) -> int:
             rows = dict(zip(sum(batches, []), sum(results, [])))   # point index -> row
             fh.write("value,settling_time,ultimate_bound,min_pair_distance\n")
             for i in range(len(values)):
-                fh.write(",".join(_fmt(v) for v in rows[i]) + "\n")
+                fh.write("%.17g,%.17g,%.17g,%.17g\n" % rows[i])
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1

@@ -49,10 +49,6 @@ class Offsets:
         object.__setattr__(self, "per_agent", pa)
         object.__setattr__(self, "leader", ld)
 
-    @staticmethod
-    def zero(n_agents: int, order: int) -> "Offsets":
-        return Offsets(np.zeros((n_agents, order)), np.zeros(order))
-
 
 @dataclass(frozen=True)
 class ControlGains:

@@ -147,8 +147,9 @@ class BatchModel:
     ``columns`` (x1 is column 0) to the model values.  Models with equal
     ``key`` (an expression's is its kernel's source) share their kernel, so
     the field evaluates a group of them once over stacked columns.  Calling
-    a model for one agent runs the same kernel on one-element columns, so
-    both give the same bits.
+    a model for one agent, ``model(x, t)`` for a drift and ``model(t)`` for
+    a disturbance, runs the same kernel on one-element columns, so both
+    give the same bits.
     """
 
     def __init__(self, key, kernel, consts, columns=()):
@@ -157,22 +158,14 @@ class BatchModel:
         self.consts = np.array(consts, dtype=float)
         self.consts.setflags(write=False)   # one model may serve many agents and scenarios
         self.columns = tuple(columns)
+        # one agent's constant columns, made once: a view per call costs more than the kernel
         self._own = [self.consts[j:j + 1] for j in range(self.consts.size)]
 
-    def _one(self, states, t) -> float:
-        out = self.kernel(self._own, states, t)
+    def __call__(self, *args) -> float:
+        *x, t = args
+        x = np.asarray(x[0], dtype=float) if x else None   # a disturbance reads no column
+        out = self.kernel(self._own, [x[k:k + 1] for k in self.columns], t)
         return float(out[0]) if isinstance(out, np.ndarray) else float(out)
-
-
-class BatchDrift(BatchModel):
-    def __call__(self, x, t) -> float:
-        x = np.asarray(x, dtype=float)
-        return self._one([x[k:k + 1] for k in self.columns], t)
-
-
-class BatchDisturbance(BatchModel):
-    def __call__(self, t) -> float:
-        return self._one((), t)
 
 
 def _constant_kernel(consts, states, t):
@@ -183,13 +176,13 @@ def _sinusoid_kernel(consts, states, t):
     return consts[0] * np.sin(consts[1] * t)
 
 
-def constant_disturbance(value: float) -> BatchDisturbance:
-    return BatchDisturbance("constant", _constant_kernel, [value])
+def constant_disturbance(value: float) -> BatchModel:
+    return BatchModel("constant", _constant_kernel, [value])
 
 
-def sinusoid_disturbance(amp: float, freq: float) -> BatchDisturbance:
+def sinusoid_disturbance(amp: float, freq: float) -> BatchModel:
     """amp * sin(freq * t)."""
-    return BatchDisturbance("sinusoid", _sinusoid_kernel, [amp, freq])
+    return BatchModel("sinusoid", _sinusoid_kernel, [amp, freq])
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +269,8 @@ def _kernel(source: str, filename: str):
     return namespace["kernel"]
 
 
-def _expression(cls, text: str, variables: dict, filename: str):
-    """A `cls` model of `text`; `variables` maps each state name to its column."""
+def _expression(text: str, variables: dict, filename: str) -> BatchModel:
+    """The model of `text`; `variables` maps each state name to its column."""
     values, names, known = [], set(), {*variables, "t", *_ALLOWED_CONSTS}
     try:
         body, _ = _lift(ast.parse(text, mode="eval").body, text, known, values, names)
@@ -296,20 +289,20 @@ def _expression(cls, text: str, variables: dict, filename: str):
     except OverflowError:
         raise ValueError(f"expression {text!r} has a constant too large for a float") from None
     # equal sources mean equal arithmetic: one group
-    return cls(source, kernel, values, [variables[name] for name in used])
+    return BatchModel(source, kernel, values, [variables[name] for name in used])
 
 
 # A model holds no state, so every agent and scenario with the same text (a
 # fleet's shared drifts, each point of a sweep) shares one compiled model.
 @functools.lru_cache(maxsize=1024)
-def compile_state_expression(text: str, order: int) -> BatchDrift:
+def compile_state_expression(text: str, order: int) -> BatchModel:
     """Compile a drift expression over s, v (aliases of x1, x2), x1..xn, and t."""
     variables = {f"x{k + 1}": k for k in range(order)}
     variables.update({"s": 0, "v": 1} if order >= 2 else {"s": 0})
-    return _expression(BatchDrift, text, variables, "<drift>")
+    return _expression(text, variables, "<drift>")
 
 
 @functools.lru_cache(maxsize=1024)
-def compile_time_expression(text: str) -> BatchDisturbance:
+def compile_time_expression(text: str) -> BatchModel:
     """Compile a disturbance expression in t alone."""
-    return _expression(BatchDisturbance, text, {}, "<disturbance>")
+    return _expression(text, {}, "<disturbance>")

@@ -101,13 +101,9 @@ def fourier_basis(freqs=DEFAULT_FOURIER_FREQS) -> BasisSpec:
 
 
 def basis_eval(basis: BasisSpec, value) -> np.ndarray:
-    """Evaluate the basis at a state vector or a time instant."""
+    """Evaluate a time basis at a time instant."""
     if basis.kind == GAUSSIAN_RBF_STATE:
-        x = np.asarray(value, dtype=float)
-        if x.shape != (basis.centers.shape[1],):
-            raise DimensionMismatch(
-                f"input of shape {x.shape} does not match centers of dimension {basis.centers.shape[1]}")
-        return basis_eval_batch(basis, x[None, :])[0]
+        raise DimensionMismatch("a state RBF basis is evaluated by StateBases")
     if basis.kind == GAUSSIAN_RBF_TIME:
         t = float(value)
         d2 = (basis.centers - t) ** 2

@@ -35,6 +35,8 @@ RECORD_STRIDE_DEFAULT = 10
 # bundled platoon asks for 40 000 steps and 240 060 trace values.
 MAX_STEPS = 10_000_000
 MAX_TRACE_VALUES = 20_000_000
+# the estimator families whose weight norms a record holds, in its order
+WEIGHT_FAMILIES = ("drift", "disturbance", "leader")
 
 
 class EmptyTrace(ValueError):
@@ -91,6 +93,9 @@ def validate_scenario(scenario: Scenario) -> None:
                          f"above the limit of {MAX_STEPS} (sim.MAX_STEPS)")
     if scenario.duration > 0 and scenario.dt > scenario.duration:
         raise ValueError("sim.dt must not exceed a positive sim.duration")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"sim.duration / sim.dt = {scenario.duration!r} / {scenario.dt!r} = "
+                         f"{steps:.12g} is not a whole number of steps")
     if scenario.record_stride < 1:
         raise ValueError("sim.record_stride must be >= 1")
     if not gr.has_leader_spanning_tree(topo):
@@ -459,8 +464,8 @@ class _SimContext:
         if self.obstacles.shape[-1]:
             do = pos[:, :, None] - self.obstacles[..., None, :]
             ado = self.obstacle_distances = np.abs(do)
-            deff = np.maximum(ado, self.core_floor)
-            ratio = (self.detect_sq - deff ** 2) / (deff ** 2 - self.core_sq)
+            deff_sq = np.maximum(ado, self.core_floor) ** 2
+            ratio = (self.detect_sq - deff_sq) / (deff_sq - self.core_sq)
             m_obs = np.where(ado <= self.detect_radius, ratio ** 2, 0.0)
             if not signless:
                 m_obs *= np.sign(do)
@@ -565,12 +570,14 @@ class _SimContext:
         forcing, w_vals = self.forcing, self.w_vals
         self._call_models(self.drifts, self.drift_vals, self.chains, t)
         self._call_models(self.disturbances, w_vals, None, t)
-        # per variant the first fault wins: a raising callable, then a
-        # non-finite drift or disturbance, then the leader's
+        # per variant the first fault wins: a raising callable, then the
+        # first agent's non-finite drift or disturbance, then the leader's
         if not math.isfinite(np.add.reduce(self.drift_vals) + np.add.reduce(w_vals)):
-            finite = (np.isfinite(forcing) & np.isfinite(w_vals)).reshape(self.u.shape).all(axis=1)
-            for k in np.flatnonzero(~finite).tolist():
-                self.faults.setdefault(k, f"non-finite drift or disturbance at t={t}")
+            bad_drift = ~np.isfinite(forcing).reshape(self.u.shape)
+            bad = bad_drift | ~np.isfinite(w_vals).reshape(self.u.shape)
+            for k, i in np.argwhere(bad).tolist():   # agents in order within each variant
+                term = "drift" if bad_drift[k, i] else "disturbance"
+                self.faults.setdefault(k, f"non-finite {term} of agent {i + 1} at t={t}")
             for k in np.flatnonzero(~np.isfinite(self.f0)).tolist():
                 self.faults.setdefault(k, f"non-finite leader drift at t={t}")
         forcing += self.u_flat
@@ -647,7 +654,7 @@ class Trace:
     errors: np.ndarray             # (T, N, n): column k-1 holds e^k
     r: np.ndarray                  # (T, N)
     rel_errors: np.ndarray         # (T, N, n): E_i0 per order
-    weight_norms: np.ndarray       # (T, N, 3): drift, disturbance, leader families
+    weight_norms: np.ndarray       # (T, N, 3): the WEIGHT_FAMILIES
     min_pair_distance: np.ndarray  # (T,), inf when N == 1
     min_obstacle_distance: np.ndarray  # (T,), inf when no obstacles
     aborted: Optional[str] = None
@@ -712,9 +719,12 @@ def run_many(scenarios, sink=None) -> list:
     def record(t: float) -> None:
         row = ctx.record(y, t)
         sink(row, live)
-        max_norms = row.weight_norms.reshape(len(scenarios), -1).max(axis=1)
-        for k in [k for k in live if max_norms[k] > breaker]:
-            stop(k, f"weight norm {max_norms[k]:.3e} exceeds circuit breaker at t={t:g}")
+        norms = row.weight_norms.reshape(len(scenarios), -1)   # per agent, per family
+        worst = norms.argmax(axis=1).tolist()
+        for k in [k for k in live if norms[k, worst[k]] > breaker]:
+            agent, family = divmod(worst[k], 3)
+            stop(k, f"{WEIGHT_FAMILIES[family]} weight norm {norms[k, worst[k]]:.3e} of agent "
+                    f"{agent + 1} exceeds circuit breaker at t={t:g}")
 
     with np.errstate(all="ignore"):
         record(0.0)

@@ -3,6 +3,8 @@
 The simulator runs only the vectorised field in ``consensus_lab.sim``.  These
 literal per-agent restatements (loops over neighbours, one estimator object
 per agent and family) are the oracles the tests compare the field against.
+So are the loop form ``phi`` of the state bases, the CSV cell format
+``fmt`` and the whole-trace ``metrics``.
 
 The per-agent control is u_i = u_i^d - u_i^c - u_i^0:
 
@@ -14,6 +16,7 @@ channel, r = lambda_1 e^1 + ... + lambda_{n-1} e^{n-1} + e^n, and
 rho = lambda_1 e^2 + ... + lambda_{n-1} e^n.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +25,7 @@ import scipy.linalg
 
 from consensus_lab.controller import DISTANCE_CLAMP, ControlGains, Offsets
 from consensus_lab.dynamics import FleetState
-from consensus_lab.estimator import BasisSpec, basis_eval
+from consensus_lab.estimator import GAUSSIAN_RBF_STATE, BasisSpec, DimensionMismatch, basis_eval
 from consensus_lab.graph import GraphLyapunov, Topology, _readonly, pinned_laplacian
 
 
@@ -79,9 +82,27 @@ def zero_estimator(basis: BasisSpec, gain=None, sigma: float = 0.05) -> LipEstim
     return LipEstimator(theta=np.zeros(basis.count), basis=basis, gain=gain, sigma=sigma)
 
 
+def phi(basis: BasisSpec, value) -> np.ndarray:
+    """The basis at a state vector, exp(-||x - c_j||^2 / (2 width^2)) centre by
+    centre as a plain loop, or at a time instant through basis_eval."""
+    if basis.kind != GAUSSIAN_RBF_STATE:
+        return basis_eval(basis, value)
+    x = np.asarray(value, dtype=float)
+    if x.shape != (basis.centers.shape[1],):
+        raise DimensionMismatch(f"input of shape {x.shape} does not match centers "
+                                f"of dimension {basis.centers.shape[1]}")
+    out = np.empty(basis.count)
+    for j, centre in enumerate(basis.centers.tolist()):
+        d2 = 0.0
+        for xk, ck in zip(x.tolist(), centre):
+            d2 += (xk - ck) ** 2
+        out[j] = math.exp(-d2 / (2.0 * basis.width ** 2))
+    return out
+
+
 def estimate(est: LipEstimator, value) -> float:
     """theta^T phi(input)."""
-    return float(est.theta @ basis_eval(est.basis, value))
+    return float(est.theta @ phi(est.basis, value))
 
 
 def tune_agent(est: LipEstimator, phi: np.ndarray, r_i: float, p_i: float, pin_degree: float) -> np.ndarray:
@@ -101,6 +122,11 @@ def tune_disturbance(est: LipEstimator, phiw: np.ndarray, r_i: float, p_i: float
 
 # ---------------------------------------------------------------------------
 # Errors, potentials and the composite control law.
+
+def zero_offsets(n_agents: int, order: int) -> Offsets:
+    """No desired offsets: every agent and the leader at psi = 0."""
+    return Offsets(np.zeros((n_agents, order)), np.zeros(order))
+
 
 def sync_error(k: int, fleet: FleetState, topology: Topology, offsets: Offsets) -> np.ndarray:
     """Weighted synchronization error of the k-th channel (k is 1-based).
@@ -247,6 +273,11 @@ def control_input(
     if not np.isfinite(u):
         raise NonFiniteControl(f"control for agent {i} is non-finite at t={t}")
     return float(u)
+
+
+def fmt(x: float) -> str:
+    """A CSV cell as the writers must render it: 17 significant digits."""
+    return f"{float(x):.17g}"
 
 
 def settling_time(times: np.ndarray, ok: np.ndarray) -> float:

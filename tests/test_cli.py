@@ -16,6 +16,7 @@ from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
+import oracles as ref
 from test_golden import GOLDEN_ENV, digest, environment
 
 ALL_OUTPUTS = ("trace.csv", "summary.json") + cli.FIG_FILES
@@ -559,6 +560,28 @@ def test_overrides_and_sweep_points_keep_the_step_budget(tmp_path, capsys, argv)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "builtin:close_pair", "--duration", "0.0015"],
+    ["run", "--scenario", "builtin:close_pair", "--duration", "0.0125"],   # not rounded to even
+    ["run", "--scenario", "builtin:close_pair", "--dt", "0.0007"],
+    ["sweep", "--scenario", "builtin:close_pair", "--param", "sim.duration",
+     "--values", "0.0104,0.0106"],
+])
+def test_a_horizon_of_part_of_a_step_is_refused(tmp_path, capsys, argv):
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "sim.duration" in lines[0] and "sim.dt" in lines[0], lines
+    assert "not a whole number of steps" in lines[0], lines
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_refuses_a_horizon_of_part_of_a_step(tmp_path, capsys):
+    doc = close_pair_with("sim.duration", 0.0015)
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL load: sim.duration / sim.dt = 0.0015 / 0.001 = 1.5 is not a whole number of steps"]
+
+
 def test_a_trace_beyond_the_trace_cap_is_checked(tmp_path, capsys):
     doc = load_builtin_doc("close_pair")
     doc["sim"].update(LONG_TRACE_SIM)
@@ -808,7 +831,7 @@ class TestCsvFormat:
                   "--out", str(out), "--duration", "0.1"])
         rows = (out / "trace.csv").read_text().splitlines()
         values = [float(v) for v in rows[5].split(",")]
-        rendered = ",".join(cli._fmt(v) for v in values)
+        rendered = ",".join(ref.fmt(v) for v in values)
         assert rendered == rows[5]
 
     def test_figure_headers(self, tmp_path):
@@ -834,6 +857,21 @@ def test_callable_drift_leaving_math_domain_aborts(tmp_path, capsys):
                      "--out", str(tmp_path / "s")]) == 0
     row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].split(",")
     assert row[1:3] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize("where, term, agent", [
+    (("agents", 1, "drift"), "drift", 2),
+    (("agents", 0, "disturbance"), "disturbance", 1),
+])
+def test_non_finite_model_abort_names_the_agent_and_the_term(tmp_path, capsys, where, term,
+                                                             agent):
+    # exp(1e5 t) overflows from the stage at t = 0.0075 on
+    doc = close_pair_with_model(where, {"expr": "exp(100000*t)"})
+    assert cli.main(["run", "--scenario", write_doc(tmp_path, doc),
+                     "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"simulation aborted: non-finite {term} of agent {agent} at t=0.007")
 
 
 @pytest.mark.parametrize("source", ["directory", "non_utf8"])
@@ -882,7 +920,7 @@ def solo_row(doc, dotted, value):
                summary["min_pair_distance"])
     else:
         row = (value, float("nan"), float("nan"), float(trace.min_pair_distance.min()))
-    return ",".join(cli._fmt(v) for v in row)
+    return ",".join(ref.fmt(v) for v in row)
 
 
 def sweep_rows(tmp_path, doc, dotted, values):
@@ -988,7 +1026,7 @@ def cell_trace(n_agents, order, records=4):
 @pytest.mark.parametrize("order", [2, 3])
 def test_writers_format_each_cell_as_fmt(tmp_path, order):
     trace, matrix = cell_trace(3, order)
-    assert {cli._fmt(v) for v in SPECIAL_VALUES} >= {
+    assert {ref.fmt(v) for v in SPECIAL_VALUES} >= {
         "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "1e+308", "-3", "9007199254740992"}
     with contextlib.ExitStack() as stack:   # each record as run writes it
         write_trace = cli.write_trace_csv(stack, tmp_path / "trace.csv", 3, order)
@@ -998,7 +1036,7 @@ def test_writers_format_each_cell_as_fmt(tmp_path, order):
                                                    for name in sim.Record._fields])))
     lines = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(sim.trace_columns(3, order))
-    assert lines[1:] == [",".join(cli._fmt(v) for v in row) for row in matrix]
+    assert lines[1:] == [",".join(ref.fmt(v) for v in row) for row in matrix]
     columns = dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
     for name in cli.FIG_FILES:
         fig = (tmp_path / name).read_text(encoding="utf-8").splitlines()

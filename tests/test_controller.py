@@ -125,7 +125,7 @@ class TestSyncError:
         t = topo([[0, 1], [1, 0]], [1, 0])
         fleet = dyn.FleetState(agents=np.array([[1.0, 0.0], [2.0, 0.0]]),
                                leader=np.array([0.0, 0.0]))
-        e1 = ref.sync_error(1, fleet, t, ctl.Offsets.zero(2, 2))
+        e1 = ref.sync_error(1, fleet, t, ref.zero_offsets(2, 2))
         assert e1 == pytest.approx([0.0, -1.0])
         pounds = gr.pinned_laplacian(t)
         oracle = -pounds @ (fleet.agents[:, 0] - fleet.leader[0])
@@ -136,7 +136,7 @@ class TestSyncError:
         rng = np.random.default_rng(1)
         agents = rng.normal(size=(2, 2))
         leader = rng.normal(size=2)
-        offsets = ctl.Offsets.zero(2, 2)
+        offsets = ref.zero_offsets(2, 2)
         base = ref.sync_error(1, dyn.FleetState(agents=agents, leader=leader), t, offsets)
         shift = 17.3
         shifted = ref.sync_error(
@@ -324,7 +324,7 @@ class TestControlInput:
                     detect_radius=1.0, obstacle_radius=0.3)
         gains_on = ctl.ControlGains(gamma1=2.0, **base)
         gains_off = ctl.ControlGains(gamma1=0.0, **base)
-        offsets = ctl.Offsets.zero(2, 2)
+        offsets = ref.zero_offsets(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
         ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
                 ref.zero_estimator(basis))
@@ -376,7 +376,7 @@ class TestControlInput:
                                  gamma0=0.0, gamma1=0.0, gamma2=0.0,
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3)
-        offsets = ctl.Offsets.zero(2, 2)
+        offsets = ref.zero_offsets(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
         ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
                 ref.zero_estimator(basis))
@@ -397,7 +397,7 @@ class TestControlInput:
         gains = ctl.ControlGains(lambda_bar=np.array([1.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3)
-        offsets = ctl.Offsets.zero(2, 2)
+        offsets = ref.zero_offsets(2, 2)
         basis = nn.BasisSpec(kind=nn.GAUSSIAN_RBF_STATE, centers=np.zeros((1, 2)), width=1.0)
         ests = (ref.zero_estimator(basis), ref.zero_estimator(nn.fourier_basis((1.0,))),
                 ref.zero_estimator(basis))

@@ -17,6 +17,8 @@ from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
+import oracles as ref
+
 
 def zero_model():
     return dyn.AgentModel(drift=lambda x, t: 0.0,
@@ -36,7 +38,7 @@ def one_agent_scenario(model, leader, state, leader_state):
         agent_models=(model,),
         leader_model=leader,
         gains=ctl.ControlGains(lambda_bar=ctl.hurwitz_lambda([1.0] * (n - 1)), c=np.zeros(n)),
-        offsets=ctl.Offsets.zero(1, n),
+        offsets=ref.zero_offsets(1, n),
         nn_config=nn.NNConfig(f_basis=nn.gaussian_grid([(-1.0, 1.0)] * n, 1),
                               leader_basis=nn.gaussian_grid([(-1.0, 1.0)] * n, 1),
                               w_basis=nn.fourier_basis((1.0,))),
@@ -92,7 +94,7 @@ class TestAgentDerivative:
         model = dyn.AgentModel(drift=lambda x, t: math.inf,
                                disturbance=dyn.constant_disturbance(0.0))
         _, _, _, faults = one_agent_field(model, zero_leader(), np.zeros(2), np.zeros(2), 0.0)
-        assert faults == {0: "non-finite drift or disturbance at t=0.0"}
+        assert faults == {0: "non-finite drift of agent 1 at t=0.0"}
 
 
 class TestLeaderDerivative:
@@ -134,8 +136,8 @@ class TestFaultOrder:
         (AGENT, None, LEADER, "agent"),
         (None, DISTURBANCE, LEADER, "leader"),
         (None, DISTURBANCE, non_finite, "disturbance"),
-        (non_finite, None, non_finite, "non-finite drift or disturbance at t=0.0"),
-        (None, non_finite, non_finite, "non-finite drift or disturbance at t=0.0"),
+        (non_finite, None, non_finite, "non-finite drift of agent 1 at t=0.0"),
+        (None, non_finite, non_finite, "non-finite disturbance of agent 1 at t=0.0"),
         (None, None, non_finite, "non-finite leader drift at t=0.0"),
     ], ids=["leader-raises-over-agent-nan", "agent-raises-over-leader-nan", "agent-raises-first",
             "leader-drift-raises-before-disturbance", "disturbance-raises-over-leader-nan",
@@ -159,7 +161,7 @@ class TestFaultOrder:
         ctx.field(sim.initial_state(*variants), 0.5)
         assert set(ctx.faults) == {1, 3, 4}
         assert isinstance(ctx.faults[1], ValueError)
-        assert ctx.faults[3] == ctx.faults[4] == "non-finite drift or disturbance at t=0.5"
+        assert ctx.faults[3] == ctx.faults[4] == "non-finite drift of agent 1 at t=0.5"
 
     def test_the_field_calls_the_models_twice(self, monkeypatch):
         # the drifts of every chain in one call, the disturbances in another

@@ -18,21 +18,27 @@ class TestBasisEval:
     def test_unit_at_center(self):
         basis = nn.gaussian_grid([(-2.0, 2.0), (-2.0, 2.0)], 3)
         for center in basis.centers[:4]:
-            phi = nn.basis_eval(basis, center)
+            phi = ref.phi(basis, center)
             assert phi.max() == pytest.approx(1.0)
 
     def test_gaussian_tail(self):
         basis = two_center_basis()
-        phi = nn.basis_eval(basis, np.array([20.0]))
+        phi = ref.phi(basis, np.array([20.0]))
         assert np.all(phi <= 1e-21)
 
     def test_hand_gaussian_pair(self):
-        phi = nn.basis_eval(two_center_basis(), np.array([0.0]))
+        phi = ref.phi(two_center_basis(), np.array([0.0]))
         assert phi == pytest.approx([1.0, math.exp(-0.5)])
 
     def test_dimension_mismatch(self):
         with pytest.raises(nn.DimensionMismatch):
-            nn.basis_eval(two_center_basis(), np.array([0.0, 1.0]))
+            nn.basis_eval_batch(two_center_basis(), np.array([[0.0, 1.0]]))
+        with pytest.raises(nn.DimensionMismatch):
+            ref.phi(two_center_basis(), np.array([0.0, 1.0]))
+
+    def test_state_basis_is_left_to_state_bases(self):
+        with pytest.raises(nn.DimensionMismatch, match="StateBases"):
+            nn.basis_eval(two_center_basis(), np.array([0.0]))
 
     def test_fourier_layout(self):
         basis = nn.fourier_basis((2.0, 1.0))
@@ -52,13 +58,13 @@ class TestBasisEval:
         states = np.random.default_rng(0).normal(size=(6, 2))
         batch = nn.basis_eval_batch(basis, states)
         for i in range(6):
-            assert np.array_equal(batch[i], nn.basis_eval(basis, states[i]))
+            assert np.array_equal(batch[i], ref.phi(basis, states[i]))
 
     def test_bound_is_sqrt_count(self):
         basis = nn.gaussian_grid([(-1.0, 1.0)], 4)
         assert nn.basis_bound(basis) == pytest.approx(2.0)
         rng = np.random.default_rng(1)
-        worst = max(np.linalg.norm(nn.basis_eval(basis, rng.normal(size=1)))
+        worst = max(np.linalg.norm(ref.phi(basis, rng.normal(size=1)))
                     for _ in range(200))
         assert worst <= nn.basis_bound(basis) + 1e-12
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,9 +277,9 @@ def assert_variant_matches_oracles(scenario, blocks, d_blocks, k, t_now):
         forcing = model.drift(x[i], t_now) + u_i + model.disturbance(t_now)
         assert dx[i, 1] == pytest.approx(forcing, abs=1e-12)
 
-        phi_f = nn.basis_eval(cfg.f_basis, x[i])
-        phi_w = nn.basis_eval(cfg.w_basis, t_now)
-        phi_l = nn.basis_eval(cfg.leader_basis, x0)
+        phi_f = ref.phi(cfg.f_basis, x[i])
+        phi_w = ref.phi(cfg.w_basis, t_now)
+        phi_l = ref.phi(cfg.leader_basis, x0)
         assert dth_f[i] == pytest.approx(
             ref.tune_agent(ests[0], phi_f, r[i], lyap.p_diag[i], pin[i]), abs=1e-12)
         assert dth_w[i] == pytest.approx(
@@ -352,7 +353,7 @@ def crowded_scenario():
     initial = dyn.FleetState(agents=np.column_stack([pos, rng.uniform(-0.5, 0.5, n)]),
                              leader=np.array([0.3, 0.1]))
     return sim.Scenario(topology=topo, agent_models=models, leader_model=leader,
-                        gains=gains, offsets=ctl.Offsets.zero(n, 2), nn_config=cfg,
+                        gains=gains, offsets=ref.zero_offsets(n, 2), nn_config=cfg,
                         initial=initial, duration=0.01, dt=1e-3, record_stride=5)
 
 
@@ -403,11 +404,32 @@ class TestRun:
         assert trace.times[-1] == pytest.approx(0.102)
         assert trace.times.size == 22  # t=0, 20 strides, final partial step
 
+    @pytest.mark.parametrize("duration, dt, steps", [
+        (0.3, 0.1, 3), (0.7, 0.1, 7), (0.102, 0.001, 102), (1.0, 1 / 3, 3)])
+    def test_a_whole_number_of_steps_passes_the_rounding_of_its_ratio(self, duration, dt, steps):
+        # 0.3 / 0.1 is 2.9999999999999996 in floats
+        scenario = dataclasses.replace(small_scenario(), duration=duration, dt=dt)
+        assert sim.run(scenario).times[-1] == pytest.approx(steps * dt)
+
     def test_weight_breaker_aborts(self, monkeypatch):
         monkeypatch.setattr(nn, "WEIGHT_BREAKER", 1e-6)
         trace = sim.run(small_scenario(duration=1.0))
         assert trace.aborted is not None and "circuit breaker" in trace.aborted
         assert trace.times.size >= 1
+
+    def test_weight_breaker_names_the_agent_and_the_family(self, monkeypatch):
+        monkeypatch.setattr(nn, "WEIGHT_BREAKER", 1e-9)
+        scenario, _ = sio.load_scenario("builtin:vehicle_platoon")
+        trace = sim.run(dataclasses.replace(scenario, duration=0.05))
+        found = re.fullmatch(r"(drift|disturbance|leader) weight norm (\S+) of agent (\d+) "
+                             r"exceeds circuit breaker at t=(\S+)", trace.aborted)
+        assert found, trace.aborted
+        family, norm, agent, t = found.groups()
+        norms = trace.weight_norms[-1]   # (N, 3) at the record that tripped the breaker
+        named = norms[int(agent) - 1, sim.WEIGHT_FAMILIES.index(family)]
+        assert named == norms.max() > 1e-9
+        assert float(norm) == pytest.approx(named, rel=1e-3)
+        assert float(t) == pytest.approx(trace.times[-1])
 
     def test_blowup_aborts_with_reason(self):
         # cubic antidamping: finite-time escape; the run must record an abort
@@ -574,10 +596,10 @@ class TestRunMany:
             for f in dataclasses.fields(sim.Trace):
                 if f.name != "aborted":
                     assert np.array_equal(getattr(trace, f.name), getattr(solo, f.name)), f.name
-        # the obstacle variant's core push overflows the lambda drift early
+        # the obstacle variant's core push overflows agent 2's lambda drift early
         assert [trace.aborted for trace in traces] == [
             None, None, "model evaluation failed at t=0.05: math domain error",
-            "non-finite drift or disturbance at t=0.005", None, None, None]
+            "non-finite drift of agent 2 at t=0.005", None, None, None]
         assert traces[2].times[-1] == 0.05 and traces[0].times[-1] == 0.2
 
     def test_aborted_variant_leaves_the_state_finite(self, monkeypatch):
@@ -589,7 +611,7 @@ class TestRunMany:
             bool(np.isfinite(y).all())) or rk4_step(f, y, t, dt))
         variants = stacked_variants()
         traces = sim.run_many(variants)
-        assert traces[2].aborted == "non-finite drift or disturbance at t=0.005"
+        assert traces[2].aborted == "non-finite drift of agent 2 at t=0.005"
         assert len(finite) == 200 and all(finite)
         for variant, trace in zip(variants, traces):
             if trace.aborted is None:
