@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import controller as ctl
+from . import cuub
+from . import field as fld
 from . import graph as gr
 from . import scenario_io as sio
 from . import sim
@@ -195,10 +197,13 @@ def cmd_diagnose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report = sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
+    report = cuub.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
     for idx, (minor, ok) in enumerate(zip(report.minors, report.minors_pass), start=1):
         print(f"minor {idx}: {minor:.12g} ({'PASS' if ok else 'FAIL'})")
     print(f"mu1 = {report.mu1:.12g} (required > {report.mu1_required:.12g})")
+    if report.mu1 <= 0:   # minor 5 needs mu1 > mu1_required, which is >= 0
+        print("mu1 <= 0: no choice of bound constants passes minor 5; "
+              "only the graph, its certificate or lambda_bar can change mu1")
     print(f"omega = {np.array2string(report.omega, precision=6)}")
     print(f"omega_l1 = {report.omega_l1:.12g}")
     print(f"sigma_min(K) = {report.sigma_min_k:.12g}")
@@ -260,7 +265,7 @@ def _resolve_param(doc: dict, name: str) -> str:
 
 
 def _sweep_group(task: tuple) -> list:
-    """The sweep.csv rows of a batch of points that share one sim.batch_key,
+    """The sweep.csv rows of a batch of points that share one field.batch_key,
     integrated together, each summarised as its records are made; a task
     is (values, scenario documents as JSON text)."""
     values, docs = task
@@ -331,7 +336,7 @@ def cmd_sweep(args) -> int:
             job = json.loads(text)   # a copy; deepcopy fails on nesting that json accepts
             _set_doc_field(job, dotted, value)
             scenario = sio.parse_scenario(job)
-            key = sim.batch_key(scenario)
+            key = fld.batch_key(scenario)
             groups.setdefault(key, []).append(len(jobs))
             group_agents[key] = scenario.topology.n_agents
             jobs.append(json.dumps(job))   # text: far smaller than the parsed scenario

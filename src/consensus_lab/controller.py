@@ -1,7 +1,7 @@
 """Controller constants: desired offsets, gains, Hurwitz synthesis and check.
 
 The control law these constants feed, evaluated for all agents at once by
-``sim._SimContext.evaluate``, is u_i = u_i^d - u_i^c - u_i^0:
+``field._SimContext.evaluate``, is u_i = u_i^d - u_i^c - u_i^0:
 
     u_i^d = rho_i/(d_i + b_i0) - fhat_i - what_i + fhat0 + r_i - c . E_i0
     u_i^c = collision terms,   u_i^0 = obstacle terms

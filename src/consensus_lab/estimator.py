@@ -3,7 +3,7 @@
 Each estimated quantity (agent drift, leader drift, disturbance) is modeled
 as theta^T phi(input) with a fixed bounded basis phi and adapted weights
 theta.  The tuning laws, evaluated for all agents at once in
-``sim._SimContext.field``, combine a learning term driven by the weighted
+``field._SimContext.field``, combine a learning term driven by the weighted
 stability error with a damping term -kappa*theta that keeps weights bounded
 without persistent excitation.  The leader estimate enters the control law
 with the opposite sign of the agent estimate, so its tuning law flips sign.

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controller as ctl
+from . import cuub
 from . import dynamics as dyn
 from . import estimator as nn
 from . import graph as gr
@@ -367,12 +368,12 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
         )
 
 
-def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim.CuubBounds:
+def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuub.CuubBounds:
     """CuubBounds from a JSON object whose keys are its field names; basis
     bounds and kappas default from the scenario, the rest from CuubBounds."""
     if not isinstance(doc, dict):
         raise ScenarioError(path, "bounds document must be a JSON object")
-    names = [f.name for f in dataclasses.fields(sim.CuubBounds)]
+    names = [f.name for f in dataclasses.fields(cuub.CuubBounds)]
     for key in doc:
         if key not in names:
             raise ScenarioError(_here(path, key), "unknown field")
@@ -389,7 +390,7 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> sim
                          minimum=0.0))
     kwargs.update(_given(_get_number, doc, path, ("alpha_bar",), positive=True))
     with _at(path):
-        return sim.CuubBounds(**kwargs)
+        return cuub.CuubBounds(**kwargs)
 
 
 def load_document(source) -> dict:

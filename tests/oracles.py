@@ -1,6 +1,6 @@
 """Scalar per-agent reference forms of the control law and the tuning laws.
 
-The simulator runs only the vectorised field in ``consensus_lab.sim``.  These
+The simulator runs only the vectorised field in ``consensus_lab.field``.  These
 literal per-agent restatements (loops over neighbours, one estimator object
 per agent and family) are the oracles the tests compare the field against.
 So are the loop form ``phi`` of the state bases, the CSV cell format

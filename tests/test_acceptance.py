@@ -13,6 +13,7 @@ import pytest
 
 from consensus_lab import cli
 from consensus_lab import controller as ctl
+from consensus_lab import cuub
 from consensus_lab import dynamics as dyn
 from consensus_lab import estimator as nn
 from consensus_lab import graph as gr
@@ -208,15 +209,15 @@ def _det_cofactor(m):
 
 def test_cuub_diagnostics_oracle():
     with criterion("stability diagnostics: minors match cofactor oracle; B_d arithmetic"):
-        k = sim.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 1.0)
-        minors = sim.sylvester_minors(k)
+        k = cuub.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 1.0)
+        minors = cuub.sylvester_minors(k)
         for m in range(1, 6):
             oracle = _det_cofactor([list(row) for row in k[:m, :m]])
             assert abs(minors[m - 1] - oracle) <= 1e-12
         assert np.all(minors > 0)
         # omega_l1 = kappa*Theta + kappaw*Thetaw + kappa0*Theta0 + Lambda = 4
         omega_l1 = 1.0 * 1.0 + 1.0 * 1.0 + 1.0 * 1.0 + 1.0
-        assert sim.bd_value(omega_l1, 0.5) == pytest.approx(8.0, abs=1e-15)
+        assert cuub.bd_value(omega_l1, 0.5) == pytest.approx(8.0, abs=1e-15)
 
 
 def test_determinism(bundled, tmp_path):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from consensus_lab import cli
+from consensus_lab import cuub
 from consensus_lab import estimator as nn
+from consensus_lab import field as fld
 from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
@@ -151,6 +153,40 @@ class TestDiagnoseCommand:
         # K is indefinite, so there is no ball for B_d to be the radius of
         b_d = [line for line in captured.out.splitlines() if line.startswith("B_d =")]
         assert b_d == ["B_d = undefined (K is not positive definite)"]
+
+    def test_platoon_report_says_why_k_cannot_pass(self, tmp_path, capsys):
+        # mu1 < 0 <= mu1_required: no bound constants pass minor 5
+        jpath = tmp_path / "report.json"
+        code = cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon",
+                         "--json", str(jpath)])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        mu1 = [i for i, line in enumerate(out) if line.startswith("mu1 = ")]
+        assert mu1 and out[mu1[0] + 1] == (
+            "mu1 <= 0: no choice of bound constants passes minor 5; "
+            "only the graph, its certificate or lambda_bar can change mu1")
+        report = json.loads(jpath.read_text())
+        assert report["b_d_valid"] is False and report["positive_definite"] is False
+        assert report["b_d"] == pytest.approx(325.847568904108, rel=1e-12)   # kept, not valid
+
+    def test_leader_only_platoon_passes(self, tmp_path, capsys):
+        # no follower edges and every pinning weight 1: K > 0 with the embedded bounds
+        doc = load_builtin_doc("vehicle_platoon")
+        n = len(doc["topology"]["leader_weights"])
+        doc["topology"]["adjacency"] = [[0.0] * n for _ in range(n)]
+        doc["topology"]["leader_weights"] = [1.0] * n
+        jpath = tmp_path / "report.json"
+        code = cli.main(["diagnose", "--scenario", write_doc(tmp_path, doc),
+                         "--json", str(jpath)])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        b_d = [line for line in out if line.startswith("B_d = ")]
+        assert len(b_d) == 1 and math.isfinite(float(b_d[0].split(" = ")[1]))
+        assert not any(line.startswith("mu1 <= 0") for line in out)
+        assert out[-1] == "K is positive definite"
+        report = json.loads(jpath.read_text())
+        assert report["b_d_valid"] is True
+        assert report["b_d"] == pytest.approx(float(b_d[0].split(" = ")[1]), rel=1e-11)
 
     def test_zero_bounds_reduce_omega_to_lambda(self, tmp_path, capsys):
         bounds = {"beta": 1.0, "kappa": 1.0, "kappaw": 1.0, "kappa0": 1.0,
@@ -771,7 +807,7 @@ def test_json_report_is_strict_json(tmp_path):
     assert (written["b_d"], written["mu1_required"], written["graph_quantities"]["g"]) == \
         ("nan", "inf", "-inf")
     scenario, doc = sio.load_scenario(path)
-    report = sim.cuub_diagnostics(sio.parse_bounds(doc["bounds"], scenario),
+    report = cuub.cuub_diagnostics(sio.parse_bounds(doc["bounds"], scenario),
                                   scenario.topology, scenario.gains)
     assert_written(written, dataclasses.asdict(report))
 
@@ -874,6 +910,16 @@ def test_non_finite_model_abort_names_the_agent_and_the_term(tmp_path, capsys, w
     assert lines[0].startswith(f"simulation aborted: non-finite {term} of agent {agent} at t=0.007")
 
 
+@pytest.mark.parametrize("dotted, value", [("nn.F", 1e308), ("gains.c", [1e300, 1e300])])
+def test_non_finite_state_abort_names_the_agent_and_the_block(tmp_path, capsys, dotted, value):
+    # the first step overflows agent 1's chain, first in the state's layout
+    doc = close_pair_with(dotted, value)
+    assert cli.main(["run", "--scenario", write_doc(tmp_path, doc), "--duration", "0.05",
+                     "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["simulation aborted: non-finite state of agent 1 (chain) at t=0.001"]
+
+
 @pytest.mark.parametrize("source", ["directory", "non_utf8"])
 @pytest.mark.parametrize("command", ["run", "check", "diagnose", "sweep"])
 def test_unreadable_scenario_source(tmp_path, capsys, command, source):
@@ -935,7 +981,7 @@ def batch_keys(doc, dotted, values):
     for value in values:
         point = json.loads(json.dumps(doc))
         cli._set_doc_field(point, dotted, value)
-        keys.add(sim.batch_key(sio.parse_scenario(point)))
+        keys.add(fld.batch_key(sio.parse_scenario(point)))
     return len(keys)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from consensus_lab import controller as ctl
 from consensus_lab import dynamics as dyn
 from consensus_lab import estimator as nn
+from consensus_lab import field as fld
 from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
@@ -50,7 +51,7 @@ def one_agent_field(model, leader, state, leader_state, t):
     """Field rows of a single pinned agent and its leader, plus the context,
     whose workspace holds the evaluated terms."""
     scenario = one_agent_scenario(model, leader, state, leader_state)
-    ctx = sim._SimContext([scenario])
+    ctx = fld._SimContext([scenario])
     y = sim.initial_state(scenario)
     dx, dx0, _, _, _ = ctx.layout.split(ctx.field(y, t))
     ctx.evaluate(y, t)
@@ -157,7 +158,7 @@ class TestFaultOrder:
             dyn.AgentModel(drift=non_finite, disturbance=dyn.constant_disturbance(0.0)),))
         bad_both = dataclasses.replace(bad_agent, leader_model=dyn.LeaderModel(drift=non_finite))
         variants = [base, bad_leader, base, bad_agent, bad_both]
-        ctx = sim._SimContext(variants)
+        ctx = fld._SimContext(variants)
         ctx.field(sim.initial_state(*variants), 0.5)
         assert set(ctx.faults) == {1, 3, 4}
         assert isinstance(ctx.faults[1], ValueError)
@@ -166,8 +167,8 @@ class TestFaultOrder:
     def test_the_field_calls_the_models_twice(self, monkeypatch):
         # the drifts of every chain in one call, the disturbances in another
         calls = []
-        call_models = sim._SimContext._call_models
-        monkeypatch.setattr(sim._SimContext, "_call_models",
+        call_models = fld._SimContext._call_models
+        monkeypatch.setattr(fld._SimContext, "_call_models",
                             lambda ctx, *args: calls.append(1) or call_models(ctx, *args))
         one_agent_field(zero_model(), zero_leader(), np.zeros(2), np.zeros(2), 0.0)
         assert len(calls) == 2
@@ -374,7 +375,7 @@ class TestGroupedEvaluation:
         for template, shared in fleet.TEMPLATES.values():
             coefficients = [shared] + [fleet._own_coefficients(rng, shared) for _ in range(7)]
             models = [dyn.compile_state_expression(template.format(**c), 2) for c in coefficients]
-            batches, loose = sim._batches(models)
+            batches, loose = fld._batches(models)
             assert len(batches) == 1 and not loose
             batch = batches[0]
             for t in (0.0, 0.0135, 0.1, 7.3):
@@ -389,7 +390,7 @@ class TestGroupedEvaluation:
 
     def test_disturbances_grouped_equal_per_agent_bitwise(self):
         models = [dyn.sinusoid_disturbance(0.05 + 0.01 * i, 0.5 + 0.37 * i) for i in range(9)]
-        batches, _ = sim._batches(models)
+        batches, _ = fld._batches(models)
         for t in np.linspace(0.0, 40.0, 401):
             grouped = np.empty(len(models))
             grouped[batches[0].index] = batches[0].kernel(batches[0].consts, (), t)
@@ -399,7 +400,7 @@ class TestGroupedEvaluation:
         shared = [dyn.compile_state_expression(f"-{b}*v + {a}*sin(0.7*s)", 2)
                   for a, b in ((0.5, 1.5), (0.45, 1.2), (2, 3))]
         other = dyn.compile_state_expression("-1.5*v + 0.5*cos(0.7*s)", 2)
-        batches, loose = sim._batches(shared + [other, lambda x, t: 0.0])
+        batches, loose = fld._batches(shared + [other, lambda x, t: 0.0])
         assert [b.index.tolist() for b in batches] == [[0, 1, 2], [3]]
         assert [i for i, _ in loose] == [4]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from consensus_lab import controller as ctl
+from consensus_lab import cuub
 from consensus_lab import dynamics as dyn
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
@@ -179,7 +180,7 @@ class TestBounds:
         assert sio.parse_bounds({}, scenario).alpha_bar is None
         bounds = sio.parse_bounds({"alpha_bar": 2.5}, scenario)
         assert bounds.alpha_bar == 2.5
-        report = sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
+        report = cuub.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
         p1 = ctl.lyapunov_P1(scenario.gains.lambda_bar, 2.5)
         assert report.graph_quantities["sigma_max_P1"] == float(np.linalg.norm(p1, 2))
         with pytest.raises(sio.ScenarioError, match="alpha_bar"):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from consensus_lab import controller as ctl
+from consensus_lab import cuub
 from consensus_lab import dynamics as dyn
 from consensus_lab import estimator as nn
+from consensus_lab import field as fld
 from consensus_lab import graph as gr
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
@@ -76,7 +78,7 @@ class TestRk4:
 
     def test_state_is_left_unchanged(self):
         scenario = small_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
         before = y.copy()
@@ -106,13 +108,13 @@ class TestDerivativeField:
         scenario = small_scenario()
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
-        a = sim._SimContext([scenario]).field(y, 0.37)
-        b = sim._SimContext([scenario]).field(y, 0.37)
+        a = fld._SimContext([scenario]).field(y, 0.37)
+        b = fld._SimContext([scenario]).field(y, 0.37)
         assert np.array_equal(a, b)
 
     def test_consecutive_calls_return_equal_arrays_that_do_not_alias(self):
         scenario = small_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
         a = ctx.field(y, 0.37)
@@ -123,8 +125,8 @@ class TestDerivativeField:
     def test_chain_channels(self):
         scenario = small_scenario()
         y = sim.initial_state(scenario)
-        dy = sim._SimContext([scenario]).field(y, 0.0)
-        layout = sim.state_layout(scenario)
+        dy = fld._SimContext([scenario]).field(y, 0.0)
+        layout = fld.state_layout(scenario)
         x, x0, _, _, _ = layout.split(y)
         dx, dx0, _, _, _ = layout.split(dy)
         assert np.array_equal(dx[0, :, 0], x[0, :, 1])
@@ -143,7 +145,7 @@ class TestDerivativeField:
         assert scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_TIME
         for seed, t in ((1, 0.0), (2, 0.37), (3, 1.9)):
             assert_field_matches_oracles(scenario, seed, t)
-            ctx = sim._SimContext([scenario])
+            ctx = fld._SimContext([scenario])
             ctx.evaluate(sim.initial_state(scenario), t)
             assert ctx.phi_w.tolist() == pytest.approx(
                 [math.exp(-(c - t) ** 2 / (2 * 0.4 ** 2)) for c in (0.0, 0.5, 1.5)], rel=1e-15)
@@ -154,7 +156,7 @@ class TestDerivativeField:
         base = small_scenario()
         leader = dyn.LeaderModel(drift=dyn.compile_state_expression("cos(s) - 0.3*v", 2))
         scenario = dataclasses.replace(base, leader_model=leader)
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         batches, loose = ctx.drifts
         assert [b.index.tolist() for b in batches] == [[0, 2]]
         assert [i for i, *_ in loose] == [1]
@@ -183,7 +185,7 @@ class TestDerivativeField:
         wide = dataclasses.replace(scenario, gains=dataclasses.replace(scenario.gains, psi_i0=4.0))
         y = sim.initial_state(scenario)
         y[6:] = np.linspace(-0.4, 0.4, y.size - 6)   # the weights
-        skip, full = sim._SimContext([scenario]), sim._SimContext([wide])
+        skip, full = fld._SimContext([scenario]), fld._SimContext([wide])
         skip.evaluate(y, 0.3)
         full.evaluate(y, 0.3)
         u_skip, u_full = skip.u, full.u
@@ -193,7 +195,7 @@ class TestDerivativeField:
     @pytest.mark.parametrize("leader", [0.05, 4.0])
     def test_non_finite_position_reaches_the_control(self, leader):
         scenario = small_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[ctx.layout.bounds[1]] = leader
         for bad in (math.nan, math.inf):
@@ -205,7 +207,7 @@ class TestDerivativeField:
     def test_crowded_fleet_matches_oracles(self):
         """Sorted-gap pair scan and grouped models against the per-agent oracles."""
         scenario = crowded_scenario()
-        batches, loose = sim._batches([m.drift for m in scenario.agent_models])
+        batches, loose = fld._batches([m.drift for m in scenario.agent_models])
         assert sorted(b.index.size for b in batches) == [1, 9, 24] and len(loose) == 2
         assert_field_matches_oracles(scenario, seed=3, t_now=1.37)
 
@@ -222,7 +224,7 @@ class TestDerivativeField:
 
     def test_min_pair_is_the_dense_minimum(self):
         scenario = crowded_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         agents = ctx.layout.split(y)[0][0]   # a view: writing it moves the agents in y
         n = agents.shape[0]
@@ -242,18 +244,18 @@ class TestDerivativeField:
 
 
 def assert_field_matches_oracles(scenario, seed, t_now):
-    layout = sim.state_layout(scenario)
+    layout = fld.state_layout(scenario)
     rng = np.random.default_rng(seed)
     y = sim.initial_state(scenario)
     y[layout.n_agents * layout.order + layout.order:] = \
         rng.normal(scale=0.5, size=layout.size - layout.n_agents * layout.order - layout.order)
-    dy = sim._SimContext([scenario]).field(y, t_now)
+    dy = fld._SimContext([scenario]).field(y, t_now)
     assert_variant_matches_oracles(scenario, layout.split(y), layout.split(dy), 0, t_now)
 
 
 def assert_variant_matches_oracles(scenario, blocks, d_blocks, k, t_now):
     """Variant k of a (stacked) state and its field against the per-agent oracles."""
-    layout = sim.state_layout(scenario)
+    layout = fld.state_layout(scenario)
     x, x0, th_f, th_w, th_l = (b[k] for b in blocks)
     dx, _, dth_f, dth_w, dth_l = (b[k] for b in d_blocks)
     fleet = dyn.FleetState(agents=x, leader=x0)
@@ -501,7 +503,7 @@ def crowded_variants():
 class TestWorkspace:
     def test_recorded_arrays_outlive_later_evaluations(self):
         scenario = small_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
         # agents, leader, u, errors, r and rel_errors, as the record keeps them
@@ -511,7 +513,7 @@ class TestWorkspace:
         ctx.evaluate(other, 0.5)
         ctx.field(other, 0.5)
         assert [a.tobytes() for a in kept] == before
-        fresh_ctx = sim._SimContext([scenario])
+        fresh_ctx = fld._SimContext([scenario])
         fresh_ctx.evaluate(y, 0.37)
         fresh = (fresh_ctx.agents, fresh_ctx.leader, fresh_ctx.u, fresh_ctx.errors,
                  fresh_ctx.r, fresh_ctx.rel_errors)
@@ -519,10 +521,10 @@ class TestWorkspace:
 
     def test_the_field_after_a_record_equals_a_fresh_field(self):
         scenario = small_scenario()
-        ctx = sim._SimContext([scenario])
+        ctx = fld._SimContext([scenario])
         y = sim.initial_state(scenario)
         y[4:] = np.linspace(-0.4, 0.4, y.size - 4)
-        expected = sim._SimContext([scenario]).field(y, 0.37)
+        expected = fld._SimContext([scenario]).field(y, 0.37)
         ctx.record(y, 0.37)
         assert ctx.field(y, 0.37).tobytes() == expected.tobytes()
         # the evaluation serves one call, at the recorded state and time only
@@ -530,10 +532,10 @@ class TestWorkspace:
         moved = y.copy()
         moved[0] += 0.25
         assert ctx.field(moved, 0.37).tobytes() == \
-            sim._SimContext([scenario]).field(moved, 0.37).tobytes()
+            fld._SimContext([scenario]).field(moved, 0.37).tobytes()
         ctx.record(y, 0.37)
         assert ctx.field(y, 0.38).tobytes() == \
-            sim._SimContext([scenario]).field(y, 0.38).tobytes()
+            fld._SimContext([scenario]).field(y, 0.38).tobytes()
 
     def test_a_zero_pair_distance_is_written_as_a_positive_zero(self):
         # agent 0 at +0.0 and agent 1 at -0.0: a stable sort keeps that order,
@@ -549,13 +551,13 @@ class TestWorkspace:
         # the step after a record takes its first stage from the record's
         # evaluation: 50 steps and 6 records compute 4 * 50 + 1, not 4 * 50 + 6
         computed = []
-        init = sim._SimContext.__init__
+        init = fld._SimContext.__init__
 
         def counting_init(ctx, scenarios):
             init(ctx, scenarios)
             bases = ctx.state_bases
             ctx.state_bases = lambda chains: computed.append(1) or bases(chains)
-        monkeypatch.setattr(sim._SimContext, "__init__", counting_init)
+        monkeypatch.setattr(fld._SimContext, "__init__", counting_init)
         scenario, _ = sio.load_scenario("builtin:close_pair")
         trace = sim.run(dataclasses.replace(scenario, duration=0.05, record_stride=10))
         assert trace.times.size == 6 and trace.aborted is None
@@ -566,7 +568,7 @@ class TestRunMany:
     @pytest.mark.parametrize("make", [stacked_variants, crowded_variants])
     def test_stacked_field_matches_oracles_per_variant(self, make):
         variants = make()
-        ctx = sim._SimContext(variants)
+        ctx = fld._SimContext(variants)
         rng = np.random.default_rng(21)
         y = sim.initial_state(*variants)
         blocks = ctx.layout.split(y)
@@ -588,7 +590,7 @@ class TestRunMany:
         raising = dataclasses.replace(base, agent_models=(
             base.agent_models[0], dataclasses.replace(base.agent_models[1], drift=fragile)))
         variants.insert(2, raising)
-        assert len({sim.batch_key(v) for v in variants}) == 1
+        assert len({fld.batch_key(v) for v in variants}) == 1
         traces = sim.run_many(variants)
         for variant, trace in zip(variants, traces):
             solo = sim.run(variant)
@@ -616,6 +618,38 @@ class TestRunMany:
         for variant, trace in zip(variants, traces):
             if trace.aborted is None:
                 assert np.array_equal(trace.agents, sim.run(variant).agents)
+
+    def test_non_finite_state_names_the_agent_and_the_block(self):
+        # gains.c = 1e300 overflows agent 1's chain in the first step; the
+        # other variant runs on as it does alone
+        base, _ = sio.load_scenario("builtin:close_pair")
+        base = dataclasses.replace(base, duration=0.05)
+        blowup = dataclasses.replace(
+            base, gains=dataclasses.replace(base.gains, c=np.array([1e300, 1e300])))
+        traces = sim.run_many([base, blowup])
+        assert [trace.aborted for trace in traces] == [
+            None, "non-finite state of agent 1 (chain) at t=0.001"]
+        assert traces[1].times.tolist() == [0.0]
+        alone = sim.run(base)
+        for name in ("agents", "leader", "weight_norms"):
+            assert np.array_equal(getattr(traces[0], name), getattr(alone, name)), name
+
+    @pytest.mark.parametrize("block, index, part", [
+        (0, (1, 2, 1), "agent 3 (chain)"),
+        (1, (1, 0), "the leader (chain)"),
+        (2, (1, 1, 4), "agent 2 (drift weights)"),
+        (3, (1, 0, 0), "agent 1 (disturbance weights)"),
+        (4, (1, 2, 3), "agent 3 (leader weights)"),
+    ])
+    def test_non_finite_part_in_layout_order(self, block, index, part):
+        layout = fld.StateLayout(n_agents=3, order=2, p_f=9, p_w=5, p_l=9, n_variants=2)
+        y = np.zeros(layout.size)
+        blocks = layout.split(y)
+        blocks[block][index] = np.nan
+        blocks[4][1, -1, -1] = np.inf   # the variant's last entry
+        blocks[min(block, 3)][(0,) + index[1:]] = np.inf   # the other variant
+        assert sim._nonfinite_part(blocks, 1) == part
+        assert sim._nonfinite_part(layout.split(np.zeros(layout.size)), 1) is None
 
     def test_structures_that_differ_are_refused(self):
         base = small_scenario()
@@ -796,6 +830,15 @@ class TestBoundedness:
         assert leader_norms.max() <= 10.0 * envelope
 
 
+def leader_only_platoon():
+    """The bundled platoon with no follower edges and every pinning weight 1,
+    whose mu1 is positive."""
+    scenario, _ = sio.load_scenario("builtin:vehicle_platoon")
+    n = scenario.topology.n_agents
+    topo = gr.Topology(adjacency=np.zeros((n, n)), leader_weights=np.ones(n))
+    return dataclasses.replace(scenario, topology=topo)
+
+
 def det_cofactor(matrix):
     """Textbook cofactor expansion along the first row."""
     m = [list(map(float, row)) for row in matrix]
@@ -811,13 +854,13 @@ def det_cofactor(matrix):
 
 class TestCuubDiagnostics:
     def test_diagonal_case_positive_definite(self):
-        k = sim.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-        minors = sim.sylvester_minors(k)
+        k = cuub.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        minors = cuub.sylvester_minors(k)
         assert np.all(minors > 0)
 
     def test_worked_instance_against_cofactor_oracle(self):
-        k = sim.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 1.0)
-        minors = sim.sylvester_minors(k)
+        k = cuub.assemble_k_matrix(2.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 1.0)
+        minors = cuub.sylvester_minors(k)
         for m in range(1, 6):
             oracle = det_cofactor(k[:m, :m])
             assert minors[m - 1] == pytest.approx(oracle, abs=1e-12)
@@ -825,10 +868,10 @@ class TestCuubDiagnostics:
 
     def test_bd_hand_arithmetic(self):
         omega_l1 = 1.0 * 1.0 + 1.0 * 1.0 + 1.0 * 1.0 + 1.0   # kappas=1, thetas=1, Lambda=1
-        assert sim.bd_value(omega_l1, 0.5) == pytest.approx(8.0)
+        assert cuub.bd_value(omega_l1, 0.5) == pytest.approx(8.0)
 
     def test_bd_guard_on_singular_k(self):
-        assert sim.bd_value(1.0, 0.0) == math.inf
+        assert cuub.bd_value(1.0, 0.0) == math.inf
 
     def test_full_report_single_agent(self):
         topo = gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
@@ -836,8 +879,8 @@ class TestCuubDiagnostics:
         gains = ctl.ControlGains(lambda_bar=np.array([2.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3, alpha_bar=1.0)
-        bounds = sim.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
-        report = sim.cuub_diagnostics(bounds, topo, gains)
+        bounds = cuub.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
+        report = cuub.cuub_diagnostics(bounds, topo, gains)
         # A = 0: all coupling terms except g vanish; g = -sigma_max(P1)/2 = -1/8
         assert report.graph_quantities["sigma_max_A"] == 0.0
         assert report.graph_quantities["g"] == pytest.approx(-0.125)
@@ -862,10 +905,10 @@ class TestCuubDiagnostics:
 
         def report(bounds):
             return numbers(dataclasses.asdict(
-                sim.cuub_diagnostics(bounds, scenario.topology, scenario.gains)))
+                cuub.cuub_diagnostics(bounds, scenario.topology, scenario.gains)))
         before = report(base)
         unmoved = []
-        for f in dataclasses.fields(sim.CuubBounds):
+        for f in dataclasses.fields(cuub.CuubBounds):
             value = getattr(base, f.name)
             value = 2.0 * (scenario.gains.alpha_bar if value is None else value) + 1.0
             if np.array_equal(report(dataclasses.replace(base, **{f.name: value})), before,
@@ -880,9 +923,28 @@ class TestCuubDiagnostics:
         gains = ctl.ControlGains(lambda_bar=np.array([50.0]), c=np.array([1.0, 1.0]),
                                  chi=1.0, psi_ij=0.5, psi_i0=0.5,
                                  detect_radius=1.0, obstacle_radius=0.3, alpha_bar=1.0)
-        bounds = sim.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
-        report = sim.cuub_diagnostics(bounds, topo, gains)
+        bounds = cuub.CuubBounds(beta=1.0, kappa=1.0, kappaw=1.0, kappa0=1.0)
+        report = cuub.cuub_diagnostics(bounds, topo, gains)
         assert not report.positive_definite
         assert report.first_failing_minor == 5
         assert report.mu1 < report.mu1_required
         assert "NotPositiveDefinite" in report.failure
+
+    @pytest.mark.parametrize("leader_only", [False, True])
+    def test_schur_identity_of_k(self, leader_only):
+        # K's leading 4x4 block is diagonal, so det K = beta/2 kappa kappa_w
+        # kappa_0 (mu1 - mu1_required), whatever the bound constants are
+        scenario = (leader_only_platoon() if leader_only
+                    else sio.load_scenario("builtin:vehicle_platoon")[0])
+        rng = np.random.default_rng(22)
+        names = [f.name for f in dataclasses.fields(cuub.CuubBounds) if f.name != "alpha_bar"]
+        for _ in range(50):
+            bounds = cuub.CuubBounds(**dict(zip(names, 10.0 ** rng.uniform(-3, 3, len(names)))))
+            report = cuub.cuub_diagnostics(bounds, scenario.topology, scenario.gains)
+            diag = bounds.beta / 2.0 * bounds.kappa * bounds.kappaw * bounds.kappa0
+            schur = diag * (report.mu1 - report.mu1_required)
+            # relative to the two terms, which may cancel when mu1 > 0
+            scale = diag * (abs(report.mu1) + report.mu1_required)
+            assert abs(np.linalg.det(report.k_matrix) - schur) <= 1e-9 * scale
+            assert abs(report.minors[4] - schur) <= 1e-9 * scale
+            assert report.positive_definite == (report.mu1 > report.mu1_required)
