@@ -20,7 +20,6 @@ import numpy as np
 from . import controller as ctl
 from . import cuub
 from . import field as fld
-from . import graph as gr
 from . import scenario_io as sio
 from . import sim
 
@@ -77,7 +76,7 @@ def write_figure_data(stack, out_dir: Path, n_agents: int, order: int):
 
 def cmd_run(args) -> int:
     try:
-        scenario, _doc = sio.load_scenario(args.scenario)
+        scenario = sio.load_scenario(args.scenario)[0]   # the document is not kept
         overrides = {name: value for name, value in (("dt", args.dt), ("duration", args.duration))
                      if value is not None}
         if overrides:
@@ -127,7 +126,7 @@ def _norm(a: np.ndarray) -> float:
 
 def cmd_check(args) -> int:
     try:
-        scenario, _doc = sio.load_scenario(args.scenario)
+        scenario = sio.load_scenario(args.scenario)[0]   # the document is not kept
     except sio.ScenarioError as exc:
         print(f"FAIL load: {exc}", file=sys.stderr)
         return 1
@@ -138,7 +137,7 @@ def cmd_check(args) -> int:
     lyap = scenario.topology.certificate
     # lambda_bar's products may leave the float range; a residual that does fails its line
     with np.errstate(all="ignore"):
-        cond = float(np.linalg.cond(gr.pinned_laplacian(scenario.topology)))
+        cond = float(np.linalg.cond(scenario.topology.pounds))
         p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
         delta = ctl.companion(gains.lambda_bar)
         residual = _norm(delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]))

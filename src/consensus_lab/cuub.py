@@ -100,7 +100,7 @@ def cuub_diagnostics(bounds: CuubBounds, topology: gr.Topology,
         return float(np.linalg.norm(matrix, -2)) if np.isfinite(matrix).all() else math.nan
 
     lyap = topology.certificate
-    pounds = gr.pinned_laplacian(topology)
+    pounds = topology.pounds
     adjacency = topology.adjacency
     dvec = adjacency.sum(axis=1)
     pin = dvec + topology.leader_weights

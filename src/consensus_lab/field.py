@@ -161,7 +161,7 @@ class _SimContext:
             return np.array(values, dtype=float).reshape((n_var,) + (1,) * ndim)
 
         bvec = [np.asarray(topo.leader_weights) for topo in topos]
-        self.pounds = stacked([gr.pinned_laplacian(topo) for topo in topos])
+        self.pounds = stacked([topo.pounds for topo in topos])
         self.pin = stacked([topo.adjacency.sum(axis=1) + b for topo, b in zip(topos, bvec)])
         self.p_vec = stacked([topo.certificate.p_diag for topo in topos])
         self.lam = vectors([g.lambda_bar for g in gains])

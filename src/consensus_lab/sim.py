@@ -243,18 +243,23 @@ def run_many(scenarios, sink=None) -> list:
         while live and step < n_steps:
             t = step * dt
             ctx.faults.clear()
-            y = rk4_step(ctx.field, y, t, dt)
+            y_next = rk4_step(ctx.field, y, t, dt)
             for k, fault in ctx.faults.items():
                 if k in live:
                     stop(k, fault if isinstance(fault, str)
                          else f"model evaluation failed at t={t:g}: {fault}")
             step += 1
-            t = step * dt
-            if not np.logical_and.reduce(np.isfinite(y)):
-                blocks = ctx.layout.split(y)
-                for k, part in [(k, _nonfinite_part(blocks, k)) for k in live]:
+            if not np.logical_and.reduce(np.isfinite(y_next)):
+                # the step's first rate, evaluated again, names where the
+                # blow-up began; the later stages spread it to the chains
+                blocks, rates = ctx.layout.split(y_next), ctx.layout.split(ctx.field(y, t))
+                for k in list(live):
+                    part = _nonfinite_part(blocks, k)
                     if part is not None:
-                        stop(k, f"non-finite state of {part} at t={t:g}")
+                        origin = _nonfinite_part(rates, k)
+                        stop(k, f"non-finite state of {part} at t={step * dt:g}"
+                                + (f"; first non-finite rate: {origin}" if origin else ""))
+            y, t = y_next, step * dt
             if len(live) < len(scenarios):
                 np.copyto(y, y0, where=stopped)
             if live and (step % stride == 0 or step == n_steps):

@@ -4,7 +4,9 @@ The simulator runs only the vectorised field in ``consensus_lab.field``.  These
 literal per-agent restatements (loops over neighbours, one estimator object
 per agent and family) are the oracles the tests compare the field against.
 So are the loop form ``phi`` of the state bases, the CSV cell format
-``fmt`` and the whole-trace ``metrics``.
+``fmt`` and the whole-trace ``metrics``, and the graph matrices D, L and
+£ = nu1*L + nu2*B built one matrix each, with the certificate's verdict
+taken by eigvalsh alone.
 
 The per-agent control is u_i = u_i^d - u_i^c - u_i^0:
 
@@ -26,7 +28,8 @@ import scipy.linalg
 from consensus_lab.controller import DISTANCE_CLAMP, ControlGains, Offsets
 from consensus_lab.dynamics import FleetState
 from consensus_lab.estimator import GAUSSIAN_RBF_STATE, BasisSpec, DimensionMismatch, basis_eval
-from consensus_lab.graph import GraphLyapunov, Topology, _readonly, pinned_laplacian
+from consensus_lab import graph as gr
+from consensus_lab.graph import GraphLyapunov, Topology, _readonly
 
 
 class IsolatedAgent(RuntimeError):
@@ -321,6 +324,48 @@ def metrics(trace) -> dict:
         "duration": float(times[-1] - times[0]),
         "records": int(times.size),
     }
+
+
+# ---------------------------------------------------------------------------
+# The graph matrices, one matrix each, and the certificate's verdict by eigvalsh.
+
+
+def degree_matrix(topology: Topology) -> np.ndarray:
+    """Diagonal matrix of row sums d_i of the adjacency."""
+    return np.diag(topology.adjacency.sum(axis=1))
+
+
+def laplacian(topology: Topology) -> np.ndarray:
+    """L = D - A; every row sums to zero."""
+    return degree_matrix(topology) - topology.adjacency
+
+
+def pinned_laplacian(topology: Topology) -> np.ndarray:
+    """nu1*L + nu2*B."""
+    return topology.nu1 * laplacian(topology) + topology.nu2 * np.diag(topology.leader_weights)
+
+
+def graph_lyapunov_eigvalsh(topology: Topology):
+    """(q, p) of graph.graph_lyapunov with Q's verdict taken by eigvalsh
+    alone, on £ scaled by a power of two into [0.5, 1) in magnitude; raises
+    graph_lyapunov's exceptions where it refuses."""
+    pounds = pinned_laplacian(topology)
+    scale = np.max(np.abs(pounds))
+    if not 0.0 < scale < math.inf:
+        raise gr.SingularPinnedLaplacian(f"pinned Laplacian scale {scale}")
+    e = math.frexp(scale)[1]
+    unit = np.ldexp(pounds, -e)
+    if not np.min(gr._lu_pivots(unit)) >= gr.PIVOT_RTOL * math.ldexp(scale, -e):
+        raise gr.SingularPinnedLaplacian("pivot ratio")
+    q = np.linalg.solve(unit, np.ones(len(unit)))
+    if np.any(q <= 0):
+        raise gr.NonPositiveQ("q")
+    p = 1.0 / q
+    m = p[:, None] * unit
+    if np.linalg.eigvalsh(m + m.T)[0] <= gr.Q_EIG_TOL:
+        raise gr.NonPositiveQ("Q")
+    with np.errstate(over="ignore"):
+        return np.ldexp(q, -e), np.ldexp(p, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,37 +52,37 @@ def random_pinned_topology(rng, n, directed_fraction=0.3):
 class TestDegreeAndLaplacian:
     def test_degree_symmetric_01(self):
         t = topo([[0, 1], [1, 0]], [1, 0])
-        assert np.array_equal(gr.degree_matrix(t), np.diag([1.0, 1.0]))
+        assert np.array_equal(ref.degree_matrix(t), np.diag([1.0, 1.0]))
 
     def test_degree_empty_graph(self):
         t = topo([[0, 0], [0, 0]], [1, 0])
-        assert np.array_equal(gr.degree_matrix(t), np.zeros((2, 2)))
+        assert np.array_equal(ref.degree_matrix(t), np.zeros((2, 2)))
 
     def test_degree_weighted_row_sums(self):
         t = topo([[0, 2, 0], [2, 0, 3], [0, 3, 0]], [1, 0, 0])
-        assert np.array_equal(np.diag(gr.degree_matrix(t)), [2.0, 5.0, 3.0])
+        assert np.array_equal(np.diag(ref.degree_matrix(t)), [2.0, 5.0, 3.0])
 
     def test_laplacian_two_node_chain(self):
         t = topo([[0, 1], [1, 0]], [1, 0])
-        assert np.array_equal(gr.laplacian(t), [[1, -1], [-1, 1]])
+        assert np.array_equal(ref.laplacian(t), [[1, -1], [-1, 1]])
 
     def test_laplacian_weighted(self):
         t = topo([[0, 2, 0], [2, 0, 3], [0, 3, 0]], [1, 0, 0])
-        assert np.array_equal(gr.laplacian(t), [[2, -2, 0], [-2, 5, -3], [0, -3, 3]])
+        assert np.array_equal(ref.laplacian(t), [[2, -2, 0], [-2, 5, -3], [0, -3, 3]])
 
     def test_laplacian_rows_sum_to_zero_random(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             t = random_pinned_topology(rng, int(rng.integers(2, 9)))
-            assert np.max(np.abs(gr.laplacian(t) @ np.ones(t.n_agents))) <= 1e-12
+            assert np.max(np.abs(ref.laplacian(t) @ np.ones(t.n_agents))) <= 1e-12
 
     def test_undirected_laplacian_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             t = random_pinned_topology(rng, int(rng.integers(2, 9)), directed_fraction=0.0)
-            eig = np.linalg.eigvalsh(gr.laplacian(t))
+            eig = np.linalg.eigvalsh(ref.laplacian(t))
             assert eig.min() >= -1e-10
-            assert np.allclose(gr.laplacian(t), gr.laplacian(t).T)
+            assert np.allclose(ref.laplacian(t), ref.laplacian(t).T)
 
 
 class TestTopologyInvariants:
@@ -99,6 +101,11 @@ class TestTopologyInvariants:
     def test_rejects_nonpositive_gains(self):
         with pytest.raises(ValueError, match="positive"):
             topo([[0, 1], [1, 0]], [1, 0], nu1=0.0)
+
+    @pytest.mark.parametrize("gain", ["nu1", "nu2"])
+    def test_rejects_infinite_gains(self, gain):
+        with pytest.raises(ValueError, match="finite"):
+            topo([[0, 1], [1, 0]], [1, 0], **{gain: np.inf})
 
 
 class TestSpanningTree:
@@ -306,6 +313,130 @@ class TestScaleFreeVerdict:
         adj = np.array([[0.0, 3.787, 0.717], [1.0, 0.0, 0.922], [0.0, 1.0, 0.0]])
         t = topo(adj * scale, np.array([1.0, 0.0, 0.0]) * scale, undirected=False)
         with pytest.raises(gr.NonPositiveQ):
+            gr.graph_lyapunov(t)
+
+
+def random_directed_topology(rng, n):
+    """A directed topology with a leader spanning tree: random edges of
+    weight U(0.1, 5), each agent pinned with probability 0.2, redrawn until
+    every agent hears the leader."""
+    while True:
+        adj = np.where(rng.random((n, n)) < 0.3, rng.uniform(0.1, 5.0, (n, n)), 0.0)
+        np.fill_diagonal(adj, 0.0)
+        b = np.where(rng.random(n) < 0.2, rng.uniform(0.1, 5.0, n), 0.0)
+        t = topo(adj, b, nu1=rng.uniform(0.5, 2.0), nu2=rng.uniform(0.5, 2.0), undirected=False)
+        if gr.has_leader_spanning_tree(t):
+            return t
+
+
+def directed_examples():
+    """The directed topologies of test_directed_reducible_graph_can_fail_certificate
+    and of test_cli's directed_indefinite_q_doc, whose Q for P = diag(1/q) is indefinite."""
+    return (topo([[0.0, 3.787, 0.717], [1.0, 0.0, 0.922], [0.0, 1.0, 0.0]], [1.0, 0.0, 0.0],
+                 undirected=False),
+            topo([[0, 0, 0], [100, 0, 0], [0, 0.01, 0]], [1.0, 0.0, 0.0], undirected=False))
+
+
+class TestOneArrayPinnedLaplacian:
+    """pinned_laplacian builds £ in one array with the bits of nu1*L + nu2*B."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("weight", [1.0, 1e160, 1e-320])
+    def test_equals_the_oracle_bit_for_bit(self, weight):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            adj = np.where(rng.random((n, n)) < 0.4, rng.uniform(0.1, 5.0, (n, n)) * weight, 0.0)
+            adj[rng.integers(0, n)] = 0.0                    # a row with no edges
+            adj[rng.random((n, n)) < 0.1] = -0.0              # zeros of either sign
+            np.fill_diagonal(adj, rng.choice([0.0, -0.0], n))
+            undirected = rng.random() < 0.5
+            if undirected:
+                adj = np.triu(adj, 1) + np.triu(adj, 1).T
+            b = np.where(rng.random(n) < 0.5, rng.uniform(0.1, 5.0, n) * weight, 0.0)
+            t = topo(adj, b, nu1=10.0 ** rng.uniform(-3, 3), nu2=10.0 ** rng.uniform(-3, 3),
+                     undirected=undirected)
+            self.assert_same_bits(gr.pinned_laplacian(t), ref.pinned_laplacian(t))
+            self.assert_same_bits(t.pounds, ref.pinned_laplacian(t))
+
+    def test_the_topology_keeps_one_read_only_copy(self):
+        t = chain_topology(4, [1.0, 0, 0, 0])
+        assert t.pounds is t.pounds and not t.pounds.flags.writeable
+        assert t.certificate.pounds is t.pounds
+        with pytest.raises(ValueError):
+            t.pounds[0, 0] = 0.0
+
+
+def unit_solve(t):
+    """(unit, q, p) as graph_lyapunov solves them: £ scaled by a power of two
+    into [0.5, 1) in magnitude, q with unit q = 1, and p = 1/q."""
+    pounds = t.pounds
+    unit = np.ldexp(pounds, -math.frexp(np.max(np.abs(pounds)))[1])
+    q = np.linalg.solve(unit, np.ones(t.n_agents))
+    return unit, q, 1.0 / q
+
+
+def verdict(solve, t):
+    """The q and P bits solve(t) gives, or the class of the exception it raises."""
+    try:
+        lyap = solve(t)
+    except (gr.SingularPinnedLaplacian, gr.NonPositiveQ) as exc:
+        return type(exc)
+    q, p = (lyap.q, lyap.p_diag) if isinstance(lyap, gr.GraphLyapunov) else lyap
+    return q.tobytes(), p.tobytes()
+
+
+class TestVerdictOnTheBound:
+    """Q's verdict is taken on a Collatz-Wielandt bound, and by eigvalsh
+    only where the bound cannot decide it."""
+
+    def scan(self):
+        rng = np.random.default_rng(0)
+        for _ in range(150):
+            yield random_pinned_topology(rng, int(rng.integers(2, 41)), directed_fraction=0.5)
+            yield random_directed_topology(rng, int(rng.integers(2, 41)))
+        yield from directed_examples()
+
+    def test_the_bound_never_exceeds_the_least_eigenvalue(self):
+        checked = 0
+        for t in self.scan():
+            unit, q, p = unit_solve(t)
+            if np.any(q <= 0):
+                continue
+            checked += 1
+            m = p[:, None] * unit
+            lower, norm = gr._q_bound(unit, q, p)
+            assert lower <= np.linalg.eigvalsh(m + m.T)[0]
+            assert norm >= np.linalg.norm(m + m.T, 2)
+        assert checked >= 250
+
+    def test_the_verdict_equals_eigvalsh_alone(self, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        topologies = list(self.scan())
+        topologies += [topo(np.array(PLATOON_ADJACENCY) * s, np.array([1.0, 0, 0, 0, 0]) * s)
+                       for s in (1e-6, 1e-5, 1e-4, 1.0, 1e150, 1e160, 1e300)]
+        outcomes = {"bound": 0, "eigvalsh": 0, "refused": 0}
+        for t in topologies:
+            before = len(calls)
+            got = verdict(gr.graph_lyapunov, t)
+            after = len(calls)
+            assert got == verdict(ref.graph_lyapunov_eigvalsh, t)
+            outcomes["refused" if isinstance(got, type) else
+                     "eigvalsh" if after > before else "bound"] += 1
+        # both ways of accepting, and refusals, are exercised
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_the_bound_decides_every_undirected_topology_of_the_scan(self, monkeypatch):
+        def refuse(_a):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            t = random_pinned_topology(rng, int(rng.integers(1, 41)), directed_fraction=0.0)
             gr.graph_lyapunov(t)
 
 

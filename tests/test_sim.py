@@ -634,6 +634,23 @@ class TestRunMany:
         for name in ("agents", "leader", "weight_norms"):
             assert np.array_equal(getattr(traces[0], name), getattr(alone, name)), name
 
+    def test_non_finite_state_names_the_first_non_finite_rate(self):
+        # nn.F = 1e308 makes the disturbance weights' rate non-finite at the
+        # first stage; the later stages carry it into agent 1's chain.  The
+        # abort names both, and the variant that runs on keeps its bits
+        base, _ = sio.load_scenario("builtin:close_pair")
+        base = dataclasses.replace(base, duration=0.05)
+        blowup = dataclasses.replace(base, nn_config=dataclasses.replace(base.nn_config, gain=1e308))
+        traces = sim.run_many([blowup, base])
+        reason = ("non-finite state of agent 1 (chain) at t=0.001; "
+                  "first non-finite rate: agent 1 (disturbance weights)")
+        assert [trace.aborted for trace in traces] == [reason, None]
+        assert sim.run(blowup).aborted == reason
+        alone = sim.run(base)
+        for f in dataclasses.fields(sim.Trace):
+            if f.name != "aborted":
+                assert np.array_equal(getattr(traces[1], f.name), getattr(alone, f.name)), f.name
+
     @pytest.mark.parametrize("block, index, part", [
         (0, (1, 2, 1), "agent 3 (chain)"),
         (1, (1, 0), "the leader (chain)"),
