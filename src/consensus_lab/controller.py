@@ -16,11 +16,12 @@ along the position axis (a signless sum cannot repel symmetrically in 1-D).
 Scenarios can opt into the raw signless form via ``signless_avoidance``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _readonly
+from .graph import FieldError, _check, _readonly
 
 # Distances are clamped below by this before dividing, and the obstacle
 # potential saturates at the value attained at core_radius * (1 + this).
@@ -28,7 +29,7 @@ DISTANCE_CLAMP = 1e-6
 HURWITZ_TOL = 1e-12
 
 
-class NotHurwitz(ValueError):
+class NotHurwitz(FieldError):
     """lambda_bar does not place all companion-matrix roots in the open left half plane."""
 
 
@@ -42,12 +43,13 @@ class Offsets:
     def __post_init__(self):
         pa = _readonly(self.per_agent)
         ld = _readonly(self.leader)
-        if pa.ndim != 2 or ld.ndim != 1 or pa.shape[1] != ld.shape[0]:
-            raise ValueError("per_agent must be (N, n) and leader (n,)")
-        if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(ld))):
-            raise ValueError("offsets must be finite")
         object.__setattr__(self, "per_agent", pa)
         object.__setattr__(self, "leader", ld)
+        if pa.ndim != 2:
+            raise FieldError("per_agent", "must be an (N, n) array")
+        if ld.shape != pa.shape[1:]:
+            raise FieldError("leader", f"must be a vector of the agent offsets' length {pa.shape[1]}")
+        _check(self, ("per_agent", "leader"), lambda a: np.all(np.isfinite(a)), "must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,21 +79,21 @@ class ControlGains:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "obstacles", obstacles)
         if lam.ndim != 1 or lam.shape[0] < 1:
-            raise ValueError("lambda_bar must be a nonempty vector")
+            raise FieldError("lambda_bar", "must be a nonempty vector")
         if c.ndim != 1 or c.shape[0] != lam.shape[0] + 1:
-            raise ValueError("c must have length n = len(lambda_bar) + 1")
+            raise FieldError("c", "must have length n = len(lambda_bar) + 1")
         if obstacles.ndim != 1:
-            raise ValueError("obstacles must be a flat vector of positions")
-        for name in ("gamma0", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("chi", "psi_ij", "psi_i0", "detect_radius", "obstacle_radius", "alpha_bar"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            raise FieldError("obstacles", "must be a flat vector of positions")
+        _check(self, ("gamma0", "gamma1", "gamma2"), lambda v: v >= 0, "must be nonnegative")
+        _check(self, ("chi", "psi_ij", "psi_i0", "detect_radius", "obstacle_radius", "alpha_bar"),
+               lambda v: v > 0, "must be positive")
         if not self.obstacle_radius < self.detect_radius:
-            raise ValueError("obstacle_radius must be smaller than detect_radius")
+            raise FieldError("obstacle_radius", "must be smaller than the detection radius")
+        r = self.detect_radius   # the field uses the squared radii; the core's is the smaller
+        if math.isinf(r * r):
+            raise FieldError("detect_radius", "too large: its square overflows a float")
         if not check_hurwitz(lam):
-            raise NotHurwitz(f"lambda_bar {lam} fails the Hurwitz check")
+            raise NotHurwitz("lambda_bar", f"{lam} fails the Hurwitz check")
 
     @property
     def order(self) -> int:
@@ -142,7 +144,7 @@ def lyapunov_P1(lambda_bar, alpha_bar: float) -> np.ndarray:
         raise ValueError("alpha_bar must be positive")
     lam = np.asarray(lambda_bar, dtype=float)
     if not check_hurwitz(lam):
-        raise NotHurwitz(f"lambda_bar {lam} is not Hurwitz")
+        raise NotHurwitz("lambda_bar", f"{lam} is not Hurwitz")
     delta = companion(lam)
     m = delta.shape[0]
     eye = np.eye(m)

@@ -38,9 +38,10 @@ class CuubBounds:
     alpha_bar: Optional[float] = None  # defaults to the scenario's gains value
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.name != "alpha_bar" and getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be nonnegative")
+        names = [f.name for f in dataclasses.fields(self) if f.name != "alpha_bar"]
+        gr._check(self, names, lambda v: v >= 0, "must be nonnegative")
+        if self.alpha_bar is not None:
+            gr._check(self, ("alpha_bar",), lambda v: v > 0, "must be positive")
 
 
 @dataclass(frozen=True)

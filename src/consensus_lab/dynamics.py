@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .graph import FieldError, _check, _readonly
+
 GRAVITY = 9.81
 GRADE_AMPLITUDE = 0.05
 GRADE_WAVENUMBER = 0.1
@@ -45,24 +47,23 @@ class LeaderModel:
 
 @dataclass(frozen=True)
 class FleetState:
-    """Stacked follower states (N, n) and leader state (n,) at t = 0."""
+    """Stacked follower states (N, n) and leader state (n,) at t = 0; n >= 2."""
 
     agents: np.ndarray
     leader: np.ndarray
 
     def __post_init__(self):
-        agents = np.array(self.agents, dtype=float)
-        leader = np.array(self.leader, dtype=float)
-        if agents.ndim != 2:
-            raise ValueError("agents must be a 2-D array (N, n)")
-        if leader.ndim != 1 or leader.shape[0] != agents.shape[1]:
-            raise ValueError("leader state length must match the chain order")
-        if not (np.all(np.isfinite(agents)) and np.all(np.isfinite(leader))):
-            raise ValueError("states must be finite")
-        agents.setflags(write=False)
-        leader.setflags(write=False)
+        agents = _readonly(self.agents)
+        leader = _readonly(self.leader)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "leader", leader)
+        if agents.ndim != 2:
+            raise FieldError("agents", "expected an array of state vectors")
+        if leader.shape != agents.shape[1:]:
+            raise FieldError("leader", "state length must match the agent state length")
+        if leader.shape[0] < 2:
+            raise FieldError("leader", "chain order must be >= 2")
+        _check(self, ("agents", "leader"), lambda a: np.all(np.isfinite(a)), "must be finite")
 
     @property
     def order(self) -> int:

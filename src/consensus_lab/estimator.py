@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _readonly
+from .graph import FieldError, _check, _readonly
 
 GAUSSIAN_RBF_STATE = "gaussian_rbf_state"
 GAUSSIAN_RBF_TIME = "gaussian_rbf_time"
 FOURIER_TIME = "fourier_time"
 
 DEFAULT_GRID_PER_AXIS = 5
-# Largest state RBF grid a scenario may ask for (the product of per_axis).
+# Largest state RBF grid gaussian_grid builds (the product of per_axis).
 # The field evaluates an (N, p) block of distances per basis; the bundled
 # scenarios use 35 and 24 centres.
 MAX_GRID_CENTERS = 4096
@@ -52,20 +52,20 @@ class BasisSpec:
 
     def __post_init__(self):
         if self.kind not in (GAUSSIAN_RBF_STATE, GAUSSIAN_RBF_TIME, FOURIER_TIME):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
+            raise FieldError("kind", f"unknown basis kind {self.kind!r}")
         centers = _readonly(self.centers)
         if self.kind == GAUSSIAN_RBF_STATE:
             if centers.ndim != 2:
-                raise ValueError("state RBF centers must be a (p, d) array")
+                raise FieldError("centers", "state RBF centers must be a (p, d) array")
         elif self.kind == GAUSSIAN_RBF_TIME:
             if centers.ndim != 1:
-                raise ValueError("time RBF centers must be a 1-D array")
+                raise FieldError("centers", "time RBF centers must be a 1-D array")
         elif centers.ndim != 1 or centers.shape[0] < 1:
-            raise ValueError("fourier basis needs at least one frequency")
+            raise FieldError("centers", "fourier basis needs at least one frequency")
         if self.kind != FOURIER_TIME and not self.width > 0:
-            raise ValueError("width must be positive")
+            raise FieldError("width", "must be positive")
         if self.kind != FOURIER_TIME and math.isinf(self.width * self.width):
-            raise ValueError("width too large: its square overflows a float")
+            raise FieldError("width", "too large: its square overflows a float")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "width", float(self.width))
 
@@ -82,11 +82,16 @@ def gaussian_grid(box, per_axis=DEFAULT_GRID_PER_AXIS, width=None) -> BasisSpec:
     if isinstance(per_axis, int):
         per_axis = [per_axis] * len(box)
     if len(per_axis) != len(box):
-        raise ValueError("per_axis must match the box dimension")
+        raise FieldError("per_axis", "must match the box dimension")
+    if any(m < 1 for m in per_axis):
+        raise FieldError("per_axis", "must give at least one node per axis")
+    if math.prod(per_axis) > MAX_GRID_CENTERS:
+        raise FieldError("per_axis", f"a grid of {math.prod(per_axis)} centres "
+                                     f"exceeds the limit of {MAX_GRID_CENTERS}")
+    if not all(hi > lo for lo, hi in box):
+        raise FieldError("box", "bounds must satisfy hi > lo")
     axes, spacings = [], []
     for (lo, hi), m in zip(box, per_axis):
-        if not hi > lo or m < 1:
-            raise ValueError("box bounds must satisfy hi > lo with at least one node per axis")
         axes.append(np.linspace(lo, hi, m))
         spacings.append((hi - lo) / (m - 1) if m > 1 else (hi - lo))
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -196,8 +201,7 @@ class NNConfig:
     kappaw: float = 0.05
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise ValueError("tuning gain must be positive")
-        for name in ("kappa", "kappa0", "kappaw"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        _check(self, ("f_basis", "leader_basis"), lambda b: b.kind == GAUSSIAN_RBF_STATE,
+               "must be a state RBF basis")
+        _check(self, ("w_basis",), lambda b: b.kind != GAUSSIAN_RBF_STATE, "must be a time basis")
+        _check(self, ("gain", "kappa", "kappa0", "kappaw"), lambda v: v > 0, "must be positive")

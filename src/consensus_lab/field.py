@@ -84,10 +84,6 @@ def state_layout(scenario) -> StateLayout:
     )
 
 
-def _step_count(scenario) -> int:
-    return int(round(scenario.duration / scenario.dt)) if scenario.duration > 0 else 0
-
-
 def _basis_key(basis: nn.BasisSpec) -> tuple:
     return basis.kind, basis.centers.shape, basis.centers.tobytes(), basis.width
 
@@ -101,7 +97,7 @@ def batch_key(scenario) -> tuple:
     """
     g = scenario.gains
     cfg = scenario.nn_config
-    return (state_layout(scenario), scenario.dt, _step_count(scenario), scenario.record_stride,
+    return (state_layout(scenario), scenario.dt, scenario.steps, scenario.record_stride,
             g.obstacles.size, g.signless_avoidance, g.strict_decentralized,
             _basis_key(cfg.f_basis), _basis_key(cfg.leader_basis), _basis_key(cfg.w_basis))
 

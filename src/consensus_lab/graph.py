@@ -32,6 +32,22 @@ class NonPositiveQ(RuntimeError):
     """q or Q failed positivity; the graph is outside the certificate's hypotheses."""
 
 
+class FieldError(ValueError):
+    """A value a constructor refuses: `field` names its field, `reason` says why."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
+def _check(owner, names, ok, reason: str) -> None:
+    """FieldError(name, reason) for the first of the named fields of `owner`
+    whose value fails ok."""
+    for name in names:
+        if not ok(getattr(owner, name)):
+            raise FieldError(name, reason)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -59,27 +75,26 @@ class Topology:
     def __post_init__(self):
         adj = _readonly(self.adjacency)
         lw = _readonly(self.leader_weights)
-        if lw.ndim != 1 or lw.size == 0:
-            raise ValueError("leader_weights must be a non-empty 1-D array")
+        if lw.ndim != 1:
+            raise FieldError("leader_weights", "must be a 1-D array")
+        if lw.size == 0:
+            raise FieldError("leader_weights", "lists no agent")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "leader_weights", lw)
         object.__setattr__(self, "nu1", float(self.nu1))
         object.__setattr__(self, "nu2", float(self.nu2))
         n = lw.size
         if adj.shape != (n, n):
-            raise ValueError(f"adjacency must be {n}x{n}, got {adj.shape}")
-        if not np.all(np.isfinite(adj)) or not np.all(np.isfinite(lw)):
-            raise ValueError("adjacency and leader_weights must be finite")
-        if np.any(adj < 0):
-            raise ValueError("adjacency weights must be nonnegative")
+            raise FieldError("adjacency", f"must be {n}x{n}, got {adj.shape}")
+        weights = ("adjacency", "leader_weights")
+        _check(self, weights, lambda a: np.all(np.isfinite(a)), "must be finite")
+        _check(self, weights, lambda a: np.all(a >= 0), "must be nonnegative")
         if np.any(np.diag(adj) != 0):
-            raise ValueError("adjacency diagonal must be zero")
-        if np.any(lw < 0):
-            raise ValueError("leader_weights must be nonnegative")
+            raise FieldError("adjacency", "diagonal must be zero")
         if self.undirected and not np.array_equal(adj, adj.T):
-            raise ValueError("undirected topology requires an exactly symmetric adjacency")
-        if not (0 < self.nu1 < math.inf and 0 < self.nu2 < math.inf):
-            raise ValueError("coupling gains nu1 and nu2 must be positive and finite")
+            raise FieldError("adjacency", "must be exactly symmetric in an undirected topology")
+        _check(self, ("nu1", "nu2"), lambda v: v > 0, "must be positive")
+        _check(self, ("nu1", "nu2"), math.isfinite, "must be finite")
 
     @property
     def n_agents(self) -> int:
@@ -299,10 +314,10 @@ def proximity_augment(topology: Topology, first_states: np.ndarray, psi_threshol
     operation is idempotent for fixed states and threshold.
     """
     if not psi_threshold > 0:
-        raise ValueError("psi_threshold must be positive")
+        raise FieldError("psi_threshold", "must be positive")
     x = np.asarray(first_states, dtype=float)
     if x.shape != (topology.n_agents,):
-        raise ValueError(f"first_states must have length {topology.n_agents}")
+        raise FieldError("first_states", f"must have length {topology.n_agents}, one per agent")
     close = np.abs(x[:, None] - x[None, :]) <= psi_threshold
     np.fill_diagonal(close, False)
     adj = np.maximum(topology.adjacency, close.astype(float))

@@ -1,8 +1,12 @@
-"""Scenario files: JSON schema 1 parsing, validation, and bundled scenarios.
+"""Scenario files: JSON schema 1 parsing and bundled scenarios.
 
-Every validation failure names the offending JSON path (for example
-``gains.chi: must be positive``).  Scenario sources are filesystem paths or
-``builtin:<name>`` references to the scenarios shipped with the package.
+The parser checks JSON types (number, integer, bool, array, object, finite)
+and builds the dataclasses, whose constructors check the values; each
+refusal names the offending JSON path (for example ``gains.chi: must be
+positive``).  A constructor's FieldError names its field, which the parser
+anchors at the key the document wrote for it.  Scenario sources are
+filesystem paths or ``builtin:<name>`` references to the scenarios shipped
+with the package.
 """
 
 import contextlib
@@ -47,12 +51,16 @@ def builtin_scenario_text(name: str) -> str:
 
 
 @contextlib.contextmanager
-def _at(path: str):
-    """Anchor a plain ValueError raised in the block at `path`; a ScenarioError keeps its own."""
+def _at(path: str, **paths):
+    """Anchor a ValueError raised in the block at `path`: a FieldError at its
+    field's JSON path, paths[field] where given, else path.field.  A
+    ScenarioError keeps its own."""
     try:
         yield
     except ScenarioError:
         raise
+    except gr.FieldError as exc:
+        raise ScenarioError(paths.get(exc.field, _here(path, exc.field)), exc.reason) from None
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from None
 
@@ -79,26 +87,18 @@ def _finite(value, here: str) -> float:
     return value
 
 
-def _get_number(doc, key, path, minimum=None, positive=False):
+def _get_number(doc, key, path):
     value = _require(doc, key, path, "number")
     here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(here, f"expected a number, got {type(value).__name__}")
-    value = _finite(value, here)
-    if positive and not value > 0:
-        raise ScenarioError(here, "must be positive")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(here, f"must be >= {minimum}")
-    return value
+    return _finite(value, here)
 
 
-def _get_int(doc, key, path, minimum=None):
+def _get_int(doc, key, path):
     value = _require(doc, key, path, "integer")
-    here = _here(path, key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(here, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(here, f"must be >= {minimum}")
+        raise ScenarioError(_here(path, key), f"expected an integer, got {type(value).__name__}")
     return value
 
 
@@ -109,7 +109,7 @@ def _get_bool(doc, key, path):
     return value
 
 
-def _get_array(doc, key, path, flat=False):
+def _get_array(doc, key, path):
     value = _require(doc, key, path, "array")
     here = _here(path, key)
     if not isinstance(value, list):
@@ -122,8 +122,6 @@ def _get_array(doc, key, path, flat=False):
         raise ScenarioError(here, "entries must be finite") from None
     if arr.size and not np.all(np.isfinite(arr)):
         raise ScenarioError(here, "entries must be finite")
-    if flat and arr.ndim != 1:
-        raise ScenarioError(here, "expected a flat array of numbers")
     return arr
 
 
@@ -134,30 +132,27 @@ def _get_dict(doc, key, path):
     return value
 
 
-def _given(get, doc, path, keys, names=None, **check) -> dict:
-    """get(doc, key, path, **check) of each of keys that doc holds, in keys
-    order, by its dataclass field name (names maps a key to a different
-    one).  A key doc lacks is left out, so its dataclass default applies."""
+def _given(get, doc, path, keys, names=None) -> dict:
+    """get(doc, key, path) of each of keys that doc holds, in keys order, by
+    its dataclass field name (names maps a key to a different one).  A key
+    doc lacks is left out, so its dataclass default applies."""
     names = names or {}
-    return {names.get(key, key): get(doc, key, path, **check) for key in keys if key in doc}
+    return {names.get(key, key): get(doc, key, path) for key in keys if key in doc}
 
 
 def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
     topo = _get_dict(doc, "topology", "")
     adjacency = _get_array(topo, "adjacency", "topology")
-    leader_weights = _get_array(topo, "leader_weights", "topology", flat=True)
-    if leader_weights.size == 0:
-        raise ScenarioError("topology.leader_weights", "lists no agent")
-    kwargs = _given(_get_number, topo, "topology", ("nu1", "nu2"), positive=True)
+    leader_weights = _get_array(topo, "leader_weights", "topology")
+    kwargs = _given(_get_number, topo, "topology", ("nu1", "nu2"))
     kwargs.update(_given(_get_bool, topo, "topology", ("undirected",)))
     with _at("topology"):
         topology = gr.Topology(adjacency=adjacency, leader_weights=leader_weights, **kwargs)
-    if topology.n_agents != initial_positions.shape[0]:
-        raise ScenarioError("initial_states.agents",
-                            f"got {initial_positions.shape[0]} states for {topology.n_agents} agents")
     if "proximity_psi" in topo:
-        psi = _get_number(topo, "proximity_psi", "topology", positive=True)
-        topology = gr.proximity_augment(topology, initial_positions, psi)
+        psi = _get_number(topo, "proximity_psi", "topology")
+        with _at("topology", psi_threshold="topology.proximity_psi",
+                 first_states="initial_states.agents"):
+            topology = gr.proximity_augment(topology, initial_positions, psi)
     return topology
 
 
@@ -171,7 +166,9 @@ def _compile_expression(path: str, text, compile_text, *args):
 
 def _parse_drift(obj: dict, path: str, order: int, leader: bool):
     """The drift of the agent or leader object at `path`; a builtin is built for its mass."""
-    mass = _get_number(obj, "mass", path, positive=True) if "mass" in obj else 1.0
+    mass = _get_number(obj, "mass", path) if "mass" in obj else 1.0
+    if not mass > 0:   # only the builtin drift factories read it
+        raise ScenarioError(f"{path}.mass", "must be positive")
     spec = _require(obj, "drift", path)
     path = f"{path}.drift"
     registry = dyn.BUILTIN_LEADER_DRIFTS if leader else dyn.BUILTIN_AGENT_DRIFTS
@@ -230,24 +227,19 @@ def _parse_leader(doc: dict, order: int) -> dyn.LeaderModel:
 
 def _parse_gains(doc: dict) -> ctl.ControlGains:
     gd = _get_dict(doc, "gains", "")
-    if "lambda_bar" in gd:
-        lambda_bar = _get_array(gd, "lambda_bar", "gains")
-    else:
-        xi = _get_array(gd, "lambda_xi", "gains")
+    lambda_key = "lambda_bar" if "lambda_bar" in gd else "lambda_xi"
+    lambda_bar = _get_array(gd, lambda_key, "gains")
+    if lambda_key == "lambda_xi":
         with _at("gains.lambda_xi"):
-            lambda_bar = ctl.hurwitz_lambda(xi)
+            lambda_bar = ctl.hurwitz_lambda(lambda_bar)
     kwargs = dict(lambda_bar=lambda_bar, c=_get_array(gd, "c", "gains"))
-    kwargs.update(_given(_get_array, doc, "", ("obstacles",), flat=True))
-    kwargs.update(_given(_get_number, gd, "gains", ("gamma0", "gamma1", "gamma2"), minimum=0.0))
+    kwargs.update(_given(_get_array, doc, "", ("obstacles",)))
     radii = {"R": "detect_radius", "core_radius": "obstacle_radius"}
-    kwargs.update(_given(_get_number, gd, "gains", ("chi", "psi_ij", "psi_i0", *radii, "alpha_bar"),
-                         radii, positive=True))
+    kwargs.update(_given(_get_number, gd, "gains", ("gamma0", "gamma1", "gamma2", "chi", "psi_ij",
+                                                    "psi_i0", *radii, "alpha_bar"), radii))
     kwargs.update(_given(_get_bool, doc, "", ("strict_decentralized", "signless_avoidance")))
-    for key, name in radii.items():
-        radius = kwargs.get(name, 0.0)
-        if math.isinf(radius * radius):   # the field uses the squared radii
-            raise ScenarioError(f"gains.{key}", "too large: its square overflows a float")
-    with _at("gains"):
+    paths = {name: f"gains.{key}" for key, name in radii.items()}
+    with _at("gains", obstacles="obstacles", lambda_bar=f"gains.{lambda_key}", **paths):
         return ctl.ControlGains(**kwargs)
 
 
@@ -256,22 +248,17 @@ def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
     if key in doc:
         bd = _get_dict(doc, key, path)
         box = _get_array(bd, "box", here)
-        if box.ndim != 2 or box.shape != (order, 2):
+        if box.shape != (order, 2):
             raise ScenarioError(f"{here}.box", f"expected {order} [lo, hi] pairs")
         per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
-        width = bd.get("width")
-        if width is not None:
-            width = _get_number(bd, "width", here, positive=True)
+        width = None if bd.get("width") is None else _get_number(bd, "width", here)
     else:
         box, per_axis, width = [(-10.0, 10.0)] * order, nn.DEFAULT_GRID_PER_AXIS, None
-    entries = per_axis if isinstance(per_axis, list) else [per_axis] * order
+    entries = per_axis if isinstance(per_axis, list) else [per_axis]
     if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
         raise ScenarioError(f"{here}.per_axis", "expected an integer or list of integers")
-    if all(v >= 1 for v in entries) and math.prod(entries) > nn.MAX_GRID_CENTERS:
-        raise ScenarioError(f"{here}.per_axis", f"a grid of {math.prod(entries)} centres "
-                                                f"exceeds the limit of {nn.MAX_GRID_CENTERS}")
     with _at(here):
-        return nn.gaussian_grid([(lo, hi) for lo, hi in box], per_axis, width)
+        return nn.gaussian_grid(box, per_axis, width)
 
 
 def _parse_w_basis(doc, path) -> nn.BasisSpec:
@@ -281,11 +268,11 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
     here = f"{path}.w_basis"
     if "freqs" in bd:
         freqs = _get_array(bd, "freqs", here)
-        with _at(f"{here}.freqs"):
+        with _at(here, centers=f"{here}.freqs"):
             return nn.fourier_basis(freqs)
     if "centers" in bd:
         centers = _get_array(bd, "centers", here)
-        width = _get_number(bd, "width", here, positive=True)
+        width = _get_number(bd, "width", here)
         with _at(here):
             return nn.BasisSpec(kind=nn.GAUSSIAN_RBF_TIME, centers=centers, width=width)
     raise ScenarioError(here, "expected {freqs: [...]} or {centers: [...], width: w}")
@@ -293,13 +280,12 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
 
 def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
     nd = _get_dict(doc, "nn", "") if "nn" in doc else {}
-    with _at("nn"):
+    with _at("nn", gain="nn.F"):
         return nn.NNConfig(
             f_basis=_parse_state_basis(nd, "f_basis", "nn", order),
             leader_basis=_parse_state_basis(nd, "leader_basis", "nn", order),
             w_basis=_parse_w_basis(nd, "nn"),
-            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), {"F": "gain"},
-                     positive=True),
+            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), {"F": "gain"}),
         )
 
 
@@ -322,37 +308,27 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
         raise ScenarioError("schema", f"unsupported schema version {schema}")
 
     init_doc = _get_dict(doc, "initial_states", "")
-    agents0 = _get_array(init_doc, "agents", "initial_states")
-    leader0 = _get_array(init_doc, "leader", "initial_states")
-    if agents0.ndim != 2:
-        raise ScenarioError("initial_states.agents", "expected an array of state vectors")
-    if leader0.ndim != 1 or leader0.shape[0] != agents0.shape[1]:
-        raise ScenarioError("initial_states.leader",
-                            "leader state length must match the agent state length")
-    order = int(leader0.shape[0])
-    if order < 2:
-        raise ScenarioError("initial_states.leader", "chain order must be >= 2")
+    with _at("initial_states"):
+        initial = dyn.FleetState(agents=_get_array(init_doc, "agents", "initial_states"),
+                                 leader=_get_array(init_doc, "leader", "initial_states"))
+    order = initial.order
 
-    topology = _parse_topology(doc, agents0[:, 0])
+    topology = _parse_topology(doc, initial.agents[:, 0])
     agent_models = _parse_agents(doc, order)
     leader_model = _parse_leader(doc, order)
     gains = _parse_gains(doc)
     nn_config = _parse_nn(doc, order)
 
     off_doc = _get_dict(doc, "offsets", "") if "offsets" in doc else {}
-    per_agent = (_get_array(off_doc, "agents", "offsets") if "agents" in off_doc
-                 else np.zeros((topology.n_agents, order)))
-    leader_off = _get_array(off_doc, "leader", "offsets") if "leader" in off_doc else np.zeros(order)
-    with _at("offsets"):
-        offsets = ctl.Offsets(per_agent=per_agent, leader=leader_off)
+    given = _given(_get_array, off_doc, "offsets", ("agents", "leader"), {"agents": "per_agent"})
+    with _at("offsets", per_agent="offsets.agents"):
+        offsets = ctl.Offsets(**{"per_agent": np.zeros((topology.n_agents, order)),
+                                 "leader": np.zeros(order), **given})
 
     sim_doc = _get_dict(doc, "sim", "")
-    duration = _get_number(sim_doc, "duration", "sim", minimum=0.0)
-    steps = _given(_get_number, sim_doc, "sim", ("dt",), positive=True)
-    steps.update(_given(_get_int, sim_doc, "sim", ("record_stride",), minimum=1))
-
-    with _at("initial_states"):
-        initial = dyn.FleetState(agents=agents0, leader=leader0)
+    duration = _get_number(sim_doc, "duration", "sim")
+    steps = _given(_get_number, sim_doc, "sim", ("dt",))
+    steps.update(_given(_get_int, sim_doc, "sim", ("record_stride",)))
 
     with _at(""):   # a Scenario checks its cross-field invariants when it is built
         return sim.Scenario(
@@ -386,9 +362,7 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuu
         "kappaw": cfg.kappaw,
         "kappa0": cfg.kappa0,
     }
-    kwargs.update(_given(_get_number, doc, path, [n for n in names if n != "alpha_bar"],
-                         minimum=0.0))
-    kwargs.update(_given(_get_number, doc, path, ("alpha_bar",), positive=True))
+    kwargs.update(_given(_get_number, doc, path, names))
     with _at(path):
         return cuub.CuubBounds(**kwargs)
 

@@ -60,6 +60,11 @@ class Scenario:
         object.__setattr__(self, "agent_models", tuple(self.agent_models))
         validate_scenario(self)
 
+    @property
+    def steps(self) -> int:
+        """RK4 steps of a run: duration / dt, which validation requires to be whole."""
+        return int(round(self.duration / self.dt))
+
 
 def validate_scenario(scenario: Scenario) -> None:
     """Raise ValueError on any violated cross-field invariant.
@@ -70,13 +75,12 @@ def validate_scenario(scenario: Scenario) -> None:
     topo = scenario.topology
     n = scenario.initial.order
     n_agents = topo.n_agents
-    if n < 2:
-        raise ValueError("chain order must be >= 2")
     if len(scenario.agent_models) != n_agents:
         raise ValueError(f"agents: got {len(scenario.agent_models)} models for "
                          f"{n_agents} topology agents")
-    if scenario.initial.agents.shape != (n_agents, n):
-        raise ValueError("initial agent states must be (N, n)")
+    if scenario.initial.agents.shape[0] != n_agents:
+        raise ValueError(f"initial_states.agents: got {scenario.initial.agents.shape[0]} states "
+                         f"for {n_agents} agents")
     if scenario.offsets.per_agent.shape != (n_agents, n):
         raise ValueError(f"offsets.agents: expected shape ({n_agents}, {n})")
     if scenario.gains.order != n:
@@ -99,13 +103,8 @@ def validate_scenario(scenario: Scenario) -> None:
     if not gr.has_leader_spanning_tree(topo):
         raise ValueError("topology has no leader spanning tree: some agent cannot hear the leader")
     for name in ("f_basis", "leader_basis"):
-        basis = getattr(scenario.nn_config, name)
-        if basis.kind != nn.GAUSSIAN_RBF_STATE:
-            raise ValueError(f"{name} must be a state RBF basis")
-        if basis.centers.shape[1] != n:
+        if getattr(scenario.nn_config, name).centers.shape[1] != n:
             raise ValueError(f"{name} centers must match the chain order")
-    if scenario.nn_config.w_basis.kind == nn.GAUSSIAN_RBF_STATE:
-        raise ValueError("w_basis must be a time basis")
     try:
         with np.errstate(all="ignore"):   # a degree sum beyond the float range fails the checks
             topo.certificate   # solved here and cached on the topology
@@ -127,7 +126,7 @@ def initial_state(*scenarios: Scenario) -> np.ndarray:
 def record_count(scenario: Scenario) -> int:
     """Records in the trace of a run that does not abort: the start, every
     record_stride-th step and the last step."""
-    steps = fld._step_count(scenario)
+    steps = scenario.steps
     return 1 + steps // scenario.record_stride + (steps % scenario.record_stride > 0)
 
 
@@ -214,7 +213,7 @@ def run_many(scenarios, sink=None) -> list:
     ctx = fld._SimContext(scenarios)
     y = initial_state(*scenarios)
     dt, stride, breaker = first.dt, first.record_stride, nn.WEIGHT_BREAKER
-    n_steps = fld._step_count(first)
+    n_steps = first.steps
     live = list(range(len(scenarios)))
     aborted = [None] * len(scenarios)
     # the entries of stopped variants, reset to their (finite) initial state

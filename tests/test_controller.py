@@ -417,6 +417,13 @@ class TestControlGainsValidation:
         with pytest.raises(ctl.NotHurwitz):
             ctl.ControlGains(lambda_bar=np.array([-1.0]), c=np.array([1.0, 1.0]))
 
+    def test_radius_whose_square_overflows_is_refused(self):
+        # the field reads the squared radii
+        with pytest.raises(gr.FieldError) as info:
+            ctl.ControlGains(lambda_bar=np.array([1.0]), c=np.array([1.0, 1.0]),
+                             detect_radius=1e200, obstacle_radius=0.5)
+        assert info.value.field == "detect_radius"
+
     @pytest.mark.parametrize("obstacles", [[[-30.0, -60.0]], [[1.0], [2.0]], [[4.0]]])
     def test_obstacles_must_be_flat(self, obstacles):
         with pytest.raises(ValueError, match="obstacles"):

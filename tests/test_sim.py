@@ -890,6 +890,12 @@ class TestCuubDiagnostics:
     def test_bd_guard_on_singular_k(self):
         assert cuub.bd_value(1.0, 0.0) == math.inf
 
+    @pytest.mark.parametrize("alpha_bar", [0.0, -1.0])
+    def test_alpha_bar_must_be_positive(self, alpha_bar):
+        with pytest.raises(gr.FieldError) as info:
+            cuub.CuubBounds(alpha_bar=alpha_bar)
+        assert info.value.field == "alpha_bar"
+
     def test_full_report_single_agent(self):
         topo = gr.Topology(adjacency=[[0.0]], leader_weights=[1.0],
                            nu1=1.0, nu2=1.0)
