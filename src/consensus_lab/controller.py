@@ -47,8 +47,8 @@ class Offsets:
         object.__setattr__(self, "leader", ld)
         if pa.ndim != 2:
             raise FieldError("per_agent", "must be an (N, n) array")
-        if ld.shape != pa.shape[1:]:
-            raise FieldError("leader", f"must be a vector of the agent offsets' length {pa.shape[1]}")
+        if ld.ndim != 1:
+            raise FieldError("leader", "must be a vector")
         _check(self, ("per_agent", "leader"), lambda a: np.all(np.isfinite(a)), "must be finite")
 
 
@@ -88,7 +88,8 @@ class ControlGains:
         _check(self, ("chi", "psi_ij", "psi_i0", "detect_radius", "obstacle_radius", "alpha_bar"),
                lambda v: v > 0, "must be positive")
         if not self.obstacle_radius < self.detect_radius:
-            raise FieldError("obstacle_radius", "must be smaller than the detection radius")
+            raise FieldError("obstacle_radius", f"the core radius {self.obstacle_radius!r} must be "
+                                                f"smaller than the detection radius {self.detect_radius!r}")
         r = self.detect_radius   # the field uses the squared radii; the core's is the smaller
         if math.isinf(r * r):
             raise FieldError("detect_radius", "too large: its square overflows a float")
@@ -139,13 +140,10 @@ def lyapunov_P1(lambda_bar, alpha_bar: float) -> np.ndarray:
 
     The equation is the linear system (I (x) Delta^T + Delta^T (x) I) vec P1
     = -alpha_bar vec I over the column-major vec of P1, of order (n-1)^2.
+    lambda_bar is Hurwitz and alpha_bar positive, as ControlGains and
+    CuubBounds check them.
     """
-    if not alpha_bar > 0:
-        raise ValueError("alpha_bar must be positive")
-    lam = np.asarray(lambda_bar, dtype=float)
-    if not check_hurwitz(lam):
-        raise NotHurwitz("lambda_bar", f"{lam} is not Hurwitz")
-    delta = companion(lam)
+    delta = companion(lambda_bar)
     m = delta.shape[0]
     eye = np.eye(m)
     system = np.kron(eye, delta.T) + np.kron(delta.T, eye)

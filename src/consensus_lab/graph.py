@@ -316,8 +316,10 @@ def proximity_augment(topology: Topology, first_states: np.ndarray, psi_threshol
     if not psi_threshold > 0:
         raise FieldError("psi_threshold", "must be positive")
     x = np.asarray(first_states, dtype=float)
-    if x.shape != (topology.n_agents,):
-        raise FieldError("first_states", f"must have length {topology.n_agents}, one per agent")
+    if x.ndim != 1:
+        raise FieldError("first_states", "must be a vector")
+    if x.size != topology.n_agents:   # validate_scenario's wording for the same fault
+        raise FieldError("first_states", f"got {x.size} states for {topology.n_agents} agents")
     close = np.abs(x[:, None] - x[None, :]) <= psi_threshold
     np.fill_diagonal(close, False)
     adj = np.maximum(topology.adjacency, close.astype(float))

@@ -51,10 +51,12 @@ def builtin_scenario_text(name: str) -> str:
 
 
 @contextlib.contextmanager
-def _at(path: str, **paths):
+def _at(path: str, names=None, **paths):
     """Anchor a ValueError raised in the block at `path`: a FieldError at its
-    field's JSON path, paths[field] where given, else path.field.  A
-    ScenarioError keeps its own."""
+    field's JSON path, which is paths[field] where given, else path.key for
+    the key that names (as in _given) maps to the field, else path.field.
+    A ScenarioError keeps its own."""
+    paths = {**{field: _here(path, key) for key, field in (names or {}).items()}, **paths}
     try:
         yield
     except ScenarioError:
@@ -150,7 +152,7 @@ def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
         topology = gr.Topology(adjacency=adjacency, leader_weights=leader_weights, **kwargs)
     if "proximity_psi" in topo:
         psi = _get_number(topo, "proximity_psi", "topology")
-        with _at("topology", psi_threshold="topology.proximity_psi",
+        with _at("topology", {"proximity_psi": "psi_threshold"},
                  first_states="initial_states.agents"):
             topology = gr.proximity_augment(topology, initial_positions, psi)
     return topology
@@ -234,12 +236,13 @@ def _parse_gains(doc: dict) -> ctl.ControlGains:
             lambda_bar = ctl.hurwitz_lambda(lambda_bar)
     kwargs = dict(lambda_bar=lambda_bar, c=_get_array(gd, "c", "gains"))
     kwargs.update(_given(_get_array, doc, "", ("obstacles",)))
-    radii = {"R": "detect_radius", "core_radius": "obstacle_radius"}
+    names = {"R": "detect_radius", "core_radius": "obstacle_radius", lambda_key: "lambda_bar"}
     kwargs.update(_given(_get_number, gd, "gains", ("gamma0", "gamma1", "gamma2", "chi", "psi_ij",
-                                                    "psi_i0", *radii, "alpha_bar"), radii))
+                                                    "psi_i0", "R", "core_radius", "alpha_bar"), names))
     kwargs.update(_given(_get_bool, doc, "", ("strict_decentralized", "signless_avoidance")))
-    paths = {name: f"gains.{key}" for key, name in radii.items()}
-    with _at("gains", obstacles="obstacles", lambda_bar=f"gains.{lambda_key}", **paths):
+    # the radius-order rule names core_radius, or R where only R is given
+    paths = {} if "core_radius" in gd else {"obstacle_radius": "gains.R"}
+    with _at("gains", names, obstacles="obstacles", **paths):
         return ctl.ControlGains(**kwargs)
 
 
@@ -268,7 +271,7 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
     here = f"{path}.w_basis"
     if "freqs" in bd:
         freqs = _get_array(bd, "freqs", here)
-        with _at(here, centers=f"{here}.freqs"):
+        with _at(here, {"freqs": "centers"}):
             return nn.fourier_basis(freqs)
     if "centers" in bd:
         centers = _get_array(bd, "centers", here)
@@ -280,12 +283,13 @@ def _parse_w_basis(doc, path) -> nn.BasisSpec:
 
 def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
     nd = _get_dict(doc, "nn", "") if "nn" in doc else {}
-    with _at("nn", gain="nn.F"):
+    names = {"F": "gain"}
+    with _at("nn", names):
         return nn.NNConfig(
             f_basis=_parse_state_basis(nd, "f_basis", "nn", order),
             leader_basis=_parse_state_basis(nd, "leader_basis", "nn", order),
             w_basis=_parse_w_basis(nd, "nn"),
-            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), {"F": "gain"}),
+            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), names),
         )
 
 
@@ -320,8 +324,9 @@ def _parse_scenario(doc: dict) -> sim.Scenario:
     nn_config = _parse_nn(doc, order)
 
     off_doc = _get_dict(doc, "offsets", "") if "offsets" in doc else {}
-    given = _given(_get_array, off_doc, "offsets", ("agents", "leader"), {"agents": "per_agent"})
-    with _at("offsets", per_agent="offsets.agents"):
+    names = {"agents": "per_agent"}
+    given = _given(_get_array, off_doc, "offsets", ("agents", "leader"), names)
+    with _at("offsets", names):
         offsets = ctl.Offsets(**{"per_agent": np.zeros((topology.n_agents, order)),
                                  "leader": np.zeros(order), **given})
 

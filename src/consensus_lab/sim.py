@@ -83,6 +83,8 @@ def validate_scenario(scenario: Scenario) -> None:
                          f"for {n_agents} agents")
     if scenario.offsets.per_agent.shape != (n_agents, n):
         raise ValueError(f"offsets.agents: expected shape ({n_agents}, {n})")
+    if scenario.offsets.leader.shape != (n,):
+        raise ValueError(f"offsets.leader: expected length {n}")
     if scenario.gains.order != n:
         raise ValueError(f"gains.c: length {scenario.gains.order} does not match chain order {n}")
     if not scenario.dt > 0:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,6 +331,17 @@ def proximity_count_mismatch_doc():
     return doc
 
 
+def test_state_count_fault_reads_the_same_with_or_without_proximity(tmp_path, capsys):
+    # proximity_augment meets the fault first, validate_scenario otherwise
+    doc = proximity_count_mismatch_doc()
+    plain = {**doc, "topology": {k: v for k, v in doc["topology"].items() if k != "proximity_psi"}}
+    refusals = []
+    for d in (doc, plain):
+        assert cli.main(["check", "--scenario", write_doc(tmp_path, d)]) == 1
+        refusals.append(capsys.readouterr().err)
+    assert refusals == ["FAIL load: initial_states.agents: got 3 states for 2 agents\n"] * 2
+
+
 def fractional_per_axis_doc(basis):
     doc = load_builtin_doc("close_pair")
     doc["nn"][basis]["per_axis"] = [2.5, 3]
@@ -481,72 +493,83 @@ def test_negative_dt_override_names_sim_dt(tmp_path, capsys):
     assert lines == ["error: sim.dt must be positive"], lines
 
 
-# one out-of-range close_pair value per rule, by section and owner, and the
-# JSON key its refusal names
+def close_pair_section(section, drop, **values):
+    """close_pair's `section` object without the key `drop`, with values set."""
+    obj = {k: v for k, v in load_builtin_doc("close_pair")[section].items() if k != drop}
+    return {**obj, **values}
+
+
+# one out-of-range close_pair value per rule, by section and owner, and how its
+# refusal starts: the JSON key it names and ": " (a space for validate_scenario's
+# sim.* messages)
 REFUSALS = [
     # topology: Topology, proximity_augment
-    ("topology.adjacency", [[0, -1], [-1, 0]], "topology.adjacency"),
-    ("topology.adjacency", [[1, 1], [1, 0]], "topology.adjacency"),
-    ("topology.adjacency", [[0, 1]], "topology.adjacency"),
-    ("topology.adjacency", [[0, 1], [0.5, 0]], "topology.adjacency"),
-    ("topology.leader_weights", [[1, 1]], "topology.leader_weights"),
-    ("topology.leader_weights", [1, -1], "topology.leader_weights"),
-    ("topology.nu1", 0, "topology.nu1"),
-    ("topology.nu2", -1, "topology.nu2"),
-    ("topology.proximity_psi", 0, "topology.proximity_psi"),
+    ("topology.adjacency", [[0, -1], [-1, 0]], "topology.adjacency: "),
+    ("topology.adjacency", [[1, 1], [1, 0]], "topology.adjacency: "),
+    ("topology.adjacency", [[0, 1]], "topology.adjacency: "),
+    ("topology.adjacency", [[0, 1], [0.5, 0]], "topology.adjacency: "),
+    ("topology.leader_weights", [[1, 1]], "topology.leader_weights: "),
+    ("topology.leader_weights", [1, -1], "topology.leader_weights: "),
+    ("topology.nu1", 0, "topology.nu1: "),
+    ("topology.nu2", -1, "topology.nu2: "),
+    ("topology.proximity_psi", 0, "topology.proximity_psi: "),
     # initial_states: FleetState
-    ("initial_states.agents", [0.15, -0.15], "initial_states.agents"),
-    ("initial_states.leader", [0.0], "initial_states.leader"),
-    ("initial_states", {"agents": [[0.15], [-0.15]], "leader": [0.0]}, "initial_states.leader"),
+    ("initial_states.agents", [0.15, -0.15], "initial_states.agents: "),
+    ("initial_states.leader", [0.0], "initial_states.leader: "),
+    ("initial_states", {"agents": [[0.15], [-0.15]], "leader": [0.0]}, "initial_states.leader: "),
     # gains and obstacles: hurwitz_lambda, ControlGains
-    ("gains.lambda_xi", [-1.0], "gains.lambda_xi"),
-    ("gains.lambda_xi", [1e-320], "gains.lambda_xi"),
-    ("gains.lambda_bar", [-1.0], "gains.lambda_bar"),
-    ("gains.lambda_bar", [], "gains.lambda_bar"),
-    ("gains.c", [1.0], "gains.c"),
-    ("obstacles", [[1.0], [2.0]], "obstacles"),
-    ("gains.gamma1", -1, "gains.gamma1"),
-    ("gains.chi", 0, "gains.chi"),
-    ("gains.R", 0, "gains.R"),
-    ("gains.core_radius", 1.5, "gains.core_radius"),
-    ("gains.R", 1e200, "gains.R"),
-    ("gains.alpha_bar", 0, "gains.alpha_bar"),
+    ("gains.lambda_xi", [-1.0], "gains.lambda_xi: "),
+    ("gains.lambda_xi", [1e-320], "gains.lambda_xi: "),
+    ("gains.lambda_bar", [-1.0], "gains.lambda_bar: "),
+    ("gains.lambda_bar", [], "gains.lambda_bar: "),
+    ("gains.c", [1.0], "gains.c: "),
+    ("obstacles", [[1.0], [2.0]], "obstacles: "),
+    ("gains.gamma1", -1, "gains.gamma1: "),
+    ("gains.chi", 0, "gains.chi: "),
+    ("gains.R", 0, "gains.R: "),
+    ("gains.core_radius", 1.5, "gains.core_radius: "),
+    ("gains", close_pair_section("gains", "core_radius", R=0.3), "gains.R: "),
+    ("gains", close_pair_section("gains", "R", core_radius=2.5), "gains.core_radius: "),
+    ("gains.R", 1e200, "gains.R: "),
+    ("gains.alpha_bar", 0, "gains.alpha_bar: "),
     # nn: gaussian_grid, BasisSpec, NNConfig
-    ("nn.f_basis.per_axis", [0, 5], "nn.f_basis.per_axis"),
-    ("nn.f_basis.per_axis", [3], "nn.f_basis.per_axis"),
-    ("nn.f_basis.box", [[2, -2], [-2, 2]], "nn.f_basis.box"),
-    ("nn.f_basis.width", 0, "nn.f_basis.width"),
-    ("nn.leader_basis.width", 1e200, "nn.leader_basis.width"),
-    ("nn.w_basis.freqs", [], "nn.w_basis.freqs"),
-    ("nn.w_basis", {"centers": [[0.0], [1.0]], "width": 1.0}, "nn.w_basis.centers"),
-    ("nn.w_basis", {"centers": [0.0, 1.0], "width": 0}, "nn.w_basis.width"),
-    ("nn.F", -1, "nn.F"),
-    ("nn.kappa0", 0, "nn.kappa0"),
+    ("nn.f_basis.per_axis", [0, 5], "nn.f_basis.per_axis: "),
+    ("nn.f_basis.per_axis", [3], "nn.f_basis.per_axis: "),
+    ("nn.f_basis.box", [[2, -2], [-2, 2]], "nn.f_basis.box: "),
+    ("nn.f_basis.width", 0, "nn.f_basis.width: "),
+    ("nn.leader_basis.width", 1e200, "nn.leader_basis.width: "),
+    ("nn.w_basis.freqs", [], "nn.w_basis.freqs: "),
+    ("nn.w_basis", {"centers": [[0.0], [1.0]], "width": 1.0}, "nn.w_basis.centers: "),
+    ("nn.w_basis", {"centers": [0.0, 1.0], "width": 0}, "nn.w_basis.width: "),
+    ("nn.F", -1, "nn.F: "),
+    ("nn.kappa0", 0, "nn.kappa0: "),
     # offsets: Offsets
-    ("offsets.agents", [0, 0], "offsets.agents"),
-    ("offsets.leader", [0], "offsets.leader"),
+    ("offsets.agents", [0, 0], "offsets.agents: "),
+    ("offsets.leader", [0], "offsets.leader: "),
+    ("offsets.agents", [[0, 0, 0], [0, 0, 0]], "offsets.agents: "),
+    ("offsets", {"agents": [[0, 0, 0], [0, 0, 0]]}, "offsets.agents: "),
+    ("offsets", {"leader": [0, 0, 0]}, "offsets.leader: "),
     # sim: validate_scenario, whose messages name the key without a colon
-    ("sim.dt", 0, "sim.dt"),
-    ("sim.duration", -1, "sim.duration"),
-    ("sim.record_stride", 0, "sim.record_stride"),
+    ("sim.dt", 0, "sim.dt "),
+    ("sim.duration", -1, "sim.duration "),
+    ("sim.record_stride", 0, "sim.record_stride "),
     # agents: the parser's own rule
-    ("agents.0.mass", 0, "agents[0].mass"),
+    ("agents.0.mass", 0, "agents[0].mass: "),
 ]
 
 
 @pytest.mark.parametrize("command, prefix", [("run", "error: "), ("check", "FAIL load: ")])
-@pytest.mark.parametrize("dotted, value, json_path", REFUSALS)
-def test_refusal_names_its_json_key_once(tmp_path, capsys, command, prefix, dotted, value,
-                                         json_path):
+@pytest.mark.parametrize("dotted, value, head", REFUSALS)
+def test_refusal_names_its_json_key_once(tmp_path, capsys, command, prefix, dotted, value, head):
     doc = close_pair_with(dotted, value)
     argv = [command, "--scenario", write_doc(tmp_path, doc)]
     if command == "run":
         argv += ["--out", str(tmp_path / "o")]
     assert cli.main(argv) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(prefix + json_path), lines
-    assert lines[0][len(prefix + json_path)] in ": ", lines
-    assert lines[0].count(json_path) == 1, lines
+    assert len(lines) == 1 and lines[0].startswith(prefix + head), lines
+    section = re.match(r"[^.: ]+", head).group()   # anchored once, not again inside
+    assert len(re.findall(re.escape(section) + "[.:]", lines[0])) == 1, lines
 
 
 @pytest.mark.parametrize("key, value", [("t_m", -1.0), ("kappa0", -0.5), ("alpha_bar", 0)])

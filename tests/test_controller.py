@@ -82,10 +82,6 @@ class TestLyapunovP1:
         residual = np.linalg.norm(delta.T @ p1 + p1 @ delta + np.eye(2), "fro")
         assert residual <= 1e-10
 
-    def test_not_hurwitz_raises(self):
-        with pytest.raises(ctl.NotHurwitz):
-            ctl.lyapunov_P1([-1.0], 1.0)
-
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_matches_bartels_stewart(self, order):
         rng = np.random.default_rng(order)
