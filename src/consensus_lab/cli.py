@@ -224,10 +224,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _set_doc_field(doc: dict, dotted: str, value: float) -> None:
     """Set the number at a dotted path; ScenarioError if the path is missing
     or holds anything but a number."""
@@ -237,7 +233,7 @@ def _set_doc_field(doc: dict, dotted: str, value: float) -> None:
         if not isinstance(node, dict) or part not in node:
             raise sio.ScenarioError(dotted, "unknown scenario field")
         holder, node = node, node[part]
-    if not _is_number(node):
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise sio.ScenarioError(dotted, "not a number, so a sweep cannot set it")
     # an integral value stays a JSON integer where the document holds one,
     # because an integer field (sim.record_stride) rejects a float; -0.0
@@ -248,19 +244,15 @@ def _set_doc_field(doc: dict, dotted: str, value: float) -> None:
 
 
 def _resolve_param(doc: dict, name: str) -> str:
-    """Resolve a bare parameter name to a dotted path in known sections."""
+    """Resolve a bare parameter name to its dotted path in the section that
+    holds it; a loaded document holds only keys its parse read, and gains,
+    nn, sim and topology read no key name in common."""
     if "." in name:
         return name
-    hits, others = [], []
     for section in ("gains", "nn", "sim", "topology"):
-        sub = doc.get(section)
-        if isinstance(sub, dict) and name in sub:
-            (hits if _is_number(sub[name]) else others).append(f"{section}.{name}")
-    if len(hits) > 1:
-        raise sio.ScenarioError(name, f"ambiguous field; use one of {', '.join(hits)}")
-    if not hits + others:
-        raise sio.ScenarioError(name, "unknown scenario field")
-    return (hits + others)[0]   # a field that is not a number fails when it is set
+        if name in doc.get(section, {}):
+            return f"{section}.{name}"
+    raise sio.ScenarioError(name, "unknown scenario field")
 
 
 def _sweep_group(task: tuple) -> list:

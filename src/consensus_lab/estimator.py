@@ -90,6 +90,8 @@ def gaussian_grid(box, per_axis=DEFAULT_GRID_PER_AXIS, width=None) -> BasisSpec:
                                      f"exceeds the limit of {MAX_GRID_CENTERS}")
     if not all(hi > lo for lo, hi in box):
         raise FieldError("box", "bounds must satisfy hi > lo")
+    if not all(math.isfinite(hi - lo) for lo, hi in box):
+        raise FieldError("box", "hi - lo must be finite")
     axes, spacings = [], []
     for (lo, hi), m in zip(box, per_axis):
         axes.append(np.linspace(lo, hi, m))

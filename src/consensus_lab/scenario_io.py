@@ -1,12 +1,12 @@
 """Scenario files: JSON schema 1 parsing and bundled scenarios.
 
-The parser checks JSON types (number, integer, bool, array, object, finite)
-and builds the dataclasses, whose constructors check the values; each
-refusal names the offending JSON path (for example ``gains.chi: must be
-positive``).  A constructor's FieldError names its field, which the parser
-anchors at the key the document wrote for it.  Scenario sources are
-filesystem paths or ``builtin:<name>`` references to the scenarios shipped
-with the package.
+The parser reads each JSON object through one _Reader, which checks JSON
+types (number, integer, bool, array, object, finite) and refuses a key that
+nothing reads; the dataclass constructors check the values.  Each refusal
+names the offending JSON path (for example ``gains.chi: must be positive``):
+a constructor's FieldError names its field, which the parser anchors at the
+key the document wrote for it.  Scenario sources are filesystem paths or
+``builtin:<name>`` references to the scenarios shipped with the package.
 """
 
 import contextlib
@@ -51,12 +51,10 @@ def builtin_scenario_text(name: str) -> str:
 
 
 @contextlib.contextmanager
-def _at(path: str, names=None, **paths):
+def _at(path: str, **paths):
     """Anchor a ValueError raised in the block at `path`: a FieldError at its
-    field's JSON path, which is paths[field] where given, else path.key for
-    the key that names (as in _given) maps to the field, else path.field.
+    field's JSON path, which is paths[field] where given, else path.field.
     A ScenarioError keeps its own."""
-    paths = {**{field: _here(path, key) for key, field in (names or {}).items()}, **paths}
     try:
         yield
     except ScenarioError:
@@ -72,268 +70,276 @@ def _here(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _require(doc: dict, key: str, path: str, what: str = "field"):
-    if key not in doc:
-        raise ScenarioError(_here(path, key), f"missing required {what}")
-    return doc[key]
+class _Reader:
+    """One JSON object of a document and its JSON path.
+
+    Each getter checks the JSON type of its key and records the key as read;
+    `names` maps a key to the dataclass field it fills where the two differ.
+    The readers of one document list their objects, paths and read keys in
+    one shared `opened`, whose walk after the parse refuses an unread key.
+    """
+
+    def __init__(self, doc: dict, path: str, opened: list, names=None):
+        self.doc, self.path, self.opened, self.names = doc, path, opened, names or {}
+        self.read = set()
+        opened.append((doc, path, self.read))   # not self: a cycle would outlive the parse
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.doc
+
+    def here(self, key: str) -> str:
+        return _here(self.path, key)
+
+    def accept(self, *keys):
+        """Declare keys that the object may hold and that nothing here reads."""
+        self.read.update(keys)
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return self.doc.get(key, default)
+
+    def require(self, key: str, what: str = "field"):
+        if key not in self.doc:
+            raise ScenarioError(self.here(key), f"missing required {what}")
+        return self.get(key)
+
+    def typed(self, key: str, noun: str, *types):
+        """The value at key if it is one of types; JSON true and false are bools only."""
+        value = self.require(key, noun)
+        if isinstance(value, bool) is not (bool in types) or not isinstance(value, types):
+            article = "an" if noun[0] in "aeiou" else "a"
+            raise ScenarioError(self.here(key), f"expected {article} {noun}, "
+                                                f"got {type(value).__name__}")
+        return value
+
+    def number(self, key: str) -> float:
+        """The number at key as a finite float; an integer beyond the float range is not one."""
+        try:
+            value = float(self.typed(key, "number", int, float))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioError(self.here(key), "must be finite")
+        return value
+
+    def integer(self, key: str) -> int:
+        return self.typed(key, "integer", int)
+
+    def boolean(self, key: str) -> bool:
+        return self.typed(key, "boolean", bool)
+
+    def array(self, key: str) -> np.ndarray:
+        value, here = self.typed(key, "array", list), self.here(key)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(here, f"expected numeric entries: {exc}") from None
+        except OverflowError:
+            raise ScenarioError(here, "entries must be finite") from None
+        if arr.size and not np.all(np.isfinite(arr)):
+            raise ScenarioError(here, "entries must be finite")
+        return arr
+
+    def object(self, key: str, names=None, optional=False) -> "_Reader":
+        """The reader of the object at key; an optional one the document lacks reads as {}."""
+        if optional and key not in self.doc:
+            return _Reader({}, self.here(key), self.opened, names)
+        return _Reader(self.typed(key, "object", dict), self.here(key), self.opened, names)
+
+    def expression(self, key: str, compile_text, *args):
+        """compile_text(text, *args) of the expression string at key, failing with its path."""
+        text = self.typed(key, "string expression", str)
+        with _at(self.here(key)):
+            return compile_text(text, *args)
+
+    def given(self, get, *keys) -> dict:
+        """get(key) of each of keys that the object holds, in keys order, by
+        its dataclass field name.  A key the object lacks is left out, so its
+        dataclass default applies."""
+        return {self.names.get(key, key): get(key) for key in keys if key in self.doc}
+
+    def at(self, **paths):
+        """_at(path), with a FieldError anchored at the key read so far for its field."""
+        fields = {field: self.here(key) for key, field in self.names.items() if key in self.read}
+        return _at(self.path, **{**fields, **paths})
+
+    def refuse_unread(self):
+        """Refuse the first key that no getter read, in the order the objects were opened."""
+        for doc, path, read in self.opened:
+            for key in doc:
+                if key not in read:
+                    raise ScenarioError(_here(path, key), "unknown field")
 
 
-def _finite(value, here: str) -> float:
-    """A JSON number as a finite float; an integer beyond the float range is not one."""
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ScenarioError(here, "must be finite")
-    return value
-
-
-def _get_number(doc, key, path):
-    value = _require(doc, key, path, "number")
-    here = _here(path, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(here, f"expected a number, got {type(value).__name__}")
-    return _finite(value, here)
-
-
-def _get_int(doc, key, path):
-    value = _require(doc, key, path, "integer")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(_here(path, key), f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _get_bool(doc, key, path):
-    value = doc[key]
-    if not isinstance(value, bool):
-        raise ScenarioError(_here(path, key), "expected true or false")
-    return value
-
-
-def _get_array(doc, key, path):
-    value = _require(doc, key, path, "array")
-    here = _here(path, key)
-    if not isinstance(value, list):
-        raise ScenarioError(here, f"expected an array, got {type(value).__name__}")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(here, f"expected numeric entries: {exc}") from None
-    except OverflowError:
-        raise ScenarioError(here, "entries must be finite") from None
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ScenarioError(here, "entries must be finite")
-    return arr
-
-
-def _get_dict(doc, key, path):
-    value = _require(doc, key, path, "object")
-    if not isinstance(value, dict):
-        raise ScenarioError(_here(path, key), f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _given(get, doc, path, keys, names=None) -> dict:
-    """get(doc, key, path) of each of keys that doc holds, in keys order, by
-    its dataclass field name (names maps a key to a different one).  A key
-    doc lacks is left out, so its dataclass default applies."""
-    names = names or {}
-    return {names.get(key, key): get(doc, key, path) for key in keys if key in doc}
-
-
-def _parse_topology(doc: dict, initial_positions: np.ndarray) -> gr.Topology:
-    topo = _get_dict(doc, "topology", "")
-    adjacency = _get_array(topo, "adjacency", "topology")
-    leader_weights = _get_array(topo, "leader_weights", "topology")
-    kwargs = _given(_get_number, topo, "topology", ("nu1", "nu2"))
-    kwargs.update(_given(_get_bool, topo, "topology", ("undirected",)))
-    with _at("topology"):
-        topology = gr.Topology(adjacency=adjacency, leader_weights=leader_weights, **kwargs)
+def _parse_topology(root: _Reader, initial_positions: np.ndarray) -> gr.Topology:
+    topo = root.object("topology", {"proximity_psi": "psi_threshold"})
+    kwargs = dict(adjacency=topo.array("adjacency"), leader_weights=topo.array("leader_weights"),
+                  **topo.given(topo.number, "nu1", "nu2"), **topo.given(topo.boolean, "undirected"))
+    with topo.at():
+        topology = gr.Topology(**kwargs)
     if "proximity_psi" in topo:
-        psi = _get_number(topo, "proximity_psi", "topology")
-        with _at("topology", {"proximity_psi": "psi_threshold"},
-                 first_states="initial_states.agents"):
+        psi = topo.number("proximity_psi")
+        with topo.at(first_states="initial_states.agents"):
             topology = gr.proximity_augment(topology, initial_positions, psi)
     return topology
 
 
-def _compile_expression(path: str, text, compile_text, *args):
-    """compile_text(text, *args) for the expression at `path`, failing with that path."""
-    if not isinstance(text, str):
-        raise ScenarioError(path, "expected a string expression")
-    with _at(path):
-        return compile_text(text, *args)
-
-
-def _parse_drift(obj: dict, path: str, order: int, leader: bool):
-    """The drift of the agent or leader object at `path`; a builtin is built for its mass."""
-    mass = _get_number(obj, "mass", path) if "mass" in obj else 1.0
+def _parse_drift(obj: _Reader, order: int, leader: bool):
+    """The drift of an agent or leader object; a builtin is built for its mass."""
+    obj.accept("label")   # an annotation that nothing reads
+    mass = obj.number("mass") if "mass" in obj else 1.0
     if not mass > 0:   # only the builtin drift factories read it
-        raise ScenarioError(f"{path}.mass", "must be positive")
-    spec = _require(obj, "drift", path)
-    path = f"{path}.drift"
+        raise ScenarioError(obj.here("mass"), "must be positive")
+    spec = obj.require("drift")
+    if isinstance(spec, dict) and "expr" in spec:
+        return obj.object("drift").expression("expr", dyn.compile_state_expression, order)
+    if not isinstance(spec, str):
+        raise ScenarioError(obj.here("drift"), "drift must be a builtin name or an expression")
     registry = dyn.BUILTIN_LEADER_DRIFTS if leader else dyn.BUILTIN_AGENT_DRIFTS
-    if isinstance(spec, str):
-        name = spec[len(BUILTIN_PREFIX):] if spec.startswith(BUILTIN_PREFIX) else spec
-        if name in registry:
-            return registry[name](mass)
-    elif isinstance(spec, dict) and "expr" in spec:
-        spec, path = spec["expr"], f"{path}.expr"
-    else:
-        raise ScenarioError(path, "drift must be a builtin name or an expression")
-    return _compile_expression(path, spec, dyn.compile_state_expression, order)
+    builtin = registry.get(spec.removeprefix(BUILTIN_PREFIX))
+    if builtin:
+        return builtin(mass)
+    return obj.expression("drift", dyn.compile_state_expression, order)
 
 
-def _parse_disturbance(spec, path: str):
+def _parse_disturbance(agent: _Reader):
+    spec = agent.get("disturbance")
     if spec is None:
         return dyn.constant_disturbance(0.0)
-    if isinstance(spec, bool):
-        raise ScenarioError(path, "disturbance must be a number or an object")
-    if isinstance(spec, (int, float)):
-        return dyn.constant_disturbance(_finite(spec, path))
+    if isinstance(spec, (int, float)):   # a bool is refused as no number
+        return dyn.constant_disturbance(agent.number("disturbance"))
     if isinstance(spec, dict):
-        if "constant" in spec:
-            return dyn.constant_disturbance(_get_number(spec, "constant", path))
-        if "sinusoid" in spec:
-            sub = _get_dict(spec, "sinusoid", path)
-            amp = _get_number(sub, "amp", f"{path}.sinusoid")
-            freq = _get_number(sub, "freq", f"{path}.sinusoid")
-            return dyn.sinusoid_disturbance(amp, freq)
-        if "expr" in spec:
-            return _compile_expression(f"{path}.expr", spec["expr"], dyn.compile_time_expression)
-    raise ScenarioError(path, "disturbance must be a number, "
-                              "{constant: v}, {sinusoid: {amp, freq}}, or {expr: text}")
+        sd = agent.object("disturbance")
+        if "constant" in sd:
+            return dyn.constant_disturbance(sd.number("constant"))
+        if "sinusoid" in sd:
+            sub = sd.object("sinusoid")
+            return dyn.sinusoid_disturbance(sub.number("amp"), sub.number("freq"))
+        if "expr" in sd:
+            return sd.expression("expr", dyn.compile_time_expression)
+    raise ScenarioError(agent.here("disturbance"), "disturbance must be a number, {constant: v}, "
+                                                   "{sinusoid: {amp, freq}}, or {expr: text}")
 
 
-def _parse_agents(doc: dict, order: int) -> list[dyn.AgentModel]:
-    agents_doc = _require(doc, "agents", "")
+def _parse_agents(root: _Reader, order: int) -> list[dyn.AgentModel]:
+    agents_doc = root.require("agents")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ScenarioError("agents", "expected a nonempty array of agent objects")
     models = []
     for i, entry in enumerate(agents_doc):
-        path = f"agents[{i}]"
         if not isinstance(entry, dict):
-            raise ScenarioError(path, "expected an object")
-        drift = _parse_drift(entry, path, order, leader=False)
-        disturbance = _parse_disturbance(entry.get("disturbance"), f"{path}.disturbance")
-        models.append(dyn.AgentModel(drift=drift, disturbance=disturbance))
+            raise ScenarioError(f"agents[{i}]", "expected an object")
+        agent = _Reader(entry, f"agents[{i}]", root.opened)
+        models.append(dyn.AgentModel(drift=_parse_drift(agent, order, leader=False),
+                                     disturbance=_parse_disturbance(agent)))
     return models
 
 
-def _parse_leader(doc: dict, order: int) -> dyn.LeaderModel:
-    leader_doc = _get_dict(doc, "leader", "")
-    drift = _parse_drift(leader_doc, "leader", order, leader=True)
-    return dyn.LeaderModel(drift=drift)
-
-
-def _parse_gains(doc: dict) -> ctl.ControlGains:
-    gd = _get_dict(doc, "gains", "")
-    lambda_key = "lambda_bar" if "lambda_bar" in gd else "lambda_xi"
-    lambda_bar = _get_array(gd, lambda_key, "gains")
-    if lambda_key == "lambda_xi":
-        with _at("gains.lambda_xi"):
-            lambda_bar = ctl.hurwitz_lambda(lambda_bar)
-    kwargs = dict(lambda_bar=lambda_bar, c=_get_array(gd, "c", "gains"))
-    kwargs.update(_given(_get_array, doc, "", ("obstacles",)))
-    names = {"R": "detect_radius", "core_radius": "obstacle_radius", lambda_key: "lambda_bar"}
-    kwargs.update(_given(_get_number, gd, "gains", ("gamma0", "gamma1", "gamma2", "chi", "psi_ij",
-                                                    "psi_i0", "R", "core_radius", "alpha_bar"), names))
-    kwargs.update(_given(_get_bool, doc, "", ("strict_decentralized", "signless_avoidance")))
+def _parse_gains(root: _Reader) -> ctl.ControlGains:
+    gd = root.object("gains", {"lambda_xi": "lambda_bar", "R": "detect_radius",
+                               "core_radius": "obstacle_radius"})
+    if "lambda_bar" in gd:
+        lambda_bar = gd.array("lambda_bar")
+    else:
+        with _at(gd.here("lambda_xi")):
+            lambda_bar = ctl.hurwitz_lambda(gd.array("lambda_xi"))
+    kwargs = dict(lambda_bar=lambda_bar, c=gd.array("c"), **root.given(root.array, "obstacles"))
+    kwargs.update(gd.given(gd.number, "gamma0", "gamma1", "gamma2", "chi", "psi_ij", "psi_i0",
+                           "R", "core_radius", "alpha_bar"))
+    kwargs.update(root.given(root.boolean, "strict_decentralized", "signless_avoidance"))
     # the radius-order rule names core_radius, or R where only R is given
     paths = {} if "core_radius" in gd else {"obstacle_radius": "gains.R"}
-    with _at("gains", names, obstacles="obstacles", **paths):
+    with gd.at(obstacles="obstacles", **paths):
         return ctl.ControlGains(**kwargs)
 
 
-def _parse_state_basis(doc, key, path, order) -> nn.BasisSpec:
-    here = f"{path}.{key}"
-    if key in doc:
-        bd = _get_dict(doc, key, path)
-        box = _get_array(bd, "box", here)
+def _parse_state_basis(nd: _Reader, key: str, order: int) -> nn.BasisSpec:
+    bd = nd.object(key, optional=True)
+    if key in nd:
+        box = bd.array("box")
         if box.shape != (order, 2):
-            raise ScenarioError(f"{here}.box", f"expected {order} [lo, hi] pairs")
-        per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
-        width = None if bd.get("width") is None else _get_number(bd, "width", here)
+            raise ScenarioError(bd.here("box"), f"expected {order} [lo, hi] pairs")
     else:
-        box, per_axis, width = [(-10.0, 10.0)] * order, nn.DEFAULT_GRID_PER_AXIS, None
+        box = [(-10.0, 10.0)] * order
+    per_axis = bd.get("per_axis", nn.DEFAULT_GRID_PER_AXIS)
+    width = None if bd.get("width") is None else bd.number("width")
     entries = per_axis if isinstance(per_axis, list) else [per_axis]
     if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
-        raise ScenarioError(f"{here}.per_axis", "expected an integer or list of integers")
-    with _at(here):
+        raise ScenarioError(bd.here("per_axis"), "expected an integer or list of integers")
+    with bd.at():
         return nn.gaussian_grid(box, per_axis, width)
 
 
-def _parse_w_basis(doc, path) -> nn.BasisSpec:
-    if "w_basis" not in doc:
+def _parse_w_basis(nd: _Reader) -> nn.BasisSpec:
+    if "w_basis" not in nd:
         return nn.fourier_basis()
-    bd = _get_dict(doc, "w_basis", path)
-    here = f"{path}.w_basis"
+    bd = nd.object("w_basis", {"freqs": "centers"})
     if "freqs" in bd:
-        freqs = _get_array(bd, "freqs", here)
-        with _at(here, {"freqs": "centers"}):
+        freqs = bd.array("freqs")
+        with bd.at():
             return nn.fourier_basis(freqs)
     if "centers" in bd:
-        centers = _get_array(bd, "centers", here)
-        width = _get_number(bd, "width", here)
-        with _at(here):
+        centers, width = bd.array("centers"), bd.number("width")
+        with bd.at():
             return nn.BasisSpec(kind=nn.GAUSSIAN_RBF_TIME, centers=centers, width=width)
-    raise ScenarioError(here, "expected {freqs: [...]} or {centers: [...], width: w}")
+    raise ScenarioError(bd.path, "expected {freqs: [...]} or {centers: [...], width: w}")
 
 
-def _parse_nn(doc: dict, order: int) -> nn.NNConfig:
-    nd = _get_dict(doc, "nn", "") if "nn" in doc else {}
-    names = {"F": "gain"}
-    with _at("nn", names):
-        return nn.NNConfig(
-            f_basis=_parse_state_basis(nd, "f_basis", "nn", order),
-            leader_basis=_parse_state_basis(nd, "leader_basis", "nn", order),
-            w_basis=_parse_w_basis(nd, "nn"),
-            **_given(_get_number, nd, "nn", ("F", "kappa", "kappa0", "kappaw"), names),
-        )
+def _parse_nn(root: _Reader, order: int) -> nn.NNConfig:
+    nd = root.object("nn", {"F": "gain"}, optional=True)
+    kwargs = dict(f_basis=_parse_state_basis(nd, "f_basis", order),
+                  leader_basis=_parse_state_basis(nd, "leader_basis", order),
+                  w_basis=_parse_w_basis(nd),
+                  **nd.given(nd.number, "F", "kappa", "kappa0", "kappaw"))
+    with nd.at():
+        return nn.NNConfig(**kwargs)
 
 
 def parse_scenario(doc: dict) -> sim.Scenario:
     """Build a Scenario from a parsed JSON document, with path-anchored errors.
 
+    Every key of the document is read, declared as an annotation that
+    nothing reads (`description`, `bounds`, an agent's or the leader's
+    `label`), or refused as an unknown field once the rest is parsed.
     A number that overflows while the scenario is built or validated fails
     an explicit check that names its JSON path, so numpy's overflow and
     invalid-value warnings are silenced here rather than printed.
     """
-    with np.errstate(all="ignore"):
-        return _parse_scenario(doc)
-
-
-def _parse_scenario(doc: dict) -> sim.Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario document must be a JSON object")
-    schema = _get_int(doc, "schema", "") if "schema" in doc else SCHEMA_VERSION
+    root = _Reader(doc, "", [])
+    root.accept("description", "bounds")   # diagnose reads bounds
+    with np.errstate(all="ignore"):
+        scenario = _parse_scenario(root)
+    root.refuse_unread()
+    return scenario
+
+
+def _parse_scenario(root: _Reader) -> sim.Scenario:
+    schema = root.integer("schema") if "schema" in root else SCHEMA_VERSION
     if schema != SCHEMA_VERSION:
         raise ScenarioError("schema", f"unsupported schema version {schema}")
 
-    init_doc = _get_dict(doc, "initial_states", "")
-    with _at("initial_states"):
-        initial = dyn.FleetState(agents=_get_array(init_doc, "agents", "initial_states"),
-                                 leader=_get_array(init_doc, "leader", "initial_states"))
+    init = root.object("initial_states")
+    with init.at():
+        initial = dyn.FleetState(agents=init.array("agents"), leader=init.array("leader"))
     order = initial.order
 
-    topology = _parse_topology(doc, initial.agents[:, 0])
-    agent_models = _parse_agents(doc, order)
-    leader_model = _parse_leader(doc, order)
-    gains = _parse_gains(doc)
-    nn_config = _parse_nn(doc, order)
+    topology = _parse_topology(root, initial.agents[:, 0])
+    agent_models = _parse_agents(root, order)
+    leader_model = dyn.LeaderModel(drift=_parse_drift(root.object("leader"), order, leader=True))
+    gains = _parse_gains(root)
+    nn_config = _parse_nn(root, order)
 
-    off_doc = _get_dict(doc, "offsets", "") if "offsets" in doc else {}
-    names = {"agents": "per_agent"}
-    given = _given(_get_array, off_doc, "offsets", ("agents", "leader"), names)
-    with _at("offsets", names):
+    off = root.object("offsets", {"agents": "per_agent"}, optional=True)
+    given = off.given(off.array, "agents", "leader")
+    with off.at():
         offsets = ctl.Offsets(**{"per_agent": np.zeros((topology.n_agents, order)),
                                  "leader": np.zeros(order), **given})
 
-    sim_doc = _get_dict(doc, "sim", "")
-    duration = _get_number(sim_doc, "duration", "sim")
-    steps = _given(_get_number, sim_doc, "sim", ("dt",))
-    steps.update(_given(_get_int, sim_doc, "sim", ("record_stride",)))
+    sd = root.object("sim")
+    duration = sd.number("duration")
+    steps = {**sd.given(sd.number, "dt"), **sd.given(sd.integer, "record_stride")}
 
     with _at(""):   # a Scenario checks its cross-field invariants when it is built
         return sim.Scenario(
@@ -354,10 +360,7 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuu
     bounds and kappas default from the scenario, the rest from CuubBounds."""
     if not isinstance(doc, dict):
         raise ScenarioError(path, "bounds document must be a JSON object")
-    names = [f.name for f in dataclasses.fields(cuub.CuubBounds)]
-    for key in doc:
-        if key not in names:
-            raise ScenarioError(_here(path, key), "unknown field")
+    bd = _Reader(doc, path, [])
     cfg = scenario.nn_config
     kwargs = {
         "phi_f": nn.basis_bound(cfg.f_basis),
@@ -366,10 +369,12 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuu
         "kappa": cfg.kappa,
         "kappaw": cfg.kappaw,
         "kappa0": cfg.kappa0,
+        **bd.given(bd.number, *(f.name for f in dataclasses.fields(cuub.CuubBounds))),
     }
-    kwargs.update(_given(_get_number, doc, path, names))
-    with _at(path):
-        return cuub.CuubBounds(**kwargs)
+    with bd.at():
+        bounds = cuub.CuubBounds(**kwargs)
+    bd.refuse_unread()
+    return bounds
 
 
 def load_document(source) -> dict:

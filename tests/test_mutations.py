@@ -1,10 +1,10 @@
 """Mutated bundled scenarios: every input ends in exit code 0, 1 or 2.
 
 Each example applies a few mutations to a bundled document (dropped keys,
-values of the wrong type, extreme numbers, directed adjacencies), then runs
-``check`` and a two-step ``run``, or ``diagnose`` and a two-point ``sweep``,
-through ``cli.main``.  None may raise, and a failure is reported in at most
-one line.
+values of the wrong type, extreme numbers, directed adjacencies, added keys
+that nothing reads), then runs ``check`` and a two-step ``run``, or
+``diagnose`` and a two-point ``sweep``, through ``cli.main``.  None may
+raise, and a failure is reported in at most one line.
 """
 
 import contextlib
@@ -83,11 +83,27 @@ def _direct(doc, draw):
             adjacency[i][j] = draw(st.one_of(st.floats(0.0, 100.0), st.sampled_from([0, 1e308])))
 
 
+def _objects(node):
+    """Every object at or below node."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _objects(child)
+
+
+def _misspell(doc, draw):
+    """Add a key that nothing reads to an object drawn from the document."""
+    obj = draw(st.sampled_from(list(_objects(doc))))
+    obj[draw(st.sampled_from(["gama1", "kapa", "widht", "lable", "x"]))] = draw(values)
+
+
 @st.composite
 def mutated_documents(draw):
     doc = json.loads(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
     for _ in range(draw(st.integers(1, 3))):
-        draw(st.sampled_from([_drop, _replace, _replace, _direct]))(doc, draw)
+        draw(st.sampled_from([_drop, _replace, _replace, _direct, _misspell]))(doc, draw)
     return doc
 
 
