@@ -246,7 +246,9 @@ def _set_doc_field(doc: dict, dotted: str, value: float) -> None:
 def _resolve_param(doc: dict, name: str) -> str:
     """Resolve a bare parameter name to its dotted path in the section that
     holds it; a loaded document holds only keys its parse read, and gains,
-    nn, sim and topology read no key name in common."""
+    nn, sim and topology read no key name in common.  No run reads bounds."""
+    if name.startswith("bounds."):
+        raise sio.ScenarioError(name, "no run reads it, so a sweep cannot set it")
     if "." in name:
         return name
     for section in ("gains", "nn", "sim", "topology"):

@@ -6,8 +6,8 @@ classical fixed-step RK4.  Runs are deterministic: identical scenarios
 produce bitwise identical traces.
 
 Scenarios that share a structure (``field.batch_key``) integrate as one
-stacked state, and each variant's trace is bitwise the one it gives alone
-(``run`` is ``run_many`` of one).
+stacked state, and each variant's records are bitwise the ones it gives
+alone (``run`` is ``run_many`` of one).
 
 Each record goes to a sink as it is made.  Aborts (non-finite values,
 weight-norm circuit breaker) end a scenario's records rather than raise.
@@ -26,13 +26,10 @@ from . import field as fld
 from . import graph as gr
 
 RECORD_STRIDE_DEFAULT = 10
-# The most work a run may ask for: RK4 steps, checked when a scenario is
-# validated, and values in a trace that run/run_many collect whole (records
-# times the trace_columns).  At the step limit a run of the five-vehicle
-# platoon takes about an hour; the trace limit is 160 MB of float64.  The
-# bundled platoon asks for 40 000 steps and 240 060 trace values.
+# The most RK4 steps a run may ask for, checked when a scenario is
+# validated.  At the limit a run of the five-vehicle platoon takes about an
+# hour; the bundled platoon asks for 40 000 steps.
 MAX_STEPS = 10_000_000
-MAX_TRACE_VALUES = 20_000_000
 # the estimator families whose weight norms a record holds, in its order
 WEIGHT_FAMILIES = ("drift", "disturbance", "leader")
 
@@ -125,13 +122,6 @@ def initial_state(*scenarios: Scenario) -> np.ndarray:
     return y
 
 
-def record_count(scenario: Scenario) -> int:
-    """Records in the trace of a run that does not abort: the start, every
-    record_stride-th step and the last step."""
-    steps = scenario.steps
-    return 1 + steps // scenario.record_stride + (steps % scenario.record_stride > 0)
-
-
 def rk4_step(field: Callable[[np.ndarray, float], np.ndarray],
              full_state: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Classical 4-stage fixed-step update, returned as a new array.
@@ -185,33 +175,19 @@ def trace_columns(n_agents: int, order: int) -> list[str]:
             + ["min_pair_distance", "min_obstacle_distance"])
 
 
-def run_many(scenarios, sink=None) -> list:
+def run_many(scenarios, sink) -> list:
     """Integrate scenarios that share one batch_key as one stacked state.
 
     One RK4 loop, with one field evaluation per stage, advances every
     scenario and hands each Record to ``sink(record, live)``, with the
     indices of the variants live at it.  An abort (non-finite values, weight
     norms beyond the circuit breaker) ends that scenario's records; the abort
-    reasons are returned, None where none.  Without a sink each scenario's
-    Trace is returned, bitwise the one it gives alone, unless its values
-    would exceed MAX_TRACE_VALUES.
+    reasons are returned, None where none.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
     first = scenarios[0]
-    collecting = sink is None
-    if collecting:
-        records = record_count(first)
-        width = len(trace_columns(first.topology.n_agents, first.initial.order))
-        if records * width > MAX_TRACE_VALUES:
-            raise ValueError(f"sim.record_stride: {records} records of {width} trace values exceed "
-                             f"sim.MAX_TRACE_VALUES = {MAX_TRACE_VALUES}; record less often")
-        rows = [[] for _ in scenarios]   # per variant its records' rows
-
-        def sink(record, live):
-            for k in live:
-                rows[k].append([a[k] for a in record])
     ctx = fld._SimContext(scenarios)
     y = initial_state(*scenarios)
     dt, stride, breaker = first.dt, first.record_stride, nn.WEIGHT_BREAKER
@@ -265,10 +241,7 @@ def run_many(scenarios, sink=None) -> list:
                 np.copyto(y, y0, where=stopped)
             if live and (step % stride == 0 or step == n_steps):
                 record(t)
-    if not collecting:
-        return aborted
-    return [Trace(*map(np.stack, zip(*rows_k)), aborted=reason)
-            for rows_k, reason in zip(rows, aborted)]
+    return aborted
 
 
 # the blocks of StateLayout.split, as a non-finite state abort names them
@@ -286,8 +259,8 @@ def _nonfinite_part(blocks, k: int) -> Optional[str]:
     return None
 
 
-def run(scenario: Scenario, sink=None):
-    """run_many of one scenario: its Trace, or with a sink its abort reason."""
+def run(scenario: Scenario, sink) -> Optional[str]:
+    """run_many of one scenario: its abort reason, None where none."""
     return run_many([scenario], sink)[0]
 
 

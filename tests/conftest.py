@@ -6,12 +6,14 @@ import pytest
 from consensus_lab import scenario_io as sio
 from consensus_lab import sim
 
+import oracles
+
 
 class BundledRuns:
     """Lazily computed, session-cached simulations of the bundled scenarios."""
 
     # run with and without their potentials as one stacked integration
-    # (sim.run_many), which gives each the trace it gives alone
+    # (oracles.run_many), which gives each the trace it gives alone
     AVOIDANCE_STUDIES = ("close_pair", "obstacle_gate")
 
     def __init__(self):
@@ -30,7 +32,7 @@ class BundledRuns:
             keys = [name, f"{name}:no_avoidance"] if name in self.AVOIDANCE_STUDIES else [key]
             scenarios = [self._variant(k) for k in keys]
             start = time.perf_counter()
-            traces = sim.run_many(scenarios)   # of one scenario: sim.run, timed alone
+            traces = oracles.run_many(scenarios)   # of one scenario: a solo run, timed alone
             elapsed = time.perf_counter() - start
             for k, trace in zip(keys, traces):
                 self._traces[k] = trace

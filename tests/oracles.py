@@ -6,7 +6,8 @@ per agent and family) are the oracles the tests compare the field against.
 So are the loop form ``phi`` of the state bases, the CSV cell format
 ``fmt`` and the whole-trace ``metrics``, and the graph matrices D, L and
 £ = nu1*L + nu2*B built one matrix each, with the certificate's verdict
-taken by eigvalsh alone.
+taken by eigvalsh alone.  ``run`` and ``run_many`` collect a run's records
+into whole ``sim.Trace``s, which the simulator streams to a sink instead.
 
 The per-agent control is u_i = u_i^d - u_i^c - u_i^0:
 
@@ -29,6 +30,7 @@ from consensus_lab.controller import DISTANCE_CLAMP, ControlGains, Offsets
 from consensus_lab.dynamics import FleetState
 from consensus_lab.estimator import GAUSSIAN_RBF_STATE, BasisSpec, DimensionMismatch, basis_eval
 from consensus_lab import graph as gr
+from consensus_lab import sim
 from consensus_lab.graph import GraphLyapunov, Topology, _readonly
 
 
@@ -324,6 +326,36 @@ def metrics(trace) -> dict:
         "duration": float(times[-1] - times[0]),
         "records": int(times.size),
     }
+
+
+# ---------------------------------------------------------------------------
+# Whole traces: a run's records stacked into one sim.Trace per scenario.
+
+
+def run_many(scenarios) -> list:
+    """sim.run_many with a sink that stacks each live variant's rows: per
+    scenario its sim.Trace, bitwise the one it gives alone."""
+    scenarios = list(scenarios)
+    rows = [[] for _ in scenarios]   # per variant its records' rows
+
+    def sink(record, live):
+        for k in live:
+            rows[k].append([a[k] for a in record])
+    aborted = sim.run_many(scenarios, sink)
+    return [sim.Trace(*map(np.stack, zip(*rows_k)), aborted=reason)
+            for rows_k, reason in zip(rows, aborted)]
+
+
+def run(scenario) -> sim.Trace:
+    """run_many of one scenario: its sim.Trace."""
+    return run_many([scenario])[0]
+
+
+def record_count(scenario) -> int:
+    """Records in the trace of a run that does not abort: the start, every
+    record_stride-th step and the last step."""
+    steps = scenario.steps
+    return 1 + steps // scenario.record_stride + (steps % scenario.record_stride > 0)
 
 
 # ---------------------------------------------------------------------------
