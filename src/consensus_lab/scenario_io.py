@@ -299,8 +299,9 @@ def parse_scenario(doc: dict) -> sim.Scenario:
     """Build a Scenario from a parsed JSON document, with path-anchored errors.
 
     Every key of the document is read, declared as an annotation that
-    nothing reads (`description`, `bounds`, an agent's or the leader's
-    `label`), or refused as an unknown field once the rest is parsed.
+    nothing reads (`description`, an agent's or the leader's `label`), or
+    refused as an unknown field once the rest is parsed.  An embedded
+    `bounds` is then checked with `parse_bounds`, which diagnose calls again.
     A number that overflows while the scenario is built or validated fails
     an explicit check that names its JSON path, so numpy's overflow and
     invalid-value warnings are silenced here rather than printed.
@@ -308,10 +309,12 @@ def parse_scenario(doc: dict) -> sim.Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario document must be a JSON object")
     root = _Reader(doc, "", [])
-    root.accept("description", "bounds")   # diagnose reads bounds
+    root.accept("description", "bounds")
     with np.errstate(all="ignore"):
         scenario = _parse_scenario(root)
     root.refuse_unread()
+    if "bounds" in doc:
+        parse_bounds(doc["bounds"], scenario)
     return scenario
 
 

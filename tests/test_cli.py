@@ -97,6 +97,15 @@ class TestRunCommand:
         for name in cli.FIG_FILES:
             assert len((out / name).read_text().splitlines()) == lines, name
 
+    @pytest.mark.parametrize("scenario", sio.builtin_scenario_names())
+    def test_each_figure_file_has_a_line_per_trace_line(self, tmp_path, scenario):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", f"builtin:{scenario}", "--duration", "0.2",
+                         "--out", str(out)]) == 0
+        lines = len((out / "trace.csv").read_text().splitlines())
+        for name in cli.FIG_FILES:
+            assert len((out / name).read_text().splitlines()) == lines, name
+
     def test_usage_error_exit_code_one(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--scenario", "builtin:close_pair"])  # missing --out
@@ -105,12 +114,13 @@ class TestRunCommand:
 
 class TestCheckCommand:
     def test_bundled_scenario_passes(self, capsys):
-        assert cli.main(["check", "--scenario", "builtin:vehicle_platoon"]) == 0
-        out = capsys.readouterr().out
-        for name in ("leader spanning tree", "pinned laplacian conditioning",
-                     "graph Lyapunov certificate", "Hurwitz lambda_bar",
-                     "companion Lyapunov solve"):
-            assert f"{name}: PASS" in out
+        for scenario in sio.builtin_scenario_names():
+            assert cli.main(["check", "--scenario", f"builtin:{scenario}"]) == 0, scenario
+            out = capsys.readouterr().out
+            for name in ("leader spanning tree", "pinned laplacian conditioning",
+                         "graph Lyapunov certificate", "Hurwitz lambda_bar",
+                         "companion Lyapunov solve"):
+                assert f"{name}: PASS" in out, (scenario, name)
 
     def test_unpinned_scenario_fails_spanning_tree(self, tmp_path, capsys):
         doc = load_builtin_doc("close_pair")
@@ -524,6 +534,7 @@ REFUSALS = [
     ("gains.chi", 0, "gains.chi: "),
     ("gains.R", 0, "gains.R: "),
     ("gains.core_radius", 1.5, "gains.core_radius: "),
+    ("gains.core_radius", 2.0, "gains.core_radius: "),
     ("gains", close_pair_section("gains", "core_radius", R=0.3), "gains.R: "),
     ("gains", close_pair_section("gains", "R", core_radius=2.5), "gains.core_radius: "),
     ("gains.R", 1e200, "gains.R: "),
@@ -533,6 +544,7 @@ REFUSALS = [
     ("nn.f_basis.per_axis", [3], "nn.f_basis.per_axis: "),
     ("nn.f_basis.box", [[2, -2], [-2, 2]], "nn.f_basis.box: "),
     ("nn.f_basis.width", 0, "nn.f_basis.width: "),
+    ("nn.f_basis.width", 1e200, "nn.f_basis.width: "),
     ("nn.f_basis.box", [[-1e308, 1e308], [-2, 2]], "nn.f_basis.box: "),
     ("nn.f_basis", {"box": [[-1e308, 1e308], [-2, 2]], "per_axis": 3}, "nn.f_basis.box: "),
     ("nn.leader_basis.width", 1e200, "nn.leader_basis.width: "),
@@ -553,6 +565,9 @@ REFUSALS = [
     ("sim.record_stride", 0, "sim.record_stride "),
     # agents: the parser's own rule
     ("agents.0.mass", 0, "agents[0].mass: "),
+    # bounds: the reader's JSON types, CuubBounds
+    ("bounds", {"t_m": "x"}, "bounds.t_m: expected a number, got str"),
+    ("bounds", {"t_m": -1.0}, "bounds.t_m: "),
 ]
 
 
@@ -589,6 +604,7 @@ UNREAD_KEYS = [
     ("agents.0.disturbance", {"sinusoid": {"amp": 0.1, "freq": 1.0, "phase": 0.0}},
      "agents[0].disturbance.sinusoid.phase"),
     ("leader.lable", "leader", "leader.lable"),
+    ("bounds", {"kapa": 0.5}, "bounds.kapa"),
     # of two keys where one wins, the other is refused rather than ignored
     ("gains.lambda_bar", [2.0], "gains.lambda_xi"),
     ("nn.w_basis", {"freqs": [1.0], "centers": [0.0, 1.0], "width": 1.0}, "nn.w_basis.centers"),
@@ -760,6 +776,30 @@ def test_a_trace_beyond_the_trace_cap_is_checked(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def chain_doc(n, pin_every):
+    """close_pair's first agent n times on a path graph, every pin_every-th one pinned."""
+    doc = load_builtin_doc("close_pair")
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        adjacency[i][i + 1] = adjacency[i + 1][i] = 1
+    doc["topology"].update(adjacency=adjacency,
+                           leader_weights=[int(i % pin_every == 0) for i in range(n)])
+    doc["agents"] = [doc["agents"][0]] * n
+    doc["initial_states"]["agents"] = [[-2.0 * (i + 1), 0.0] for i in range(n)]
+    doc["offsets"]["agents"] = [[0, 0]] * n
+    return doc
+
+
+def test_a_thousand_agent_chain_checks_and_runs(tmp_path, capsys):
+    # the load's certificate verdict takes no eigendecomposition; check's min_eig_q does
+    path = write_doc(tmp_path, chain_doc(1000, 25))
+    assert cli.main(["check", "--scenario", path]) == 0
+    assert "graph Lyapunov certificate: PASS" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert cli.main(["run", "--scenario", path, "--duration", "0.005", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["aborted"] is None
+
+
 @pytest.mark.parametrize("n_agents, order", [(1, 2), (5, 2), (3, 4)])
 def test_trace_width_counts_the_trace_columns(n_agents, order):
     # t, the agent and leader states, u, e, r and E, three weight norms per
@@ -783,7 +823,6 @@ OVERFLOWING = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "check", "sweep"])
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 def test_overflowing_topology_warns_nothing(tmp_path, capsys, case, command):
@@ -806,7 +845,6 @@ def scaled_weights_doc(scale):
     return doc
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e150, 1e160])
 def test_check_does_not_depend_on_the_weight_scale(tmp_path, capsys, scale):
     # below 1e-4 the least eigenvalue of Q is under 1e-10; above about 1e154 Q overflows
@@ -814,7 +852,6 @@ def test_check_does_not_depend_on_the_weight_scale(tmp_path, capsys, scale):
     assert "graph Lyapunov certificate: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, code", [("check", 0), ("run", 2), ("sweep", 0),
                                            ("diagnose", 1)])
 def test_weights_whose_certificate_q_overflows(tmp_path, capsys, command, code):
@@ -845,7 +882,6 @@ def order4_doc(lambda_xi):
     return doc
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lambda_xi", [[10.0, 20.0, 30.0], [1000.0, 1000.0, 1000.0]])
 def test_companion_lyapunov_residual_is_relative(tmp_path, capsys, lambda_xi):
     # lambda_bar = [1e9, 3e6, 3e3] leaves an absolute residual of about 1e-8
@@ -853,7 +889,6 @@ def test_companion_lyapunov_residual_is_relative(tmp_path, capsys, lambda_xi):
     assert "companion Lyapunov solve: PASS (residual = " in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exact_companion_solve_with_a_huge_lambda_passes(tmp_path, capsys):
     # P1 = 1 / (2e200) solves exactly, though ||Delta||^2 overflows and ||P1||^2 underflows
     doc = load_builtin_doc("close_pair")
@@ -862,7 +897,6 @@ def test_exact_companion_solve_with_a_huge_lambda_passes(tmp_path, capsys):
     assert "companion Lyapunov solve: PASS (residual = 0.000e+00)" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_companion_residual_beyond_the_float_range_is_one_line(tmp_path, capsys):
     # lambda_bar = [1e300, 3e200, 3e100]: the residual's products are not finite
     code = cli.main(["check", "--scenario", write_doc(tmp_path, order4_doc([1e100] * 3))])
@@ -879,7 +913,6 @@ def test_a_failed_check_is_one_line_and_exit_one(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == ["FAILED: companion Lyapunov solve"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_proximity_distance_warns_nothing(tmp_path):
     # |x_1 - x_2| overflows to inf, which is beyond proximity_psi: no new edge
     doc = load_builtin_doc("close_pair")
@@ -889,7 +922,6 @@ def test_overflowing_proximity_distance_warns_nothing(tmp_path):
     assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_bounds_warn_nothing(tmp_path, capsys):
     # the minors of K overflow in det: the fifth is -inf
     bpath = tmp_path / "bounds.json"
@@ -919,7 +951,6 @@ def assert_written(written, value):
         assert written == value
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_json_report_is_strict_json(tmp_path):
     # weights times 1e160 overflow the graph quantities to nan and +-inf
     path = write_doc(tmp_path, scaled_weights_doc(1e160))
@@ -977,8 +1008,8 @@ def test_integer_power_tower_aborts_promptly(tmp_path):
     doc["sim"]["duration"] = 0.05
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-m", "consensus_lab.cli", "run", "--scenario", write_doc(tmp_path, doc),
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "consensus_lab.cli", "run",
+         "--scenario", write_doc(tmp_path, doc), "--out", str(tmp_path / "o")],
         capture_output=True, text=True, timeout=30, env=env)
     assert done.returncode == 2
     lines = done.stderr.strip().splitlines()
@@ -1346,6 +1377,12 @@ def test_deeply_nested_expression_is_one_line_error(tmp_path, capsys, depth, com
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and "agents[0].drift.expr" in lines[0], lines
     assert "nested too deeply" in lines[0]
+
+
+def test_a_long_flat_sum_is_not_nested(tmp_path):
+    # a sum's syntax tree is as deep as the sum is long, yet 1 200 terms are not nested
+    doc = close_pair_with_model(("agents", 0, "drift"), {"expr": "s" + "+s" * 1199})
+    assert cli.main(["check", "--scenario", write_doc(tmp_path, doc)]) == 0
 
 
 # A function name must be called: a bare sin would reach the run as a numpy

