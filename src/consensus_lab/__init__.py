@@ -5,8 +5,9 @@ Modules:
     dynamics    -- Brunovsky-chain models, builtin platoon drifts, drift expressions
     estimator   -- bounded bases and the estimator configuration
     controller  -- offsets, gains, Hurwitz synthesis and check
-    sim         -- the vectorised closed-loop field, RK4 integration, traces,
-                   metrics, stability diagnostics
+    field       -- the vectorised closed-loop derivative field over one stacked state
+    cuub        -- the CUUB bound constants and the stability diagnostics matrix K
+    sim         -- the scenario and its checks, RK4 integration, records, run summary
     scenario_io -- JSON scenario files and the bundled scenarios
     cli         -- `consensus-lab` command-line front end
 """

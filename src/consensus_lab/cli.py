@@ -137,7 +137,8 @@ def cmd_check(args) -> int:
     lyap = scenario.topology.certificate
     # lambda_bar's products may leave the float range; a residual that does fails its line
     with np.errstate(all="ignore"):
-        cond = float(np.linalg.cond(scenario.topology.pounds))
+        # of £ times the exact 2^-exponent: the same number, without £'s overflowing norm
+        cond = float(np.linalg.cond(np.ldexp(scenario.topology.pounds, -lyap.exponent)))
         p1 = ctl.lyapunov_P1(gains.lambda_bar, gains.alpha_bar)
         delta = ctl.companion(gains.lambda_bar)
         residual = _norm(delta.T @ p1 + p1 @ delta + gains.alpha_bar * np.eye(delta.shape[0]))
@@ -183,17 +184,15 @@ def _strict_json(value):
 
 def cmd_diagnose(args) -> int:
     try:
-        scenario, doc = sio.load_scenario(args.scenario)
+        scenario = sio.load_scenario(args.scenario)[0]   # the document is not kept
+        bounds = scenario.bounds
         if args.bounds is not None:
-            bounds_doc = sio.load_document(args.bounds)
-        elif "bounds" in doc:
-            bounds_doc = doc["bounds"]
-        else:
-            print("error: no bounds file given and the scenario embeds none", file=sys.stderr)
-            return 1
-        bounds = sio.parse_bounds(bounds_doc, scenario)
+            bounds = sio.parse_bounds(sio.load_document(args.bounds), scenario)
     except sio.ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if bounds is None:
+        print("error: no bounds file given and the scenario embeds none", file=sys.stderr)
         return 1
 
     report = cuub.cuub_diagnostics(bounds, scenario.topology, scenario.gains)

@@ -43,10 +43,10 @@ def builtin_scenario_names() -> list[str]:
 
 
 def builtin_scenario_text(name: str) -> str:
-    ref = resources.files("consensus_lab").joinpath("scenarios").joinpath(f"{name}.json")
-    if not ref.is_file():
+    if name not in builtin_scenario_names():   # so a name holding a path is refused
         raise ScenarioError("", f"unknown builtin scenario {name!r}; "
                                 f"available: {', '.join(builtin_scenario_names())}")
+    ref = resources.files("consensus_lab").joinpath("scenarios").joinpath(f"{name}.json")
     return ref.read_text(encoding="utf-8")
 
 
@@ -300,21 +300,19 @@ def parse_scenario(doc: dict) -> sim.Scenario:
 
     Every key of the document is read, declared as an annotation that
     nothing reads (`description`, an agent's or the leader's `label`), or
-    refused as an unknown field once the rest is parsed.  An embedded
-    `bounds` is then checked with `parse_bounds`, which diagnose calls again.
-    A number that overflows while the scenario is built or validated fails
-    an explicit check that names its JSON path, so numpy's overflow and
-    invalid-value warnings are silenced here rather than printed.
+    refused as an unknown field once the rest is parsed; an embedded
+    `bounds` becomes Scenario.bounds.  A number that overflows while the
+    scenario is built or validated fails an explicit check that names its
+    JSON path, so numpy's overflow and invalid-value warnings are silenced
+    here rather than printed.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("", "scenario document must be a JSON object")
     root = _Reader(doc, "", [])
-    root.accept("description", "bounds")
+    root.accept("description")
     with np.errstate(all="ignore"):
         scenario = _parse_scenario(root)
     root.refuse_unread()
-    if "bounds" in doc:
-        parse_bounds(doc["bounds"], scenario)
     return scenario
 
 
@@ -343,6 +341,7 @@ def _parse_scenario(root: _Reader) -> sim.Scenario:
     sd = root.object("sim")
     duration = sd.number("duration")
     steps = {**sd.given(sd.number, "dt"), **sd.given(sd.integer, "record_stride")}
+    bounds = _parse_bounds(root.object("bounds"), nn_config) if "bounds" in root else None
 
     with _at(""):   # a Scenario checks its cross-field invariants when it is built
         return sim.Scenario(
@@ -355,16 +354,22 @@ def _parse_scenario(root: _Reader) -> sim.Scenario:
             initial=initial,
             duration=duration,
             **steps,
+            bounds=bounds,
         )
 
 
 def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuub.CuubBounds:
-    """CuubBounds from a JSON object whose keys are its field names; basis
-    bounds and kappas default from the scenario, the rest from CuubBounds."""
+    """CuubBounds from a bounds document of its own (diagnose --bounds FILE)."""
     if not isinstance(doc, dict):
         raise ScenarioError(path, "bounds document must be a JSON object")
     bd = _Reader(doc, path, [])
-    cfg = scenario.nn_config
+    bounds = _parse_bounds(bd, scenario.nn_config)
+    bd.refuse_unread()
+    return bounds
+
+
+def _parse_bounds(bd: _Reader, cfg: nn.NNConfig) -> cuub.CuubBounds:
+    """CuubBounds of bd's keys, with the basis bounds and kappas of cfg by default."""
     kwargs = {
         "phi_f": nn.basis_bound(cfg.f_basis),
         "phi_w": nn.basis_bound(cfg.w_basis),
@@ -375,9 +380,7 @@ def parse_bounds(doc: dict, scenario: sim.Scenario, path: str = "bounds") -> cuu
         **bd.given(bd.number, *(f.name for f in dataclasses.fields(cuub.CuubBounds))),
     }
     with bd.at():
-        bounds = cuub.CuubBounds(**kwargs)
-    bd.refuse_unread()
-    return bounds
+        return cuub.CuubBounds(**kwargs)
 
 
 def load_document(source) -> dict:

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import controller as ctl
+from . import cuub
 from . import dynamics as dyn
 from . import estimator as nn
 from . import field as fld
@@ -52,6 +53,7 @@ class Scenario:
     duration: float
     dt: float = 1e-3
     record_stride: int = RECORD_STRIDE_DEFAULT
+    bounds: Optional[cuub.CuubBounds] = None   # read by diagnose only, not by a run
 
     def __post_init__(self):
         object.__setattr__(self, "agent_models", tuple(self.agent_models))

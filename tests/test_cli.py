@@ -231,6 +231,24 @@ class TestDiagnoseCommand:
         assert cli.main(["diagnose", *argv]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: bounds.{key}: unknown field"]
 
+    def test_embedded_bounds_are_built_once(self, monkeypatch, capsys):
+        # the load builds scenario.bounds, and diagnose reads them there
+        built = []
+        post_init = cuub.CuubBounds.__post_init__
+        monkeypatch.setattr(cuub.CuubBounds, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        assert cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon"]) == 1
+        assert len(built) == 1
+
+    def test_bounds_file_replaces_the_embedded_bounds(self, tmp_path, capsys):
+        bpath = tmp_path / "bounds.json"
+        bpath.write_text(json.dumps({"theta_f": 7.0, "kappa": 0.25}), encoding="utf-8")
+        jpath = tmp_path / "report.json"
+        assert cli.main(["diagnose", "--scenario", "builtin:vehicle_platoon",
+                         "--bounds", str(bpath), "--json", str(jpath)]) == 1
+        # the file's theta_f and kappa; its silent theta_w is 0, not the embedded 5
+        assert json.loads(jpath.read_text())["omega"][1:3] == [0.25 * 7.0, 0.0]
+
     def test_no_bounds_anywhere(self, capsys):
         code = cli.main(["diagnose", "--scenario", "builtin:close_pair"])
         assert code == 1
@@ -568,6 +586,7 @@ REFUSALS = [
     # bounds: the reader's JSON types, CuubBounds
     ("bounds", {"t_m": "x"}, "bounds.t_m: expected a number, got str"),
     ("bounds", {"t_m": -1.0}, "bounds.t_m: "),
+    ("bounds", [0.5], "bounds: expected an object, got list"),
 ]
 
 
@@ -845,9 +864,10 @@ def scaled_weights_doc(scale):
     return doc
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e150, 1e160])
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e150, 1e160, 8e307])
 def test_check_does_not_depend_on_the_weight_scale(tmp_path, capsys, scale):
-    # below 1e-4 the least eigenvalue of Q is under 1e-10; above about 1e154 Q overflows
+    # below 1e-4 the least eigenvalue of Q is under 1e-10; above about 1e154 Q
+    # overflows, and at 8e307 so does the 2-norm of the pinned Laplacian
     assert cli.main(["check", "--scenario", write_doc(tmp_path, scaled_weights_doc(scale))]) == 0
     assert "graph Lyapunov certificate: PASS" in capsys.readouterr().out
 

@@ -35,7 +35,8 @@ class TestParsing:
         assert scenario.record_stride == sim.RECORD_STRIDE_DEFAULT
 
     def test_omitted_keys_take_the_dataclass_defaults(self):
-        # the minimal document holds no optional key of topology, gains, nn or sim
+        # the minimal document holds no optional key of topology, gains, nn or sim,
+        # and no bounds
         scenario = sio.parse_scenario(minimal_doc())
         checked = []
         for obj in (scenario.topology, scenario.gains, scenario.nn_config, scenario):
@@ -43,7 +44,7 @@ class TestParsing:
                 if f.default is not dataclasses.MISSING:
                     assert np.array_equal(getattr(obj, f.name), f.default), f.name
                     checked.append(f.name)
-        assert len(checked) == 3 + 12 + 4 + 2
+        assert len(checked) == 3 + 12 + 4 + 3
 
     def test_given_keys_reach_their_fields(self):
         doc = minimal_doc()
@@ -135,9 +136,12 @@ class TestErrorPaths:
         with pytest.raises(sio.ScenarioError, match="initial_states"):
             sio.parse_scenario(doc)
 
-    def test_unknown_builtin_scenario(self):
-        with pytest.raises(sio.ScenarioError, match="unknown builtin"):
-            sio.load_scenario("builtin:not_a_scenario")
+    def test_unknown_builtin_scenario(self, tmp_path):
+        # a name holding a path is refused, also where the path names a scenario file
+        (tmp_path / "doc.json").write_text(sio.builtin_scenario_text("close_pair"))
+        for name in ("not_a_scenario", "../scenarios/close_pair", str(tmp_path / "doc")):
+            with pytest.raises(sio.ScenarioError, match="unknown builtin"):
+                sio.load_scenario(f"builtin:{name}")
 
     def test_isolated_agent_rejected(self):
         doc = minimal_doc()
@@ -185,6 +189,18 @@ class TestBounds:
         assert report.graph_quantities["sigma_max_P1"] == float(np.linalg.norm(p1, 2))
         with pytest.raises(sio.ScenarioError, match="alpha_bar"):
             sio.parse_bounds({"alpha_bar": 0.0}, scenario)
+
+    def test_embedded_bounds_are_parsed_at_load(self):
+        scenario, doc = sio.load_scenario("builtin:vehicle_platoon")
+        expected = sio.parse_bounds(doc["bounds"], scenario)
+        for f in dataclasses.fields(cuub.CuubBounds):
+            assert getattr(scenario.bounds, f.name) == getattr(expected, f.name), f.name
+        for name in ("close_pair", "obstacle_gate"):
+            assert sio.load_scenario(f"builtin:{name}")[0].bounds is None
+
+    def test_replace_keeps_the_bounds(self):
+        scenario = sio.load_scenario("builtin:vehicle_platoon")[0]
+        assert dataclasses.replace(scenario, duration=0.5).bounds is scenario.bounds
 
 
 class TestBuiltinCatalog:
